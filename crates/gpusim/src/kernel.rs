@@ -200,6 +200,7 @@ pub fn launch_loop_guarded_with<M: LaneMemory>(
     let mut warp_id = 0u32;
     let total = iters.end - iters.start;
     let mut k = iters.start;
+    let mut warp_iters: Vec<u64> = Vec::with_capacity(cfg.warp_size as usize);
     while k < iters.end {
         let hi = (k + cfg.warp_size as u64).min(iters.end);
         if let Some(plan) = faults {
@@ -207,7 +208,8 @@ pub fn launch_loop_guarded_with<M: LaneMemory>(
                 return Err(SimtError::Fault(f));
             }
         }
-        let warp_iters: Vec<u64> = (k..hi).collect();
+        warp_iters.clear();
+        warp_iters.extend(k..hi);
         let stats = match &compiled {
             Resolved::Bytecode(kc) => vm.run_warp(
                 kc,
@@ -389,6 +391,7 @@ pub fn launch_loop_par_with<M: ParallelLaneMemory + Sync>(
                     let mut out: WarpOutcome<M> = Vec::new();
                     let mut vm = SimtVm::new();
                     let mut nvm = NativeSimtVm::new();
+                    let mut warp_iters: Vec<u64> = Vec::with_capacity(cfg.warp_size as usize);
                     loop {
                         let w = next.fetch_add(1, Ordering::Relaxed);
                         if w >= run_warps {
@@ -396,7 +399,8 @@ pub fn launch_loop_par_with<M: ParallelLaneMemory + Sync>(
                         }
                         let lo = iters.start + w as u64 * cfg.warp_size as u64;
                         let hi = (lo + cfg.warp_size as u64).min(iters.end);
-                        let warp_iters: Vec<u64> = (lo..hi).collect();
+                        warp_iters.clear();
+                        warp_iters.extend(lo..hi);
                         let mut view = mem_ref.fork();
                         let r = match &compiled {
                             Resolved::Bytecode(kc) => vm.run_warp(

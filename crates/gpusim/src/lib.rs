@@ -27,6 +27,7 @@ pub mod native;
 pub mod simt;
 pub mod stats;
 pub mod vm;
+mod warp;
 
 pub use config::{DeviceConfig, DevicePartition, SimConfig};
 pub use kernel::{

@@ -31,9 +31,17 @@ pub trait LaneMemory {
     fn store(&mut self, ctx: AccessCtx, arr: ArrayId, idx: i64, v: Value) -> Result<(), ExecError>;
     /// Array length.
     fn array_len(&self, arr: ArrayId) -> Result<usize, ExecError>;
-    /// Flat device byte address of an element, for the coalescing model.
-    /// `None` disables coalescing accounting for that access.
-    fn address_of(&self, arr: ArrayId, idx: i64) -> Option<u64>;
+    /// Where the array sits in the flat device address space, for the
+    /// coalescing model: `(base byte address, element bytes)`. A warp
+    /// access resolves this once per array, not once per lane. `None`
+    /// disables coalescing accounting for accesses to that array.
+    fn placement(&self, arr: ArrayId) -> Option<(u64, u64)>;
+    /// Flat device byte address of an element (`None` for negative indices
+    /// and arrays without a [`placement`](LaneMemory::placement)).
+    fn address_of(&self, arr: ArrayId, idx: i64) -> Option<u64> {
+        let (base, elem) = self.placement(arr)?;
+        (idx >= 0).then(|| base + idx as u64 * elem)
+    }
     /// Extra issue cycles a wrapper charges per memory access (the TLS
     /// engine uses this to model its metadata bookkeeping).
     fn overhead_cycles(&self) -> f64 {
@@ -80,12 +88,24 @@ pub struct Transfer {
     pub seconds: f64,
 }
 
+/// One resident array: its device mirror and its base byte address.
+#[derive(Debug, Clone)]
+struct Slot {
+    data: ArrayData,
+    base: u64,
+}
+
 /// The simulated device global memory: a mirror of selected host arrays
 /// plus a flat address map for coalescing analysis.
+///
+/// Arrays live in a dense slot table indexed by `ArrayId.0`: host heap ids
+/// are sequential from zero, so every per-lane access is one indexed load.
+/// The local-temp ids that sequential recovery backends mint from
+/// `u32::MAX / 2` upwards are never made resident (they index past the
+/// table and miss as [`ExecError::UnknownArray`]).
 #[derive(Debug, Clone, Default)]
 pub struct DeviceMemory {
-    arrays: BTreeMap<ArrayId, ArrayData>,
-    bases: BTreeMap<ArrayId, u64>,
+    slots: Vec<Option<Slot>>,
     next_base: u64,
     /// Log of all transfers performed (in order).
     pub transfers: Vec<Transfer>,
@@ -97,25 +117,65 @@ impl DeviceMemory {
         DeviceMemory::default()
     }
 
-    /// Is the array resident on the device?
-    pub fn is_resident(&self, arr: ArrayId) -> bool {
-        self.arrays.contains_key(&arr)
-    }
-
-    fn assign_base(&mut self, arr: ArrayId, bytes: usize) {
-        if let std::collections::btree_map::Entry::Vacant(e) = self.bases.entry(arr) {
-            // Segment-align every allocation.
-            let aligned = (bytes + 255) & !255;
-            e.insert(self.next_base);
-            self.next_base += aligned as u64 + 256;
+    #[inline]
+    fn slot(&self, arr: ArrayId) -> Result<&Slot, ExecError> {
+        match self.slots.get(arr.0 as usize) {
+            Some(Some(slot)) => Ok(slot),
+            _ => Err(ExecError::UnknownArray(arr)),
         }
     }
 
-    /// `create` clause: allocate a device-only zeroed mirror.
+    /// Is the array resident on the device?
+    pub fn is_resident(&self, arr: ArrayId) -> bool {
+        self.slot(arr).is_ok()
+    }
+
+    /// `create` clause: allocate a device-only zeroed mirror. Re-allocating
+    /// a resident array keeps its base address.
+    ///
+    /// # Panics
+    /// On a local-temp id (`>= u32::MAX / 2`): those arrays belong to a
+    /// sequential backend and making one resident is a runtime bug.
     pub fn alloc(&mut self, arr: ArrayId, ty: Ty, len: usize) {
+        assert!(
+            arr.0 < u32::MAX / 2,
+            "{arr} is a backend-local temporary, not a heap array"
+        );
+        let i = arr.0 as usize;
+        if self.slots.len() <= i {
+            self.slots.resize(i + 1, None);
+        }
         let data = ArrayData::zeroed(ty, len);
-        self.assign_base(arr, data.size_bytes());
-        self.arrays.insert(arr, data);
+        let base = match &self.slots[i] {
+            Some(old) => old.base,
+            None => {
+                // Segment-align every allocation.
+                let aligned = (data.size_bytes() + 255) & !255;
+                let base = self.next_base;
+                self.next_base += aligned as u64 + 256;
+                base
+            }
+        };
+        self.slots[i] = Some(Slot { data, base });
+    }
+
+    fn log_transfer(
+        &mut self,
+        arr: ArrayId,
+        elems: usize,
+        ty: Ty,
+        to_device: bool,
+        cfg: &DeviceConfig,
+    ) -> f64 {
+        let bytes = elems * ty.size_bytes();
+        let seconds = cfg.transfer_seconds(bytes);
+        self.transfers.push(Transfer {
+            array: arr,
+            bytes,
+            to_device,
+            seconds,
+        });
+        seconds
     }
 
     /// `copyin`: allocate (if needed) and copy `host[lo..hi]` to the device,
@@ -130,25 +190,11 @@ impl DeviceMemory {
     ) -> Result<f64, ExecError> {
         let src = host.array(arr)?;
         let hi = hi.min(src.len());
-        if !self.arrays.contains_key(&arr) {
+        if !self.is_resident(arr) {
             self.alloc(arr, src.ty(), src.len());
         }
-        let dst = self
-            .arrays
-            .get_mut(&arr)
-            .ok_or(ExecError::UnknownArray(arr))?;
-        for i in lo..hi {
-            dst.set(i, src.get(i))?;
-        }
-        let bytes = (hi.saturating_sub(lo)) * src.ty().size_bytes();
-        let seconds = cfg.transfer_seconds(bytes);
-        self.transfers.push(Transfer {
-            array: arr,
-            bytes,
-            to_device: true,
-            seconds,
-        });
-        Ok(seconds)
+        self.array_mut(arr)?.copy_range_from(src, lo, hi)?;
+        Ok(self.log_transfer(arr, hi.saturating_sub(lo), src.ty(), true, cfg))
     }
 
     /// `copyout`: copy `device[lo..hi]` back to the host heap.
@@ -160,21 +206,15 @@ impl DeviceMemory {
         hi: usize,
         cfg: &DeviceConfig,
     ) -> Result<f64, ExecError> {
-        let src = self.arrays.get(&arr).ok_or(ExecError::UnknownArray(arr))?;
+        let src = &self.slot(arr)?.data;
         let hi = hi.min(src.len());
-        for i in lo..hi {
-            let v = src.get(i);
-            host.store(arr, i as i64, v)?;
+        let dst = host.array_mut(arr)?;
+        if lo < hi {
+            dst.index_of(arr, hi as i64 - 1)?;
         }
-        let bytes = (hi.saturating_sub(lo)) * src.ty().size_bytes();
-        let seconds = cfg.transfer_seconds(bytes);
-        self.transfers.push(Transfer {
-            array: arr,
-            bytes,
-            to_device: false,
-            seconds,
-        });
-        Ok(seconds)
+        dst.copy_range_from(src, lo, hi)?;
+        let ty = src.ty();
+        Ok(self.log_transfer(arr, hi.saturating_sub(lo), ty, false, cfg))
     }
 
     /// [`DeviceMemory::copy_in`] with an optional fault-injection plan. The
@@ -222,30 +262,27 @@ impl DeviceMemory {
     }
 
     /// Direct read of a device array (for tests and the TLS commit phase).
+    #[inline]
     pub fn array(&self, arr: ArrayId) -> Result<&ArrayData, ExecError> {
-        self.arrays.get(&arr).ok_or(ExecError::UnknownArray(arr))
+        Ok(&self.slot(arr)?.data)
     }
 
     /// Direct mutable access (TLS commit).
+    #[inline]
     pub fn array_mut(&mut self, arr: ArrayId) -> Result<&mut ArrayData, ExecError> {
-        self.arrays
-            .get_mut(&arr)
-            .ok_or(ExecError::UnknownArray(arr))
+        match self.slots.get_mut(arr.0 as usize) {
+            Some(Some(slot)) => Ok(&mut slot.data),
+            _ => Err(ExecError::UnknownArray(arr)),
+        }
     }
 
     /// Bounds-checked element read through a shared reference — the
     /// read path of [`LaneMemory::load`], usable from per-warp views that
     /// only hold `&DeviceMemory`.
+    #[inline]
     pub fn peek(&self, arr: ArrayId, idx: i64) -> Result<Value, ExecError> {
-        let a = self.arrays.get(&arr).ok_or(ExecError::UnknownArray(arr))?;
-        if idx < 0 || idx as usize >= a.len() {
-            return Err(ExecError::IndexOutOfBounds {
-                array: arr,
-                index: idx,
-                len: a.len(),
-            });
-        }
-        Ok(a.get(idx as usize))
+        let a = self.array(arr)?;
+        Ok(a.get(a.index_of(arr, idx)?))
     }
 
     /// Total bytes the transfer log moved in the given direction.
@@ -259,10 +296,12 @@ impl DeviceMemory {
 }
 
 impl LaneMemory for DeviceMemory {
+    #[inline]
     fn load(&mut self, _ctx: AccessCtx, arr: ArrayId, idx: i64) -> Result<Value, ExecError> {
         self.peek(arr, idx)
     }
 
+    #[inline]
     fn store(
         &mut self,
         _ctx: AccessCtx,
@@ -270,35 +309,19 @@ impl LaneMemory for DeviceMemory {
         idx: i64,
         v: Value,
     ) -> Result<(), ExecError> {
-        let a = self
-            .arrays
-            .get_mut(&arr)
-            .ok_or(ExecError::UnknownArray(arr))?;
-        if idx < 0 || idx as usize >= a.len() {
-            return Err(ExecError::IndexOutOfBounds {
-                array: arr,
-                index: idx,
-                len: a.len(),
-            });
-        }
-        a.set(idx as usize, v)
+        let a = self.array_mut(arr)?;
+        let i = a.index_of(arr, idx)?;
+        a.set(i, v)
     }
 
     fn array_len(&self, arr: ArrayId) -> Result<usize, ExecError> {
-        Ok(self
-            .arrays
-            .get(&arr)
-            .ok_or(ExecError::UnknownArray(arr))?
-            .len())
+        Ok(self.array(arr)?.len())
     }
 
-    fn address_of(&self, arr: ArrayId, idx: i64) -> Option<u64> {
-        let base = *self.bases.get(&arr)?;
-        let elem = self.arrays.get(&arr)?.ty().size_bytes() as u64;
-        if idx < 0 {
-            return None;
-        }
-        Some(base + idx as u64 * elem)
+    #[inline]
+    fn placement(&self, arr: ArrayId) -> Option<(u64, u64)> {
+        let slot = self.slot(arr).ok()?;
+        Some((slot.base, slot.data.ty().size_bytes() as u64))
     }
 }
 
@@ -328,14 +351,7 @@ impl LaneMemory for ShadowView<'_> {
     ) -> Result<(), ExecError> {
         // Validate against the real array so OOB faults surface exactly as
         // they would on the sequential path.
-        let len = self.base.array_len(arr)?;
-        if idx < 0 || idx as usize >= len {
-            return Err(ExecError::IndexOutOfBounds {
-                array: arr,
-                index: idx,
-                len,
-            });
-        }
+        self.base.array(arr)?.index_of(arr, idx)?;
         self.overlay.insert((arr, idx), v);
         Ok(())
     }
@@ -344,8 +360,8 @@ impl LaneMemory for ShadowView<'_> {
         self.base.array_len(arr)
     }
 
-    fn address_of(&self, arr: ArrayId, idx: i64) -> Option<u64> {
-        self.base.address_of(arr, idx)
+    fn placement(&self, arr: ArrayId) -> Option<(u64, u64)> {
+        self.base.placement(arr)
     }
 }
 
@@ -456,6 +472,72 @@ mod tests {
             dev.address_of(a, 1).unwrap() - dev.address_of(a, 0).unwrap(),
             8
         );
+    }
+
+    #[test]
+    fn sparse_array_ids_resolve_and_local_temp_ids_miss() {
+        // Only heap arrays 1 and 4 become resident: the holes between
+        // them, ids past the table, and the `u32::MAX / 2`-based ids the
+        // sequential backends mint for kernel-local arrays all miss.
+        let mut host = Heap::new();
+        let ids: Vec<ArrayId> = (0..6).map(|i| host.alloc_ints(&[i, i + 10])).collect();
+        let mut dev = DeviceMemory::new();
+        let cfg = DeviceConfig::default();
+        dev.copy_in(&host, ids[4], 0, 2, &cfg).unwrap();
+        dev.copy_in(&host, ids[1], 0, 2, &cfg).unwrap();
+        assert_eq!(dev.load(ctx(), ids[1], 1).unwrap(), Value::Int(11));
+        assert_eq!(dev.load(ctx(), ids[4], 0).unwrap(), Value::Int(4));
+        // Bases follow residency order, not id order.
+        assert!(dev.address_of(ids[4], 0).unwrap() < dev.address_of(ids[1], 0).unwrap());
+        let local_temp = ArrayId(u32::MAX / 2);
+        for missing in [ids[0], ids[2], ids[3], ids[5], ArrayId(6), local_temp] {
+            assert!(!dev.is_resident(missing));
+            assert_eq!(
+                dev.load(ctx(), missing, 0),
+                Err(ExecError::UnknownArray(missing))
+            );
+            assert_eq!(
+                dev.store(ctx(), missing, 0, Value::Int(1)),
+                Err(ExecError::UnknownArray(missing))
+            );
+            assert_eq!(
+                dev.array_len(missing),
+                Err(ExecError::UnknownArray(missing))
+            );
+            assert_eq!(dev.placement(missing), None);
+            assert_eq!(dev.address_of(missing, 0), None);
+            assert!(matches!(
+                dev.copy_out(&mut host.clone(), missing, 0, 1, &cfg),
+                Err(ExecError::UnknownArray(_))
+            ));
+        }
+        // A shadow view misses the same way.
+        let mut view = dev.fork();
+        assert_eq!(
+            view.store(ctx(), local_temp, 0, Value::Int(1)),
+            Err(ExecError::UnknownArray(local_temp))
+        );
+        // Re-allocating a resident array keeps its address.
+        let base = dev.address_of(ids[1], 0);
+        dev.alloc(ids[1], Ty::Int, 2);
+        assert_eq!(dev.address_of(ids[1], 0), base);
+        assert_eq!(dev.load(ctx(), ids[1], 1).unwrap(), Value::Int(0));
+    }
+
+    #[test]
+    fn staging_copies_convert_when_the_mirror_type_differs() {
+        let mut host = Heap::new();
+        let a = host.alloc_ints(&[1, 2, 3]);
+        let mut dev = DeviceMemory::new();
+        let cfg = DeviceConfig::default();
+        dev.alloc(a, Ty::Double, 3);
+        dev.copy_in(&host, a, 1, 3, &cfg).unwrap();
+        assert_eq!(dev.load(ctx(), a, 0).unwrap(), Value::Double(0.0));
+        assert_eq!(dev.load(ctx(), a, 2).unwrap(), Value::Double(3.0));
+        dev.store(ctx(), a, 0, Value::Double(7.9)).unwrap();
+        dev.copy_out(&mut host, a, 0, 2, &cfg).unwrap();
+        assert_eq!(host.read_ints(a).unwrap(), vec![7, 2, 3]);
+        assert_eq!(dev.transfers[0].bytes, 8);
     }
 
     #[test]

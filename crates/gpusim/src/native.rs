@@ -20,79 +20,23 @@
 use std::sync::Arc;
 
 use crate::config::DeviceConfig;
-use crate::memory::{AccessCtx, LaneMemory};
+use crate::memory::LaneMemory;
 use crate::simt::SimtError;
 use crate::stats::WarpStats;
+use crate::warp::{bit, Frame, LaneCtx, LaneRegs};
 use japonica_ir::bytecode::{CompiledKernel, Instr};
-use japonica_ir::{
-    ops, ArrayId, BinOp, Env, ExecError, LoopBounds, OpClass, ParamTy, Value, VarId,
-};
-
-/// Call-frame metadata kept on the Rust stack (mirrors the bytecode VM's
-/// frame; static call chains are bounded at compile time).
-struct WFrame {
-    /// Lanes that executed `return` in this frame.
-    returned: u32,
-    /// `false` at kernel top level, where `return` is illegal.
-    allow_return: bool,
-    /// Per-lane return values.
-    ret: [Value; 32],
-}
-
-impl WFrame {
-    fn new(allow_return: bool) -> WFrame {
-        WFrame {
-            returned: 0,
-            allow_return,
-            ret: [Value::Int(0); 32],
-        }
-    }
-}
+use japonica_ir::{BinOp, Env, ExecError, LoopBounds, OpClass, ParamTy, Value, VarId};
 
 /// Dynamic execution context threaded through the closure sweep. The
 /// memory is a trait object so the compiled artifact is backend-agnostic.
-struct DynCtx<'a> {
-    mem: &'a mut dyn LaneMemory,
-    stats: &'a mut WarpStats,
-    cfg: &'a DeviceConfig,
-    iters: &'a [u64],
-    warp_id: u32,
-}
-
-impl DynCtx<'_> {
-    fn access_ctx(&self, lane: usize) -> AccessCtx {
-        AccessCtx {
-            lane: lane as u32,
-            warp: self.warp_id,
-            iter: self.iters[lane],
-        }
-    }
-
-    fn lane_err(&self, lane: usize, error: ExecError) -> SimtError {
-        SimtError::Lane {
-            iter: self.iters[lane],
-            error,
-        }
-    }
-}
-
-/// Per-block execution geometry handed to every op: lane count, the live
-/// mask (already `mask & !returned`), and the register/boundness frame
-/// bases of the executing chunk.
-#[derive(Clone, Copy)]
-struct LaneCtx {
-    lanes: usize,
-    live: u32,
-    base: usize,
-    bbase: usize,
-}
+type DynCtx<'a> = crate::warp::WarpCtx<'a, dyn LaneMemory + 'a>;
 
 /// One pre-compiled warp op.
 type WOp = Box<
     dyn for<'a, 'b, 'c> Fn(
             &mut NativeSimtVm,
             LaneCtx,
-            &'a mut WFrame,
+            &'a mut Frame,
             &'b mut DynCtx<'c>,
         ) -> Result<(), SimtError>
         + Send
@@ -126,16 +70,6 @@ impl std::fmt::Debug for NativeWarpKernel {
     }
 }
 
-#[inline]
-fn is_float(v: Value) -> bool {
-    matches!(v, Value::Float(_) | Value::Double(_))
-}
-
-#[inline]
-fn bit(l: usize) -> u32 {
-    1u32 << l
-}
-
 /// Run a closure block under `mask`, recomputing liveness per op exactly
 /// like the bytecode VM's `run` loop (equivalent to the walker's
 /// per-statement recheck because `returned` only changes at `Return`).
@@ -147,7 +81,7 @@ fn run_ops(
     mask: u32,
     base: usize,
     bbase: usize,
-    frame: &mut WFrame,
+    frame: &mut Frame,
     ctx: &mut DynCtx<'_>,
 ) -> Result<(), SimtError> {
     for op in ops {
@@ -174,12 +108,7 @@ fn run_ops(
 /// host thread and reuse it across warps.
 #[derive(Debug, Default)]
 pub struct NativeSimtVm {
-    /// SoA register arena: `frame_base + r * lanes + l`.
-    regs: Vec<Value>,
-    /// Per-frame, per-variable lane-boundness bitmasks.
-    bound: Vec<u32>,
-    /// Reusable distinct-segment scratch for coalescing charges.
-    seg_scratch: Vec<u64>,
+    rf: LaneRegs,
 }
 
 impl NativeSimtVm {
@@ -202,35 +131,15 @@ impl NativeSimtVm {
         mem: &mut M,
         cfg: &DeviceConfig,
     ) -> Result<WarpStats, SimtError> {
-        assert!(warp_iters.len() <= cfg.warp_size as usize, "warp overfull");
-        assert!(warp_iters.len() <= 32, "native VM lanes bounded at 32");
-        let lanes = warp_iters.len();
-        let full: u32 = if lanes == 32 {
-            u32::MAX
-        } else {
-            bit(lanes) - 1
-        };
         let c0 = &kernel.entry;
-        self.regs.clear();
-        self.regs.resize(c0.num_regs * lanes, Value::Int(0));
-        self.bound.clear();
-        self.bound.resize(c0.num_vars, 0);
-        for v in 0..c0.num_vars {
-            let vid = VarId(v as u32);
-            if base_env.is_set(vid) {
-                if let Ok(val) = base_env.get(vid) {
-                    for l in 0..lanes {
-                        self.regs[v * lanes + l] = val;
-                    }
-                    self.bound[v] = full;
-                }
-            }
-        }
-        let vi = loop_var.index();
-        for (l, &k) in warp_iters.iter().enumerate() {
-            self.regs[vi * lanes + l] = Value::Int(bounds.value_of(k) as i32);
-        }
-        self.bound[vi] = full;
+        let full = self.rf.enter(
+            (c0.num_regs, c0.num_vars),
+            loop_var,
+            bounds,
+            warp_iters,
+            base_env,
+            cfg,
+        );
         let mut stats = WarpStats::new();
         let mut ctx = DynCtx {
             mem,
@@ -239,126 +148,10 @@ impl NativeSimtVm {
             iters: warp_iters,
             warp_id,
         };
-        let mut frame = WFrame::new(false);
+        let mut frame = Frame::new(false);
+        let lanes = warp_iters.len();
         run_ops(self, &c0.ops, lanes, full, 0, 0, &mut frame, &mut ctx)?;
         Ok(stats)
-    }
-
-    #[inline]
-    fn reg(&self, base: usize, lanes: usize, r: usize, l: usize) -> Value {
-        self.regs[base + r * lanes + l]
-    }
-
-    #[inline]
-    fn set_reg(&mut self, base: usize, lanes: usize, r: usize, l: usize, v: Value) {
-        self.regs[base + r * lanes + l] = v;
-    }
-
-    /// Convert the lanes of `sub` to a truth bitmask, raising the walker's
-    /// per-lane boolean `TypeMismatch` in lane order.
-    fn truth_mask(
-        &self,
-        base: usize,
-        lanes: usize,
-        r: usize,
-        sub: u32,
-        ctx: &DynCtx<'_>,
-    ) -> Result<u32, SimtError> {
-        let mut truth = 0u32;
-        for l in 0..lanes {
-            if sub & bit(l) == 0 {
-                continue;
-            }
-            match self.reg(base, lanes, r, l) {
-                Value::Bool(true) => truth |= bit(l),
-                Value::Bool(false) => {}
-                other => {
-                    return Err(ctx.lane_err(
-                        l,
-                        ExecError::TypeMismatch {
-                            expected: "boolean".into(),
-                            found: format!("{other}"),
-                        },
-                    ))
-                }
-            }
-        }
-        Ok(truth)
-    }
-
-    /// Charge one coalesced warp memory access (same distinct-segment
-    /// count the walker's `BTreeSet` produced).
-    fn charge_coalesced(&mut self, touched: &[(usize, ArrayId, i64)], ctx: &mut DynCtx<'_>) {
-        self.seg_scratch.clear();
-        let mut uncoalesced = 0u64;
-        for &(_, arr, idx) in touched {
-            match ctx.mem.address_of(arr, idx) {
-                Some(addr) => self
-                    .seg_scratch
-                    .push(addr / ctx.cfg.mem_segment_bytes as u64),
-                None => uncoalesced += 1,
-            }
-        }
-        self.seg_scratch.sort_unstable();
-        self.seg_scratch.dedup();
-        let segs = self.seg_scratch.len() as u64 + uncoalesced;
-        if segs > 0 {
-            ctx.stats.charge_mem(segs, ctx.cfg.mem_tx_cycles);
-        }
-        let oh = ctx.mem.overhead_cycles();
-        if oh > 0.0 {
-            ctx.stats.charge_extra(oh);
-        }
-    }
-
-    /// Gather per-lane `(lane, array, index)` triples for a warp memory
-    /// access, raising the walker's per-lane errors in lane order.
-    #[allow(clippy::too_many_arguments)]
-    fn gather_touched(
-        &self,
-        lc: LaneCtx,
-        arr: usize,
-        var: VarId,
-        idx: usize,
-        ctx: &DynCtx<'_>,
-        out: &mut [(usize, ArrayId, i64); 32],
-    ) -> Result<usize, SimtError> {
-        let LaneCtx {
-            lanes,
-            live,
-            base,
-            bbase,
-        } = lc;
-        let mut n = 0usize;
-        for l in 0..lanes {
-            if live & bit(l) == 0 {
-                continue;
-            }
-            if self.bound[bbase + arr] & bit(l) == 0 {
-                return Err(ctx.lane_err(l, ExecError::UnboundVariable(var)));
-            }
-            let a = self.reg(base, lanes, arr, l).as_array().ok_or_else(|| {
-                ctx.lane_err(
-                    l,
-                    ExecError::TypeMismatch {
-                        expected: "array".into(),
-                        found: format!("{var}"),
-                    },
-                )
-            })?;
-            let i = self.reg(base, lanes, idx, l).as_i64().ok_or_else(|| {
-                ctx.lane_err(
-                    l,
-                    ExecError::TypeMismatch {
-                        expected: "int index".into(),
-                        found: "non-integer".into(),
-                    },
-                )
-            })?;
-            out[n] = (l, a, i);
-            n += 1;
-        }
-        Ok(n)
     }
 }
 
@@ -432,30 +225,15 @@ impl Lowerer<'_> {
                 let v = self.k.pool[*pool as usize];
                 Box::new(move |vm, lc, _f, ctx| {
                     ctx.stats.charge(OpClass::Move, &ctx.cfg.cost);
-                    for l in 0..lc.lanes {
-                        if lc.live & bit(l) != 0 {
-                            vm.set_reg(lc.base, lc.lanes, dst, l, v);
-                        }
-                    }
+                    vm.rf.fill(lc, dst, v);
                     Ok(())
                 })
             }
             Instr::Copy { dst, src } => {
                 let (dst, src) = (*dst as usize, *src as usize);
-                let vid = VarId(src as u32);
                 Box::new(move |vm, lc, _f, ctx| {
                     ctx.stats.charge(OpClass::Move, &ctx.cfg.cost);
-                    for l in 0..lc.lanes {
-                        if lc.live & bit(l) == 0 {
-                            continue;
-                        }
-                        if vm.bound[lc.bbase + src] & bit(l) == 0 {
-                            return Err(ctx.lane_err(l, ExecError::UnboundVariable(vid)));
-                        }
-                        let v = vm.reg(lc.base, lc.lanes, src, l);
-                        vm.set_reg(lc.base, lc.lanes, dst, l, v);
-                    }
-                    Ok(())
+                    vm.rf.copy(lc, dst, src, ctx)
                 })
             }
             Instr::Unary {
@@ -465,23 +243,8 @@ impl Lowerer<'_> {
                 cls_i,
                 cls_f,
             } => {
-                let (op, dst, src) = (*op, *dst as usize, *src as usize);
-                let (cls_i, cls_f) = (*cls_i, *cls_f);
-                Box::new(move |vm, lc, _f, ctx| {
-                    let fl = lc.live.trailing_zeros() as usize;
-                    let float = is_float(vm.reg(lc.base, lc.lanes, src, fl));
-                    ctx.stats
-                        .charge(if float { cls_f } else { cls_i }, &ctx.cfg.cost);
-                    for l in 0..lc.lanes {
-                        if lc.live & bit(l) == 0 {
-                            continue;
-                        }
-                        let v = vm.reg(lc.base, lc.lanes, src, l);
-                        let r = ops::unary(op, v).map_err(|er| ctx.lane_err(l, er))?;
-                        vm.set_reg(lc.base, lc.lanes, dst, l, r);
-                    }
-                    Ok(())
-                })
+                let (op, dst, src, cls) = (*op, *dst as usize, *src as usize, (*cls_i, *cls_f));
+                Box::new(move |vm, lc, _f, ctx| vm.rf.unary(lc, op, dst, src, cls, ctx))
             }
             Instr::Binary {
                 op,
@@ -492,113 +255,30 @@ impl Lowerer<'_> {
                 cls_f,
             } => {
                 let (op, dst, a, b) = (*op, *dst as usize, *a as usize, *b as usize);
-                let (cls_i, cls_f) = (*cls_i, *cls_f);
-                Box::new(move |vm, lc, _f, ctx| {
-                    let fl = lc.live.trailing_zeros() as usize;
-                    let float = is_float(vm.reg(lc.base, lc.lanes, a, fl))
-                        || is_float(vm.reg(lc.base, lc.lanes, b, fl));
-                    ctx.stats
-                        .charge(if float { cls_f } else { cls_i }, &ctx.cfg.cost);
-                    for l in 0..lc.lanes {
-                        if lc.live & bit(l) == 0 {
-                            continue;
-                        }
-                        let va = vm.reg(lc.base, lc.lanes, a, l);
-                        let vb = vm.reg(lc.base, lc.lanes, b, l);
-                        let r = ops::binary(op, va, vb).map_err(|er| ctx.lane_err(l, er))?;
-                        vm.set_reg(lc.base, lc.lanes, dst, l, r);
-                    }
-                    Ok(())
-                })
+                let cls = (*cls_i, *cls_f);
+                Box::new(move |vm, lc, _f, ctx| vm.rf.binary(lc, op, dst, a, b, cls, ctx))
             }
             Instr::Cast { ty, dst, src } => {
                 let (ty, dst, src) = (*ty, *dst as usize, *src as usize);
-                Box::new(move |vm, lc, _f, ctx| {
-                    ctx.stats.charge(OpClass::Cast, &ctx.cfg.cost);
-                    for l in 0..lc.lanes {
-                        if lc.live & bit(l) == 0 {
-                            continue;
-                        }
-                        let v = vm.reg(lc.base, lc.lanes, src, l);
-                        let r = v.cast(ty).ok_or_else(|| {
-                            ctx.lane_err(
-                                l,
-                                ExecError::InvalidCast {
-                                    from: format!("{v}"),
-                                    to: ty,
-                                },
-                            )
-                        })?;
-                        vm.set_reg(lc.base, lc.lanes, dst, l, r);
-                    }
-                    Ok(())
-                })
+                Box::new(move |vm, lc, _f, ctx| vm.rf.cast(lc, ty, dst, src, ctx))
             }
             // Scalar-walker-only pre-checks: the SIMT engines validate
             // arrays and indices per lane at the access itself.
             Instr::GuardArray { .. } | Instr::CheckIdx { .. } => Box::new(|_, _, _, _| Ok(())),
             Instr::Load { dst, arr, var, idx } => {
                 let (dst, arr, var, idx) = (*dst as usize, *arr as usize, *var, *idx as usize);
-                Box::new(move |vm, lc, _f, ctx| {
-                    ctx.stats.charge(OpClass::Load, &ctx.cfg.cost);
-                    let mut touched = [(0usize, ArrayId(0), 0i64); 32];
-                    let n = vm.gather_touched(lc, arr, var, idx, ctx, &mut touched)?;
-                    vm.charge_coalesced(&touched[..n], ctx);
-                    for &(l, a, i) in &touched[..n] {
-                        let actx = ctx.access_ctx(l);
-                        let v = ctx.mem.load(actx, a, i).map_err(|er| ctx.lane_err(l, er))?;
-                        vm.set_reg(lc.base, lc.lanes, dst, l, v);
-                    }
-                    Ok(())
-                })
+                Box::new(move |vm, lc, _f, ctx| vm.rf.load(lc, dst, arr, var, idx, ctx))
             }
             Instr::Len { dst, arr, var } => {
                 let (dst, arr, var) = (*dst as usize, *arr as usize, *var);
-                Box::new(move |vm, lc, _f, ctx| {
-                    ctx.stats.charge(OpClass::Move, &ctx.cfg.cost);
-                    for l in 0..lc.lanes {
-                        if lc.live & bit(l) == 0 {
-                            continue;
-                        }
-                        if vm.bound[lc.bbase + arr] & bit(l) == 0 {
-                            return Err(ctx.lane_err(l, ExecError::UnboundVariable(var)));
-                        }
-                        let a = vm
-                            .reg(lc.base, lc.lanes, arr, l)
-                            .as_array()
-                            .ok_or_else(|| {
-                                ctx.lane_err(
-                                    l,
-                                    ExecError::TypeMismatch {
-                                        expected: "array".into(),
-                                        found: format!("{var}"),
-                                    },
-                                )
-                            })?;
-                        let len = ctx.mem.array_len(a).map_err(|er| ctx.lane_err(l, er))?;
-                        vm.set_reg(lc.base, lc.lanes, dst, l, Value::Int(len as i32));
-                    }
-                    Ok(())
-                })
+                Box::new(move |vm, lc, _f, ctx| vm.rf.len(lc, dst, arr, var, ctx))
             }
             Instr::Intrinsic { f, cls, dst, args } => {
                 let (f, cls, dst) = (*f, *cls, *dst as usize);
                 let args: Vec<usize> = args.iter().map(|r| *r as usize).collect();
                 Box::new(move |vm, lc, _fr, ctx| {
-                    ctx.stats.charge(cls, &ctx.cfg.cost);
-                    for l in 0..lc.lanes {
-                        if lc.live & bit(l) == 0 {
-                            continue;
-                        }
-                        let mut buf = [Value::Int(0); 4];
-                        for (i, r) in args.iter().enumerate() {
-                            buf[i] = vm.reg(lc.base, lc.lanes, *r, l);
-                        }
-                        let v = ops::intrinsic(f, &buf[..args.len()])
-                            .map_err(|er| ctx.lane_err(l, er))?;
-                        vm.set_reg(lc.base, lc.lanes, dst, l, v);
-                    }
-                    Ok(())
+                    vm.rf
+                        .intrinsic(lc, (f, cls), dst, args.iter().copied(), ctx)
                 })
             }
             Instr::Call { chunk, dst, args } => {
@@ -608,10 +288,12 @@ impl Lowerer<'_> {
                 Box::new(move |vm, lc, _f, ctx| {
                     ctx.stats.charge(OpClass::Call, &ctx.cfg.cost);
                     let c = &callee;
-                    let nbase = vm.regs.len();
-                    let nbbase = vm.bound.len();
-                    vm.regs.resize(nbase + c.num_regs * lc.lanes, Value::Int(0));
-                    vm.bound.resize(nbbase + c.num_vars, 0);
+                    let nbase = vm.rf.regs.len();
+                    let nbbase = vm.rf.bound.len();
+                    vm.rf
+                        .regs
+                        .resize(nbase + c.num_regs * lc.lanes, Value::Int(0));
+                    vm.rf.bound.resize(nbbase + c.num_vars, 0);
                     // Lane-major binding, like the walker's per-lane envs.
                     let mut bind_err = None;
                     'bind: for l in 0..lc.lanes {
@@ -619,7 +301,7 @@ impl Lowerer<'_> {
                             continue;
                         }
                         for (i, (preg, pty)) in c.params.iter().enumerate() {
-                            let raw = vm.reg(lc.base, lc.lanes, args[i], l);
+                            let raw = vm.rf.reg(lc.base, lc.lanes, args[i], l);
                             let v = match pty {
                                 ParamTy::Scalar(t) => match raw.cast(*t) {
                                     Some(v) => v,
@@ -636,16 +318,16 @@ impl Lowerer<'_> {
                                 },
                                 ParamTy::Array(_) => raw,
                             };
-                            vm.set_reg(nbase, lc.lanes, *preg, l, v);
+                            vm.rf.set_reg(nbase, lc.lanes, *preg, l, v);
                         }
                     }
                     let res = match bind_err {
                         Some(e) => Err(e),
                         None => {
                             for (preg, _) in &c.params {
-                                vm.bound[nbbase + *preg] = lc.live;
+                                vm.rf.bound[nbbase + *preg] = lc.live;
                             }
-                            let mut callee_frame = WFrame::new(true);
+                            let mut callee_frame = Frame::new(true);
                             run_ops(
                                 vm,
                                 &c.ops,
@@ -659,8 +341,8 @@ impl Lowerer<'_> {
                             .map(|()| callee_frame)
                         }
                     };
-                    vm.regs.truncate(nbase);
-                    vm.bound.truncate(nbbase);
+                    vm.rf.regs.truncate(nbase);
+                    vm.rf.bound.truncate(nbbase);
                     let callee_frame = res?;
                     if c.check_returned {
                         for l in 0..lc.lanes {
@@ -675,7 +357,8 @@ impl Lowerer<'_> {
                     if let Some(dst) = dst {
                         for l in 0..lc.lanes {
                             if lc.live & bit(l) != 0 {
-                                vm.set_reg(lc.base, lc.lanes, dst, l, callee_frame.ret[l]);
+                                vm.rf
+                                    .set_reg(lc.base, lc.lanes, dst, l, callee_frame.ret[l]);
                             }
                         }
                     }
@@ -692,7 +375,7 @@ impl Lowerer<'_> {
                 let (op, dst, lhs, rhs) = (*op, *dst as usize, *lhs as usize, *rhs as usize);
                 let rhs_ops = self.lower(ci, rhs_range.0, rhs_range.1);
                 Box::new(move |vm, lc, frame, ctx| {
-                    let truth = vm.truth_mask(lc.base, lc.lanes, lhs, lc.live, ctx)?;
+                    let truth = vm.rf.truth_mask(lc, lhs, lc.live, ctx)?;
                     ctx.stats.charge(OpClass::Branch, &ctx.cfg.cost);
                     ctx.stats.branches += 1;
                     let need_rhs = match op {
@@ -708,7 +391,7 @@ impl Lowerer<'_> {
                         run_ops(
                             vm, &rhs_ops, lc.lanes, need_rhs, lc.base, lc.bbase, frame, ctx,
                         )?;
-                        rtruth = vm.truth_mask(lc.base, lc.lanes, rhs, need_rhs, ctx)?;
+                        rtruth = vm.rf.truth_mask(lc, rhs, need_rhs, ctx)?;
                     }
                     for l in 0..lc.lanes {
                         if lc.live & bit(l) == 0 {
@@ -719,7 +402,7 @@ impl Lowerer<'_> {
                         } else {
                             truth & bit(l) != 0
                         };
-                        vm.set_reg(lc.base, lc.lanes, dst, l, Value::Bool(b));
+                        vm.rf.set_reg(lc.base, lc.lanes, dst, l, Value::Bool(b));
                     }
                     Ok(())
                 })
@@ -737,7 +420,7 @@ impl Lowerer<'_> {
                 let t_ops = self.lower(ci, t_range.0, t_range.1);
                 let f_ops = self.lower(ci, f_range.0, f_range.1);
                 Box::new(move |vm, lc, frame, ctx| {
-                    let truth = vm.truth_mask(lc.base, lc.lanes, cond, lc.live, ctx)?;
+                    let truth = vm.rf.truth_mask(lc, cond, lc.live, ctx)?;
                     ctx.stats.charge(OpClass::Branch, &ctx.cfg.cost);
                     ctx.stats.branches += 1;
                     let t_mask = lc.live & truth;
@@ -756,86 +439,23 @@ impl Lowerer<'_> {
                             continue;
                         }
                         let src = if t_mask & bit(l) != 0 { t_dst } else { f_dst };
-                        let v = vm.reg(lc.base, lc.lanes, src, l);
-                        vm.set_reg(lc.base, lc.lanes, dst, l, v);
+                        let v = vm.rf.reg(lc.base, lc.lanes, src, l);
+                        vm.rf.set_reg(lc.base, lc.lanes, dst, l, v);
                     }
                     Ok(())
                 })
             }
             Instr::Decl { var, ty, init } => {
-                let (var, ty) = (*var as usize, *ty);
-                let init = init.map(|r| r as usize);
-                Box::new(move |vm, lc, _f, ctx| {
-                    ctx.stats.charge(OpClass::Move, &ctx.cfg.cost);
-                    for l in 0..lc.lanes {
-                        if lc.live & bit(l) == 0 {
-                            continue;
-                        }
-                        let v = match init {
-                            Some(r) => {
-                                let raw = vm.reg(lc.base, lc.lanes, r, l);
-                                raw.cast(ty).ok_or_else(|| {
-                                    ctx.lane_err(
-                                        l,
-                                        ExecError::TypeMismatch {
-                                            expected: ty.to_string(),
-                                            found: format!("{raw}"),
-                                        },
-                                    )
-                                })?
-                            }
-                            None => ty.zero(),
-                        };
-                        vm.set_reg(lc.base, lc.lanes, var, l, v);
-                    }
-                    vm.bound[lc.bbase + var] |= lc.live;
-                    Ok(())
-                })
+                let (var, ty, init) = (*var as usize, *ty, init.map(|r| r as usize));
+                Box::new(move |vm, lc, _f, ctx| vm.rf.decl(lc, var, ty, init, ctx))
             }
             Instr::Assign { var, src } => {
                 let (var, src) = (*var as usize, *src as usize);
-                Box::new(move |vm, lc, _f, ctx| {
-                    ctx.stats.charge(OpClass::Move, &ctx.cfg.cost);
-                    for l in 0..lc.lanes {
-                        if lc.live & bit(l) == 0 {
-                            continue;
-                        }
-                        let mut v = vm.reg(lc.base, lc.lanes, src, l);
-                        if vm.bound[lc.bbase + var] & bit(l) != 0 {
-                            if let Some(ty) = vm.reg(lc.base, lc.lanes, var, l).ty() {
-                                v = v.cast(ty).ok_or_else(|| {
-                                    ctx.lane_err(
-                                        l,
-                                        ExecError::TypeMismatch {
-                                            expected: ty.to_string(),
-                                            found: format!("{v}"),
-                                        },
-                                    )
-                                })?;
-                            }
-                        }
-                        vm.set_reg(lc.base, lc.lanes, var, l, v);
-                    }
-                    vm.bound[lc.bbase + var] |= lc.live;
-                    Ok(())
-                })
+                Box::new(move |vm, lc, _f, ctx| vm.rf.assign(lc, var, src, ctx))
             }
             Instr::Store { arr, var, idx, val } => {
                 let (arr, var, idx, val) = (*arr as usize, *var, *idx as usize, *val as usize);
-                Box::new(move |vm, lc, _f, ctx| {
-                    ctx.stats.charge(OpClass::Store, &ctx.cfg.cost);
-                    let mut touched = [(0usize, ArrayId(0), 0i64); 32];
-                    let n = vm.gather_touched(lc, arr, var, idx, ctx, &mut touched)?;
-                    vm.charge_coalesced(&touched[..n], ctx);
-                    for &(l, a, i) in &touched[..n] {
-                        let v = vm.reg(lc.base, lc.lanes, val, l);
-                        let actx = ctx.access_ctx(l);
-                        ctx.mem
-                            .store(actx, a, i, v)
-                            .map_err(|er| ctx.lane_err(l, er))?;
-                    }
-                    Ok(())
-                })
+                Box::new(move |vm, lc, _f, ctx| vm.rf.store(lc, arr, var, idx, val, ctx))
             }
             Instr::NewArray { .. } => Box::new(|_, _, _, _| {
                 Err(SimtError::Unsupported(
@@ -851,7 +471,7 @@ impl Lowerer<'_> {
                 let then_ops = self.lower(ci, then_range.0, then_range.1);
                 let else_ops = self.lower(ci, else_range.0, else_range.1);
                 Box::new(move |vm, lc, frame, ctx| {
-                    let truth = vm.truth_mask(lc.base, lc.lanes, cond, lc.live, ctx)?;
+                    let truth = vm.rf.truth_mask(lc, cond, lc.live, ctx)?;
                     ctx.stats.charge(OpClass::Branch, &ctx.cfg.cost);
                     ctx.stats.branches += 1;
                     let t_mask = lc.live & truth;
@@ -891,7 +511,7 @@ impl Lowerer<'_> {
                         run_ops(
                             vm, &cond_ops, lc.lanes, live_now, lc.base, lc.bbase, frame, ctx,
                         )?;
-                        let truth = vm.truth_mask(lc.base, lc.lanes, cond, live_now, ctx)?;
+                        let truth = vm.rf.truth_mask(lc, cond, live_now, ctx)?;
                         ctx.stats.charge(OpClass::Branch, &ctx.cfg.cost);
                         ctx.stats.branches += 1;
                         live_w = live_now & truth;
@@ -938,7 +558,7 @@ impl Lowerer<'_> {
                                     ops: &[WOp],
                                     r: usize,
                                     out: &mut [i64; 32],
-                                    frame: &mut WFrame,
+                                    frame: &mut Frame,
                                     ctx: &mut DynCtx<'_>|
                      -> Result<(), SimtError> {
                         run_ops(vm, ops, lc.lanes, lc.live, lc.base, lc.bbase, frame, ctx)?;
@@ -947,7 +567,7 @@ impl Lowerer<'_> {
                             if lc.live & bit(l) == 0 {
                                 continue;
                             }
-                            let v = vm.reg(lc.base, lc.lanes, r, l);
+                            let v = vm.rf.reg(lc.base, lc.lanes, r, l);
                             out[l] = v.as_i64().ok_or_else(|| {
                                 ctx.lane_err(
                                     l,
@@ -1007,10 +627,10 @@ impl Lowerer<'_> {
                         for l in 0..lc.lanes {
                             if round & bit(l) != 0 {
                                 let v = Value::Int((starts[l] + kk as i64 * steps[l]) as i32);
-                                vm.set_reg(lc.base, lc.lanes, var, l, v);
+                                vm.rf.set_reg(lc.base, lc.lanes, var, l, v);
                             }
                         }
-                        vm.bound[lc.bbase + var] |= round;
+                        vm.rf.bound[lc.bbase + var] |= round;
                         run_ops(
                             vm, &body_ops, lc.lanes, round, lc.base, lc.bbase, frame, ctx,
                         )?;
@@ -1031,7 +651,7 @@ impl Lowerer<'_> {
                         )?;
                         for l in 0..lc.lanes {
                             if lc.live & bit(l) != 0 {
-                                frame.ret[l] = vm.reg(lc.base, lc.lanes, r, l);
+                                frame.ret[l] = vm.rf.reg(lc.base, lc.lanes, r, l);
                             }
                         }
                     }

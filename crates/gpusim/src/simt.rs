@@ -138,29 +138,13 @@ impl<M: LaneMemory> Ctx<'_, M> {
     /// Charge one coalesced warp memory access over the given per-lane
     /// (array, index) pairs.
     fn charge_coalesced(&mut self, touched: &[(usize, ArrayId, i64)]) {
-        self.seg_scratch.clear();
-        let mut uncoalesced = 0u64;
-        for &(_, arr, idx) in touched {
-            match self.mem.address_of(arr, idx) {
-                Some(addr) => {
-                    self.seg_scratch
-                        .push(addr / self.cfg.mem_segment_bytes as u64);
-                }
-                None => uncoalesced += 1,
-            }
-        }
-        // sort+dedup yields the same distinct-segment count the old
-        // `BTreeSet` produced, without the per-access allocation.
-        self.seg_scratch.sort_unstable();
-        self.seg_scratch.dedup();
-        let segs = self.seg_scratch.len() as u64 + uncoalesced;
-        if segs > 0 {
-            self.stats.charge_mem(segs, self.cfg.mem_tx_cycles);
-        }
-        let oh = self.mem.overhead_cycles();
-        if oh > 0.0 {
-            self.stats.charge_extra(oh);
-        }
+        crate::warp::charge_coalesced(
+            &mut self.seg_scratch,
+            touched,
+            &*self.mem,
+            self.stats,
+            self.cfg,
+        );
     }
 }
 

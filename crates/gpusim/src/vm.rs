@@ -18,84 +18,24 @@
 //!   raise `UnboundVariable` on exactly the same lane);
 //! * fixed `[_; 32]` stack scratch replaces per-node heap allocation for
 //!   inner-loop bounds, touched-lane sets, and return values.
+//!
+//! The register file and every straight-line lane sweep (moves, operators,
+//! casts, memory accesses) live in `warp.rs`, shared with the native tier;
+//! this file is the decode loop and the structured control flow.
 
 use crate::config::DeviceConfig;
-use crate::memory::{AccessCtx, LaneMemory};
+use crate::memory::LaneMemory;
 use crate::simt::SimtError;
 use crate::stats::WarpStats;
+use crate::warp::{bit, Frame, LaneCtx, LaneRegs, WarpCtx};
 use japonica_ir::bytecode::{CompiledKernel, Instr, Reg};
-use japonica_ir::{ops, ArrayId, BinOp, Env, ExecError, LoopBounds, OpClass, Value, VarId};
-
-/// Call-frame metadata kept on the Rust stack (static call chains are
-/// bounded at compile time, so recursion depth is small).
-struct VmFrame {
-    /// Lanes that executed `return` in this frame.
-    returned: u32,
-    /// `false` at kernel top level, where `return` is illegal.
-    allow_return: bool,
-    /// Per-lane return values (only read when the callee declares a
-    /// return type, in which case every returned lane wrote one).
-    ret: [Value; 32],
-}
-
-impl VmFrame {
-    fn new(allow_return: bool) -> VmFrame {
-        VmFrame {
-            returned: 0,
-            allow_return,
-            ret: [Value::Int(0); 32],
-        }
-    }
-}
-
-/// Execution context threaded through the bytecode walk (mirrors the tree
-/// walker's `Ctx`, minus the depth counter: call depth is bounded at
-/// compile time).
-struct VmCtx<'a, M: LaneMemory> {
-    mem: &'a mut M,
-    stats: &'a mut WarpStats,
-    cfg: &'a DeviceConfig,
-    iters: &'a [u64],
-    warp_id: u32,
-}
-
-impl<M: LaneMemory> VmCtx<'_, M> {
-    fn access_ctx(&self, lane: usize) -> AccessCtx {
-        AccessCtx {
-            lane: lane as u32,
-            warp: self.warp_id,
-            iter: self.iters[lane],
-        }
-    }
-
-    fn lane_err(&self, lane: usize, error: ExecError) -> SimtError {
-        SimtError::Lane {
-            iter: self.iters[lane],
-            error,
-        }
-    }
-}
-
-#[inline]
-fn is_float(v: Value) -> bool {
-    matches!(v, Value::Float(_) | Value::Double(_))
-}
-
-#[inline]
-fn bit(l: usize) -> u32 {
-    1u32 << l
-}
+use japonica_ir::{BinOp, Env, ExecError, LoopBounds, OpClass, Value, VarId};
 
 /// The warp-level bytecode VM. Owns reusable arenas; create one per host
 /// thread and reuse it across warps.
 #[derive(Debug, Default)]
 pub struct SimtVm {
-    /// SoA register arena: `frame_base + r * lanes + l`.
-    regs: Vec<Value>,
-    /// Per-frame, per-variable lane-boundness bitmasks.
-    bound: Vec<u32>,
-    /// Reusable distinct-segment scratch for coalescing charges.
-    seg_scratch: Vec<u64>,
+    rf: LaneRegs,
 }
 
 impl SimtVm {
@@ -118,166 +58,38 @@ impl SimtVm {
         mem: &mut M,
         cfg: &DeviceConfig,
     ) -> Result<WarpStats, SimtError> {
-        assert!(warp_iters.len() <= cfg.warp_size as usize, "warp overfull");
-        assert!(warp_iters.len() <= 32, "bytecode VM lanes bounded at 32");
-        let lanes = warp_iters.len();
-        let full: u32 = if lanes == 32 {
-            u32::MAX
-        } else {
-            bit(lanes) - 1
-        };
         let c0 = &kernel.chunks[0];
-        self.regs.clear();
-        self.regs
-            .resize(c0.num_regs as usize * lanes, Value::Int(0));
-        self.bound.clear();
-        self.bound.resize(c0.num_vars as usize, 0);
-        for v in 0..c0.num_vars as usize {
-            let vid = VarId(v as u32);
-            if base_env.is_set(vid) {
-                if let Ok(val) = base_env.get(vid) {
-                    for l in 0..lanes {
-                        self.regs[v * lanes + l] = val;
-                    }
-                    self.bound[v] = full;
-                }
-            }
-        }
-        let vi = loop_var.index();
-        for (l, &k) in warp_iters.iter().enumerate() {
-            self.regs[vi * lanes + l] = Value::Int(bounds.value_of(k) as i32);
-        }
-        self.bound[vi] = full;
+        let full = self.rf.enter(
+            (c0.num_regs as usize, c0.num_vars as usize),
+            loop_var,
+            bounds,
+            warp_iters,
+            base_env,
+            cfg,
+        );
         let mut stats = WarpStats::new();
-        let mut ctx = VmCtx {
+        let mut ctx = WarpCtx {
             mem,
             stats: &mut stats,
             cfg,
             iters: warp_iters,
             warp_id,
         };
-        let mut frame = VmFrame::new(false);
+        let mut frame = Frame::new(false);
         let hi = c0.code.len() as u32;
+        let lanes = warp_iters.len();
         self.run(kernel, 0, 0, hi, lanes, full, 0, 0, &mut frame, &mut ctx)?;
         Ok(stats)
     }
 
     #[inline]
     fn reg(&self, base: usize, lanes: usize, r: Reg, l: usize) -> Value {
-        self.regs[base + r as usize * lanes + l]
+        self.rf.reg(base, lanes, r as usize, l)
     }
 
     #[inline]
     fn set_reg(&mut self, base: usize, lanes: usize, r: Reg, l: usize, v: Value) {
-        self.regs[base + r as usize * lanes + l] = v;
-    }
-
-    /// Convert the lanes of `sub` to a truth bitmask, raising the walker's
-    /// per-lane boolean `TypeMismatch` in lane order.
-    fn truth_mask<M: LaneMemory>(
-        &self,
-        base: usize,
-        lanes: usize,
-        r: Reg,
-        sub: u32,
-        ctx: &VmCtx<'_, M>,
-    ) -> Result<u32, SimtError> {
-        let mut truth = 0u32;
-        for l in 0..lanes {
-            if sub & bit(l) == 0 {
-                continue;
-            }
-            match self.reg(base, lanes, r, l) {
-                Value::Bool(true) => truth |= bit(l),
-                Value::Bool(false) => {}
-                other => {
-                    return Err(ctx.lane_err(
-                        l,
-                        ExecError::TypeMismatch {
-                            expected: "boolean".into(),
-                            found: format!("{other}"),
-                        },
-                    ))
-                }
-            }
-        }
-        Ok(truth)
-    }
-
-    /// Charge one coalesced warp memory access (same distinct-segment
-    /// count the walker's `BTreeSet` produced).
-    fn charge_coalesced<M: LaneMemory>(
-        &mut self,
-        touched: &[(usize, ArrayId, i64)],
-        ctx: &mut VmCtx<'_, M>,
-    ) {
-        self.seg_scratch.clear();
-        let mut uncoalesced = 0u64;
-        for &(_, arr, idx) in touched {
-            match ctx.mem.address_of(arr, idx) {
-                Some(addr) => self
-                    .seg_scratch
-                    .push(addr / ctx.cfg.mem_segment_bytes as u64),
-                None => uncoalesced += 1,
-            }
-        }
-        self.seg_scratch.sort_unstable();
-        self.seg_scratch.dedup();
-        let segs = self.seg_scratch.len() as u64 + uncoalesced;
-        if segs > 0 {
-            ctx.stats.charge_mem(segs, ctx.cfg.mem_tx_cycles);
-        }
-        let oh = ctx.mem.overhead_cycles();
-        if oh > 0.0 {
-            ctx.stats.charge_extra(oh);
-        }
-    }
-
-    /// Gather per-lane `(lane, array, index)` triples for a warp memory
-    /// access, raising the walker's per-lane errors in lane order.
-    #[allow(clippy::too_many_arguments)]
-    fn gather_touched<M: LaneMemory>(
-        &self,
-        base: usize,
-        bbase: usize,
-        lanes: usize,
-        live: u32,
-        arr: Reg,
-        var: VarId,
-        idx: Reg,
-        ctx: &VmCtx<'_, M>,
-        out: &mut [(usize, ArrayId, i64); 32],
-    ) -> Result<usize, SimtError> {
-        let mut n = 0usize;
-        for l in 0..lanes {
-            if live & bit(l) == 0 {
-                continue;
-            }
-            if self.bound[bbase + arr as usize] & bit(l) == 0 {
-                return Err(ctx.lane_err(l, ExecError::UnboundVariable(var)));
-            }
-            let a = self.reg(base, lanes, arr, l).as_array().ok_or_else(|| {
-                ctx.lane_err(
-                    l,
-                    ExecError::TypeMismatch {
-                        expected: "array".into(),
-                        found: format!("{var}"),
-                    },
-                )
-            })?;
-            let i = self.reg(base, lanes, idx, l).as_i64().ok_or_else(|| {
-                ctx.lane_err(
-                    l,
-                    ExecError::TypeMismatch {
-                        expected: "int index".into(),
-                        found: "non-integer".into(),
-                    },
-                )
-            })?;
-            out[n] = (l, a, i);
-            n += 1;
-        }
-        Ok(n)
+        self.rf.set_reg(base, lanes, r as usize, l, v);
     }
 
     /// Execute instructions `lo..hi` of chunk `ci` under active mask
@@ -295,8 +107,8 @@ impl SimtVm {
         mask: u32,
         base: usize,
         bbase: usize,
-        frame: &mut VmFrame,
-        ctx: &mut VmCtx<'_, M>,
+        frame: &mut Frame,
+        ctx: &mut WarpCtx<'_, M>,
     ) -> Result<(), SimtError> {
         let mut pc = lo;
         while pc < hi {
@@ -306,30 +118,20 @@ impl SimtVm {
             }
             let instr = &k.chunks[ci].code[pc as usize];
             let next = instr.next_pc(pc);
+            let lc = LaneCtx {
+                lanes,
+                live,
+                base,
+                bbase,
+            };
             match instr {
                 Instr::Const { dst, pool } => {
                     ctx.stats.charge(OpClass::Move, &ctx.cfg.cost);
-                    let v = k.pool[*pool as usize];
-                    for l in 0..lanes {
-                        if live & bit(l) != 0 {
-                            self.set_reg(base, lanes, *dst, l, v);
-                        }
-                    }
+                    self.rf.fill(lc, *dst as usize, k.pool[*pool as usize]);
                 }
                 Instr::Copy { dst, src } => {
                     ctx.stats.charge(OpClass::Move, &ctx.cfg.cost);
-                    for l in 0..lanes {
-                        if live & bit(l) == 0 {
-                            continue;
-                        }
-                        if self.bound[bbase + *src as usize] & bit(l) == 0 {
-                            return Err(
-                                ctx.lane_err(l, ExecError::UnboundVariable(VarId(*src as u32)))
-                            );
-                        }
-                        let v = self.reg(base, lanes, *src, l);
-                        self.set_reg(base, lanes, *dst, l, v);
-                    }
+                    self.rf.copy(lc, *dst as usize, *src as usize, ctx)?;
                 }
                 Instr::Unary {
                     op,
@@ -337,20 +139,9 @@ impl SimtVm {
                     src,
                     cls_i,
                     cls_f,
-                } => {
-                    let fl = live.trailing_zeros() as usize;
-                    let float = is_float(self.reg(base, lanes, *src, fl));
-                    ctx.stats
-                        .charge(if float { *cls_f } else { *cls_i }, &ctx.cfg.cost);
-                    for l in 0..lanes {
-                        if live & bit(l) == 0 {
-                            continue;
-                        }
-                        let v = self.reg(base, lanes, *src, l);
-                        let r = ops::unary(*op, v).map_err(|er| ctx.lane_err(l, er))?;
-                        self.set_reg(base, lanes, *dst, l, r);
-                    }
-                }
+                } => self
+                    .rf
+                    .unary(lc, *op, *dst as usize, *src as usize, (*cls_i, *cls_f), ctx)?,
                 Instr::Binary {
                     op,
                     dst,
@@ -358,111 +149,45 @@ impl SimtVm {
                     b,
                     cls_i,
                     cls_f,
-                } => {
-                    let fl = live.trailing_zeros() as usize;
-                    let float = is_float(self.reg(base, lanes, *a, fl))
-                        || is_float(self.reg(base, lanes, *b, fl));
-                    ctx.stats
-                        .charge(if float { *cls_f } else { *cls_i }, &ctx.cfg.cost);
-                    for l in 0..lanes {
-                        if live & bit(l) == 0 {
-                            continue;
-                        }
-                        let va = self.reg(base, lanes, *a, l);
-                        let vb = self.reg(base, lanes, *b, l);
-                        let r = ops::binary(*op, va, vb).map_err(|er| ctx.lane_err(l, er))?;
-                        self.set_reg(base, lanes, *dst, l, r);
-                    }
-                }
+                } => self.rf.binary(
+                    lc,
+                    *op,
+                    *dst as usize,
+                    *a as usize,
+                    *b as usize,
+                    (*cls_i, *cls_f),
+                    ctx,
+                )?,
                 Instr::Cast { ty, dst, src } => {
-                    ctx.stats.charge(OpClass::Cast, &ctx.cfg.cost);
-                    for l in 0..lanes {
-                        if live & bit(l) == 0 {
-                            continue;
-                        }
-                        let v = self.reg(base, lanes, *src, l);
-                        let r = v.cast(*ty).ok_or_else(|| {
-                            ctx.lane_err(
-                                l,
-                                ExecError::InvalidCast {
-                                    from: format!("{v}"),
-                                    to: *ty,
-                                },
-                            )
-                        })?;
-                        self.set_reg(base, lanes, *dst, l, r);
-                    }
+                    self.rf.cast(lc, *ty, *dst as usize, *src as usize, ctx)?
                 }
                 // Scalar-walker-only pre-checks: the SIMT walker validates
                 // arrays and indices per lane at the access itself.
                 Instr::GuardArray { .. } | Instr::CheckIdx { .. } => {}
                 Instr::Load { dst, arr, var, idx } => {
-                    ctx.stats.charge(OpClass::Load, &ctx.cfg.cost);
-                    let mut touched = [(0usize, ArrayId(0), 0i64); 32];
-                    let n = self.gather_touched(
-                        base,
-                        bbase,
-                        lanes,
-                        live,
-                        *arr,
-                        *var,
-                        *idx,
-                        ctx,
-                        &mut touched,
-                    )?;
-                    self.charge_coalesced(&touched[..n], ctx);
-                    for &(l, a, i) in &touched[..n] {
-                        let actx = ctx.access_ctx(l);
-                        let v = ctx.mem.load(actx, a, i).map_err(|er| ctx.lane_err(l, er))?;
-                        self.set_reg(base, lanes, *dst, l, v);
-                    }
+                    self.rf
+                        .load(lc, *dst as usize, *arr as usize, *var, *idx as usize, ctx)?
                 }
                 Instr::Len { dst, arr, var } => {
-                    ctx.stats.charge(OpClass::Move, &ctx.cfg.cost);
-                    for l in 0..lanes {
-                        if live & bit(l) == 0 {
-                            continue;
-                        }
-                        if self.bound[bbase + *arr as usize] & bit(l) == 0 {
-                            return Err(ctx.lane_err(l, ExecError::UnboundVariable(*var)));
-                        }
-                        let a = self.reg(base, lanes, *arr, l).as_array().ok_or_else(|| {
-                            ctx.lane_err(
-                                l,
-                                ExecError::TypeMismatch {
-                                    expected: "array".into(),
-                                    found: format!("{var}"),
-                                },
-                            )
-                        })?;
-                        let len = ctx.mem.array_len(a).map_err(|er| ctx.lane_err(l, er))?;
-                        self.set_reg(base, lanes, *dst, l, Value::Int(len as i32));
-                    }
+                    self.rf.len(lc, *dst as usize, *arr as usize, *var, ctx)?
                 }
-                Instr::Intrinsic { f, cls, dst, args } => {
-                    ctx.stats.charge(*cls, &ctx.cfg.cost);
-                    for l in 0..lanes {
-                        if live & bit(l) == 0 {
-                            continue;
-                        }
-                        let mut buf = [Value::Int(0); 4];
-                        for (i, r) in args.iter().enumerate() {
-                            buf[i] = self.reg(base, lanes, *r, l);
-                        }
-                        let v = ops::intrinsic(*f, &buf[..args.len()])
-                            .map_err(|er| ctx.lane_err(l, er))?;
-                        self.set_reg(base, lanes, *dst, l, v);
-                    }
-                }
+                Instr::Intrinsic { f, cls, dst, args } => self.rf.intrinsic(
+                    lc,
+                    (*f, *cls),
+                    *dst as usize,
+                    args.iter().map(|r| *r as usize),
+                    ctx,
+                )?,
                 Instr::Call { chunk, dst, args } => {
                     ctx.stats.charge(OpClass::Call, &ctx.cfg.cost);
                     let callee = *chunk as usize;
                     let c = &k.chunks[callee];
-                    let nbase = self.regs.len();
-                    let nbbase = self.bound.len();
-                    self.regs
+                    let nbase = self.rf.regs.len();
+                    let nbbase = self.rf.bound.len();
+                    self.rf
+                        .regs
                         .resize(nbase + c.num_regs as usize * lanes, Value::Int(0));
-                    self.bound.resize(nbbase + c.num_vars as usize, 0);
+                    self.rf.bound.resize(nbbase + c.num_vars as usize, 0);
                     // Lane-major binding, like the walker's per-lane envs.
                     let mut bind_err = None;
                     'bind: for l in 0..lanes {
@@ -494,10 +219,10 @@ impl SimtVm {
                         Some(e) => Err(e),
                         None => {
                             for (preg, _) in &c.params {
-                                self.bound[nbbase + *preg as usize] = live;
+                                self.rf.bound[nbbase + *preg as usize] = live;
                             }
                             let clen = c.code.len() as u32;
-                            let mut callee_frame = VmFrame::new(true);
+                            let mut callee_frame = Frame::new(true);
                             self.run(
                                 k,
                                 callee,
@@ -513,8 +238,8 @@ impl SimtVm {
                             .map(|()| callee_frame)
                         }
                     };
-                    self.regs.truncate(nbase);
-                    self.bound.truncate(nbbase);
+                    self.rf.regs.truncate(nbase);
+                    self.rf.bound.truncate(nbbase);
                     let callee_frame = res?;
                     if c.check_returned {
                         for l in 0..lanes {
@@ -541,7 +266,7 @@ impl SimtVm {
                     rhs_range,
                     rhs,
                 } => {
-                    let truth = self.truth_mask(base, lanes, *lhs, live, ctx)?;
+                    let truth = self.rf.truth_mask(lc, *lhs as usize, live, ctx)?;
                     ctx.stats.charge(OpClass::Branch, &ctx.cfg.cost);
                     ctx.stats.branches += 1;
                     let need_rhs = match op {
@@ -566,7 +291,7 @@ impl SimtVm {
                             frame,
                             ctx,
                         )?;
-                        rtruth = self.truth_mask(base, lanes, *rhs, need_rhs, ctx)?;
+                        rtruth = self.rf.truth_mask(lc, *rhs as usize, need_rhs, ctx)?;
                     }
                     for l in 0..lanes {
                         if live & bit(l) == 0 {
@@ -588,7 +313,7 @@ impl SimtVm {
                     f_range,
                     f_dst,
                 } => {
-                    let truth = self.truth_mask(base, lanes, *cond, live, ctx)?;
+                    let truth = self.rf.truth_mask(lc, *cond as usize, live, ctx)?;
                     ctx.stats.charge(OpClass::Branch, &ctx.cfg.cost);
                     ctx.stats.branches += 1;
                     let t_mask = live & truth;
@@ -616,76 +341,15 @@ impl SimtVm {
                     }
                 }
                 Instr::Decl { var, ty, init } => {
-                    ctx.stats.charge(OpClass::Move, &ctx.cfg.cost);
-                    for l in 0..lanes {
-                        if live & bit(l) == 0 {
-                            continue;
-                        }
-                        let v = match init {
-                            Some(r) => {
-                                let raw = self.reg(base, lanes, *r, l);
-                                raw.cast(*ty).ok_or_else(|| {
-                                    ctx.lane_err(
-                                        l,
-                                        ExecError::TypeMismatch {
-                                            expected: ty.to_string(),
-                                            found: format!("{raw}"),
-                                        },
-                                    )
-                                })?
-                            }
-                            None => ty.zero(),
-                        };
-                        self.set_reg(base, lanes, *var, l, v);
-                    }
-                    self.bound[bbase + *var as usize] |= live;
+                    self.rf
+                        .decl(lc, *var as usize, *ty, init.map(|r| r as usize), ctx)?
                 }
                 Instr::Assign { var, src } => {
-                    ctx.stats.charge(OpClass::Move, &ctx.cfg.cost);
-                    for l in 0..lanes {
-                        if live & bit(l) == 0 {
-                            continue;
-                        }
-                        let mut v = self.reg(base, lanes, *src, l);
-                        if self.bound[bbase + *var as usize] & bit(l) != 0 {
-                            if let Some(ty) = self.reg(base, lanes, *var, l).ty() {
-                                v = v.cast(ty).ok_or_else(|| {
-                                    ctx.lane_err(
-                                        l,
-                                        ExecError::TypeMismatch {
-                                            expected: ty.to_string(),
-                                            found: format!("{v}"),
-                                        },
-                                    )
-                                })?;
-                            }
-                        }
-                        self.set_reg(base, lanes, *var, l, v);
-                    }
-                    self.bound[bbase + *var as usize] |= live;
+                    self.rf.assign(lc, *var as usize, *src as usize, ctx)?
                 }
                 Instr::Store { arr, var, idx, val } => {
-                    ctx.stats.charge(OpClass::Store, &ctx.cfg.cost);
-                    let mut touched = [(0usize, ArrayId(0), 0i64); 32];
-                    let n = self.gather_touched(
-                        base,
-                        bbase,
-                        lanes,
-                        live,
-                        *arr,
-                        *var,
-                        *idx,
-                        ctx,
-                        &mut touched,
-                    )?;
-                    self.charge_coalesced(&touched[..n], ctx);
-                    for &(l, a, i) in &touched[..n] {
-                        let v = self.reg(base, lanes, *val, l);
-                        let actx = ctx.access_ctx(l);
-                        ctx.mem
-                            .store(actx, a, i, v)
-                            .map_err(|er| ctx.lane_err(l, er))?;
-                    }
+                    self.rf
+                        .store(lc, *arr as usize, *var, *idx as usize, *val as usize, ctx)?
                 }
                 Instr::NewArray { .. } => {
                     return Err(SimtError::Unsupported(
@@ -697,7 +361,7 @@ impl SimtVm {
                     then_range,
                     else_range,
                 } => {
-                    let truth = self.truth_mask(base, lanes, *cond, live, ctx)?;
+                    let truth = self.rf.truth_mask(lc, *cond as usize, live, ctx)?;
                     ctx.stats.charge(OpClass::Branch, &ctx.cfg.cost);
                     ctx.stats.branches += 1;
                     let t_mask = live & truth;
@@ -758,7 +422,7 @@ impl SimtVm {
                             frame,
                             ctx,
                         )?;
-                        let truth = self.truth_mask(base, lanes, *cond, live_now, ctx)?;
+                        let truth = self.rf.truth_mask(lc, *cond as usize, live_now, ctx)?;
                         ctx.stats.charge(OpClass::Branch, &ctx.cfg.cost);
                         ctx.stats.branches += 1;
                         live_w = live_now & truth;
@@ -801,7 +465,7 @@ impl SimtVm {
                                         range: &(u32, u32),
                                         r: Reg,
                                         out: &mut [i64; 32],
-                                        ctx: &mut VmCtx<'_, M>|
+                                        ctx: &mut WarpCtx<'_, M>|
                      -> Result<(), SimtError> {
                         vm.run(
                             k, ci, range.0, range.1, lanes, live, base, bbase, frame, ctx,
@@ -871,7 +535,7 @@ impl SimtVm {
                                 self.set_reg(base, lanes, *var, l, v);
                             }
                         }
-                        self.bound[bbase + *var as usize] |= round;
+                        self.rf.bound[bbase + *var as usize] |= round;
                         self.run(
                             k,
                             ci,
@@ -928,7 +592,7 @@ mod tests {
     use crate::memory::DeviceMemory;
     use crate::simt::SimtExec;
     use japonica_frontend::compile_source;
-    use japonica_ir::{compile_kernel, ForLoop, Heap, Program};
+    use japonica_ir::{compile_kernel, ArrayId, ForLoop, Heap, Program};
 
     /// NaN-proof bit comparison key for a `Value`.
     fn bits(v: Value) -> (u8, u64) {

@@ -37,6 +37,7 @@ impl ArrayData {
     }
 
     /// Element type.
+    #[inline]
     pub fn ty(&self) -> Ty {
         match self {
             ArrayData::Bool(_) => Ty::Bool,
@@ -48,6 +49,7 @@ impl ArrayData {
     }
 
     /// Number of elements.
+    #[inline]
     pub fn len(&self) -> usize {
         match self {
             ArrayData::Bool(v) => v.len(),
@@ -69,6 +71,7 @@ impl ArrayData {
     }
 
     /// Unchecked-typed element read; `idx` must be in bounds.
+    #[inline]
     pub fn get(&self, idx: usize) -> Value {
         match self {
             ArrayData::Bool(v) => Value::Bool(v[idx]),
@@ -77,6 +80,49 @@ impl ArrayData {
             ArrayData::Float(v) => Value::Float(v[idx]),
             ArrayData::Double(v) => Value::Double(v[idx]),
         }
+    }
+
+    /// Bounds-check `idx` against this array (known to callers as `id`).
+    #[inline]
+    pub fn index_of(&self, id: ArrayId, idx: i64) -> Result<usize, ExecError> {
+        let len = self.len();
+        if idx < 0 || idx as usize >= len {
+            return Err(ExecError::IndexOutOfBounds {
+                array: id,
+                index: idx,
+                len,
+            });
+        }
+        Ok(idx as usize)
+    }
+
+    /// Copy `src[lo..hi]` over `self[lo..hi]` — the staging path between a
+    /// host array and its device mirror. Same-typed arrays (every mirror
+    /// the runtime allocates) move as one slice copy; differing element
+    /// types convert element by element like [`ArrayData::set`]. Both
+    /// ranges must be in bounds.
+    pub fn copy_range_from(
+        &mut self,
+        src: &ArrayData,
+        lo: usize,
+        hi: usize,
+    ) -> Result<(), ExecError> {
+        if lo >= hi {
+            return Ok(());
+        }
+        match (self, src) {
+            (ArrayData::Bool(d), ArrayData::Bool(s)) => d[lo..hi].copy_from_slice(&s[lo..hi]),
+            (ArrayData::Int(d), ArrayData::Int(s)) => d[lo..hi].copy_from_slice(&s[lo..hi]),
+            (ArrayData::Long(d), ArrayData::Long(s)) => d[lo..hi].copy_from_slice(&s[lo..hi]),
+            (ArrayData::Float(d), ArrayData::Float(s)) => d[lo..hi].copy_from_slice(&s[lo..hi]),
+            (ArrayData::Double(d), ArrayData::Double(s)) => d[lo..hi].copy_from_slice(&s[lo..hi]),
+            (d, s) => {
+                for i in lo..hi {
+                    d.set(i, s.get(i))?;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Element write with an implicit Java assignment conversion; returns an
@@ -176,29 +222,14 @@ impl Heap {
     /// Bounds-checked element load.
     pub fn load(&self, id: ArrayId, idx: i64) -> Result<Value, ExecError> {
         let arr = self.array(id)?;
-        let len = arr.len();
-        if idx < 0 || idx as usize >= len {
-            return Err(ExecError::IndexOutOfBounds {
-                array: id,
-                index: idx,
-                len,
-            });
-        }
-        Ok(arr.get(idx as usize))
+        Ok(arr.get(arr.index_of(id, idx)?))
     }
 
     /// Bounds-checked element store with assignment conversion.
     pub fn store(&mut self, id: ArrayId, idx: i64, val: Value) -> Result<(), ExecError> {
         let arr = self.array_mut(id)?;
-        let len = arr.len();
-        if idx < 0 || idx as usize >= len {
-            return Err(ExecError::IndexOutOfBounds {
-                array: id,
-                index: idx,
-                len,
-            });
-        }
-        arr.set(idx as usize, val)
+        let i = arr.index_of(id, idx)?;
+        arr.set(i, val)
     }
 
     /// Copy of an array as `f64` (convenience for result validation).

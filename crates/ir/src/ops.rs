@@ -12,7 +12,9 @@ fn type_err(expected: &str, found: Value) -> ExecError {
     }
 }
 
-/// Apply a unary operator.
+/// Apply a unary operator. One direct match per operator: there is no
+/// promotion to skip, so this is its own reference.
+#[inline]
 pub fn unary(op: UnOp, v: Value) -> Result<Value, ExecError> {
     match op {
         UnOp::Neg => match v {
@@ -72,11 +74,82 @@ macro_rules! int_bitop {
     };
 }
 
+/// Same-type float operands: no promotion, no cast, no failure. `None`
+/// (bit operators, shifts) defers to [`binary_slow`] for its type error.
+macro_rules! float_fast {
+    ($op:expr, $x:expr, $y:expr, $wrap:path) => {
+        match $op {
+            BinOp::Add => Some($wrap($x + $y)),
+            BinOp::Sub => Some($wrap($x - $y)),
+            BinOp::Mul => Some($wrap($x * $y)),
+            BinOp::Div => Some($wrap($x / $y)),
+            BinOp::Rem => Some($wrap($x % $y)),
+            BinOp::Lt => Some(Value::Bool($x < $y)),
+            BinOp::Le => Some(Value::Bool($x <= $y)),
+            BinOp::Gt => Some(Value::Bool($x > $y)),
+            BinOp::Ge => Some(Value::Bool($x >= $y)),
+            BinOp::Eq => Some(Value::Bool($x == $y)),
+            BinOp::Ne => Some(Value::Bool($x != $y)),
+            _ => None,
+        }
+    };
+}
+
+/// Same-type integer operands. A zero divisor is `None`: the slow path
+/// owns the `DivisionByZero` error. `$mask` is the JVM shift-count mask.
+macro_rules! int_fast {
+    ($op:expr, $x:expr, $y:expr, $wrap:path, $u:ty, $mask:literal) => {
+        match $op {
+            BinOp::Add => Some($wrap($x.wrapping_add($y))),
+            BinOp::Sub => Some($wrap($x.wrapping_sub($y))),
+            BinOp::Mul => Some($wrap($x.wrapping_mul($y))),
+            BinOp::Div if $y != 0 => Some($wrap($x.wrapping_div($y))),
+            BinOp::Rem if $y != 0 => Some($wrap($x.wrapping_rem($y))),
+            BinOp::Div | BinOp::Rem => None,
+            BinOp::And | BinOp::LAnd => Some($wrap($x & $y)),
+            BinOp::Or | BinOp::LOr => Some($wrap($x | $y)),
+            BinOp::Xor => Some($wrap($x ^ $y)),
+            BinOp::Shl => Some($wrap($x.wrapping_shl(($y & $mask) as u32))),
+            BinOp::Shr => Some($wrap($x.wrapping_shr(($y & $mask) as u32))),
+            BinOp::UShr => Some($wrap(($x as $u).wrapping_shr(($y & $mask) as u32) as _)),
+            BinOp::Lt => Some(Value::Bool($x < $y)),
+            BinOp::Le => Some(Value::Bool($x <= $y)),
+            BinOp::Gt => Some(Value::Bool($x > $y)),
+            BinOp::Ge => Some(Value::Bool($x >= $y)),
+            BinOp::Eq => Some(Value::Bool($x == $y)),
+            BinOp::Ne => Some(Value::Bool($x != $y)),
+        }
+    };
+}
+
 /// Apply a non-short-circuit binary operator. The interpreter handles
 /// `LAnd`/`LOr` itself (lazy right operand); calling this with them applies
 /// eager boolean logic, which is what the SIMT simulator does after both
 /// lanes' sides are available.
+///
+/// Operands of one numeric type — nearly every operation a kernel
+/// executes — take an infallible monomorphic path; everything else
+/// (mixed types, booleans, arrays, zero divisors, type errors) falls
+/// through to [`binary_slow`], the reference the fast path is tested
+/// against value for value and error for error.
+#[inline]
 pub fn binary(op: BinOp, a: Value, b: Value) -> Result<Value, ExecError> {
+    let fast = match (a, b) {
+        (Value::Double(x), Value::Double(y)) => float_fast!(op, x, y, Value::Double),
+        (Value::Int(x), Value::Int(y)) => int_fast!(op, x, y, Value::Int, u32, 0x1f),
+        (Value::Long(x), Value::Long(y)) => int_fast!(op, x, y, Value::Long, u64, 0x3f),
+        (Value::Float(x), Value::Float(y)) => float_fast!(op, x, y, Value::Float),
+        _ => None,
+    };
+    match fast {
+        Some(v) => Ok(v),
+        None => binary_slow(op, a, b),
+    }
+}
+
+/// The dynamically-typed reference semantics of [`binary`]: Java binary
+/// numeric promotion, then the operator on the promoted pair.
+fn binary_slow(op: BinOp, a: Value, b: Value) -> Result<Value, ExecError> {
     match op {
         BinOp::Add => arith!(a, b, wrapping_add, +),
         BinOp::Sub => arith!(a, b, wrapping_sub, -),
@@ -341,6 +414,164 @@ mod tests {
             intrinsic(Intrinsic::Exp, &[]),
             Err(ExecError::ArityMismatch { .. })
         ));
+    }
+
+    const BIN_OPS: [BinOp; 19] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Rem,
+        BinOp::And,
+        BinOp::Or,
+        BinOp::Xor,
+        BinOp::Shl,
+        BinOp::Shr,
+        BinOp::UShr,
+        BinOp::Lt,
+        BinOp::Le,
+        BinOp::Gt,
+        BinOp::Ge,
+        BinOp::Eq,
+        BinOp::Ne,
+        BinOp::LAnd,
+        BinOp::LOr,
+    ];
+
+    /// Every `Value` kind with its edge values: NaN, signed zeros and
+    /// infinities, the overflowing divisions' operands, zero divisors,
+    /// shift counts at and past the operand width, array handles.
+    fn edge_values() -> Vec<Value> {
+        use crate::heap::ArrayId;
+        let mut v = vec![Value::Bool(false), Value::Bool(true)];
+        v.extend([0, 1, -1, 2, 7, 31, 32, 33, -33, i32::MIN, i32::MAX].map(Value::Int));
+        v.extend([0, 1, -1, 5, 63, 64, 65, -65, 1 << 40, i64::MIN, i64::MAX].map(Value::Long));
+        v.extend(
+            [
+                0.0,
+                -0.0,
+                1.5,
+                -2.25,
+                f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                f32::MAX,
+                f32::MIN_POSITIVE,
+            ]
+            .map(Value::Float),
+        );
+        v.extend(
+            [
+                0.0,
+                -0.0,
+                1.5,
+                -2.25,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::MAX,
+                f64::MIN_POSITIVE,
+                3e9,
+            ]
+            .map(Value::Double),
+        );
+        v.extend([Value::Array(ArrayId(1)), Value::Array(ArrayId(2))]);
+        v
+    }
+
+    /// Results compared by bit pattern (so NaN equals NaN and -0.0 differs
+    /// from 0.0), errors by `==`.
+    fn bits(r: &Result<Value, ExecError>) -> Result<(u8, u64), &ExecError> {
+        r.as_ref().map(|v| match *v {
+            Value::Bool(b) => (0, b as u64),
+            Value::Int(x) => (1, x as u32 as u64),
+            Value::Long(x) => (2, x as u64),
+            Value::Float(x) => (3, x.to_bits() as u64),
+            Value::Double(x) => (4, x.to_bits()),
+            Value::Array(a) => (5, a.0 as u64),
+        })
+    }
+
+    #[test]
+    fn fast_path_equals_the_promoting_reference_on_every_operand_pair() {
+        let vals = edge_values();
+        let (mut ok, mut err) = (0u32, 0u32);
+        for op in BIN_OPS {
+            for &a in &vals {
+                for &b in &vals {
+                    let fast = binary(op, a, b);
+                    let slow = binary_slow(op, a, b);
+                    assert_eq!(bits(&fast), bits(&slow), "{a} {op:?} {b}");
+                    if fast.is_ok() {
+                        ok += 1;
+                    } else {
+                        err += 1;
+                    }
+                }
+            }
+        }
+        // Both outcomes are exercised, not just one side of the table.
+        assert!(ok > 5_000 && err > 5_000, "ok {ok}, err {err}");
+        assert_eq!(
+            binary(BinOp::Div, Value::Int(i32::MIN), Value::Int(-1)).unwrap(),
+            Value::Int(i32::MIN)
+        );
+        assert_eq!(
+            binary(BinOp::Rem, Value::Long(i64::MIN), Value::Long(-1)).unwrap(),
+            Value::Long(0)
+        );
+        assert_eq!(
+            binary(BinOp::Rem, Value::Long(1), Value::Long(0)),
+            Err(ExecError::DivisionByZero)
+        );
+    }
+
+    #[test]
+    fn unary_keeps_the_type_or_names_the_expected_kind() {
+        for v in edge_values() {
+            for (op, expected) in [
+                (UnOp::Neg, "numeric"),
+                (UnOp::Not, "boolean"),
+                (UnOp::BitNot, "integral"),
+            ] {
+                let accepts = match op {
+                    UnOp::Neg => v.ty().is_some_and(Ty::is_numeric),
+                    UnOp::Not => v.ty() == Some(Ty::Bool),
+                    UnOp::BitNot => v.ty().is_some_and(Ty::is_integral),
+                };
+                match unary(op, v) {
+                    Ok(r) => {
+                        assert!(accepts, "{op:?} {v} must be a type error");
+                        assert_eq!(r.ty(), v.ty());
+                        // Each operator is an involution, bit for bit.
+                        assert_eq!(bits(&unary(op, r)), bits(&Ok(v)), "{op:?} {v}");
+                    }
+                    Err(e) => {
+                        assert!(!accepts, "{op:?} {v} must succeed");
+                        assert_eq!(e, type_err(expected, v));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cast_identity_short_cut_agrees_with_the_conversion_table() {
+        for v in edge_values() {
+            for to in [Ty::Bool, Ty::Int, Ty::Long, Ty::Float, Ty::Double] {
+                let got = v.cast(to);
+                match got {
+                    Some(r) => assert_eq!(r.ty(), Some(to), "{v} as {to}"),
+                    None => assert!(
+                        v.ty().is_none() || (v.ty() == Some(Ty::Bool)) != (to == Ty::Bool),
+                        "{v} as {to} must convert"
+                    ),
+                }
+                if v.ty() == Some(to) {
+                    assert_eq!(bits(&got.ok_or(ExecError::DivisionByZero)), bits(&Ok(v)));
+                }
+            }
+        }
     }
 
     #[test]

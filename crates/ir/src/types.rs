@@ -101,6 +101,7 @@ pub enum Value {
 
 impl Value {
     /// The scalar type of the value; `None` for array references.
+    #[inline]
     pub fn ty(self) -> Option<Ty> {
         match self {
             Value::Bool(_) => Some(Ty::Bool),
@@ -113,6 +114,7 @@ impl Value {
     }
 
     /// View as `bool`, if the value is a `boolean`.
+    #[inline]
     pub fn as_bool(self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(b),
@@ -121,6 +123,7 @@ impl Value {
     }
 
     /// View as an array handle, if the value is an array reference.
+    #[inline]
     pub fn as_array(self) -> Option<ArrayId> {
         match self {
             Value::Array(a) => Some(a),
@@ -129,6 +132,7 @@ impl Value {
     }
 
     /// Numeric view as `i64` (integral values only).
+    #[inline]
     pub fn as_i64(self) -> Option<i64> {
         match self {
             Value::Int(v) => Some(v as i64),
@@ -150,10 +154,21 @@ impl Value {
 
     /// Java-style cast to `to`. Integral narrowing truncates; float-to-int
     /// conversion saturates NaN to 0 like the JVM `d2i`/`d2l` instructions.
+    ///
+    /// The identity cast — what declarations, assignments and parameter
+    /// binding of well-typed kernels ask for — returns before the
+    /// conversion table is consulted.
+    #[inline]
     pub fn cast(self, to: Ty) -> Option<Value> {
+        if self.ty() == Some(to) {
+            return Some(self);
+        }
+        self.convert(to)
+    }
+
+    /// The conversions between distinct scalar types.
+    fn convert(self, to: Ty) -> Option<Value> {
         let v = match (self, to) {
-            (Value::Bool(b), Ty::Bool) => Value::Bool(b),
-            (v, _) if v.ty() == Some(to) => v,
             (Value::Int(v), Ty::Long) => Value::Long(v as i64),
             (Value::Int(v), Ty::Float) => Value::Float(v as f32),
             (Value::Int(v), Ty::Double) => Value::Double(v as f64),

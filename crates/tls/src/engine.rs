@@ -2,7 +2,7 @@
 //! cycle, and the privatization mode PE(V).
 
 use crate::config::TlsConfig;
-use crate::spec_mem::SpeculativeMemory;
+use crate::spec_mem::{SpecArena, SpeculativeMemory};
 use japonica_cpuexec::CpuConfig;
 use japonica_faults::{DeviceFault, FaultPlan, ResilienceConfig};
 use japonica_gpusim::{
@@ -128,14 +128,7 @@ impl Backend for DeviceBackend<'_> {
     fn load(&mut self, arr: ArrayId, idx: i64) -> Result<Value, ExecError> {
         if let Some(li) = self.local(arr) {
             let a = self.locals.get(li).ok_or(ExecError::UnknownArray(arr))?;
-            if idx < 0 || idx as usize >= a.len() {
-                return Err(ExecError::IndexOutOfBounds {
-                    array: arr,
-                    index: idx,
-                    len: a.len(),
-                });
-            }
-            return Ok(a.get(idx as usize));
+            return Ok(a.get(a.index_of(arr, idx)?));
         }
         self.mem.load(Self::actx(), arr, idx)
     }
@@ -146,14 +139,8 @@ impl Backend for DeviceBackend<'_> {
                 .locals
                 .get_mut(li)
                 .ok_or(ExecError::UnknownArray(arr))?;
-            if idx < 0 || idx as usize >= a.len() {
-                return Err(ExecError::IndexOutOfBounds {
-                    array: arr,
-                    index: idx,
-                    len: a.len(),
-                });
-            }
-            return a.set(idx as usize, v);
+            let i = a.index_of(arr, idx)?;
+            return a.set(i, v);
         }
         self.mem.store(Self::actx(), arr, idx, v)
     }
@@ -277,6 +264,10 @@ pub fn run_tls_loop_guarded_with(
     } else {
         None
     };
+    // One metadata arena for every round: each SE phase resets it (cost
+    // proportional to what the previous round touched) instead of
+    // allocating and dropping per-array tables per sub-loop.
+    let mut arena = SpecArena::default();
     while k < range.end {
         let mut sub_end = (k + tls.subloop_iters).min(range.end);
         // Profile guidance: start a fresh sub-loop at every iteration the
@@ -291,7 +282,7 @@ pub fn run_tls_loop_guarded_with(
         let mut attempt = 0u32;
         loop {
             // ---- SE phase ----
-            let mut spec = SpeculativeMemory::new(dev, tls.se_overhead_cycles);
+            let mut spec = SpeculativeMemory::with_arena(dev, tls.se_overhead_cycles, &mut arena);
             let kr = match launch_loop_par_with(
                 program,
                 dcfg,

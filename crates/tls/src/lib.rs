@@ -37,4 +37,6 @@ pub use engine::{
     run_privatized, run_privatized_with, run_tls_loop, run_tls_loop_guarded,
     run_tls_loop_guarded_with, DeviceBackend, TlsError, TlsReport,
 };
-pub use spec_mem::{DcOutcome, DepStats, SpecDelta, SpecView, SpeculativeMemory, WriteList};
+pub use spec_mem::{
+    DcOutcome, DepStats, SpecArena, SpecDelta, SpecView, SpeculativeMemory, WriteList,
+};

@@ -1,30 +1,29 @@
 //! Speculative memory: per-iteration write buffers + access metadata for
 //! the dependency-checking phase.
 //!
-//! The metadata store is struct-of-arrays: one dense per-element slot
-//! vector per touched array (writer timestamp pairs, reader records) with
-//! bitsets marking touched elements, instead of one global
-//! `BTreeMap<(ArrayId, i64), _>` keyed by location. The SE-phase hot path
-//! (one record per global read/write) is then an array index plus a small
-//! sorted-vec insert, and the DC phase walks set bits instead of tree
-//! nodes. Semantics are pinned bit-identical to the map-based reference
-//! (see the `matches_map_based_reference_model` test).
+//! Everything the SE phase records lives in one [`SpecArena`]:
+//!
+//! * **write buffers** indexed by iteration offset (a sub-loop's
+//!   iterations are a contiguous range), each location-sorted;
+//! * **access metadata** in dense per-array tables indexed by
+//!   `ArrayId.0`: per element two `u32` heads of index-linked lists —
+//!   writer `(iter, warp)` pairs kept sorted and unique, reader records —
+//!   whose nodes all come from one pooled `Vec`, with bitsets marking the
+//!   touched elements so the DC scan and the reset only visit those.
+//!
+//! One recorded access is an array index plus a pool push: no allocation
+//! per touched element, nothing to drop per element, and an arena can be
+//! [reused](SpeculativeMemory::with_arena) across the rounds of a TLS loop
+//! (reset walks the touched bitsets, not the arrays). Semantics are pinned
+//! bit-identical to the map-based reference (see `MapModel` in the tests).
 
 use japonica_gpusim::{AccessCtx, DeviceMemory, LaneMemory, ParallelLaneMemory};
 use japonica_ir::{ArrayId, ExecError, Value};
-use std::collections::BTreeMap;
 use std::collections::BTreeSet;
+use std::ops::{Deref, DerefMut};
 
 /// A flattened, iteration-ordered list of `(location, value)` writes.
 pub type WriteList = Vec<((ArrayId, i64), Value)>;
-
-/// One recorded global-memory read: which iteration (and warp) read the
-/// location from global memory (i.e. did *not* hit its own write buffer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ReadRec {
-    iter: u64,
-    warp: u32,
-}
 
 /// Result of the dependency-checking phase.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -82,11 +81,22 @@ struct BitSet {
     words: Vec<u64>,
 }
 
-impl BitSet {
-    fn with_len(len: usize) -> BitSet {
-        BitSet {
-            words: vec![0; len.div_ceil(64)],
+/// Set bit positions of one word at word index `wi`, ascending.
+fn ones_of(wi: usize, mut w: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        if w == 0 {
+            return None;
         }
+        let b = w.trailing_zeros() as usize;
+        w &= w - 1;
+        Some(wi * 64 + b)
+    })
+}
+
+impl BitSet {
+    /// All-clear set over `len` indices, keeping the allocation.
+    fn resize(&mut self, len: usize) {
+        self.words.resize(len.div_ceil(64), 0);
     }
 
     fn set(&mut self, i: usize) {
@@ -99,84 +109,17 @@ impl BitSet {
 
     /// Set bit positions, ascending.
     fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &word)| {
-            let mut w = word;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    return None;
-                }
-                let b = w.trailing_zeros() as usize;
-                w &= w - 1;
-                Some(wi * 64 + b)
-            })
-        })
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(wi, &word)| ones_of(wi, word))
     }
 
-    fn union(&mut self, other: &BitSet) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= *b;
+    /// Clear the set, handing every position that was set to `f`.
+    fn drain_ones(&mut self, mut f: impl FnMut(usize)) {
+        for (wi, word) in self.words.iter_mut().enumerate() {
+            ones_of(wi, std::mem::take(word)).for_each(&mut f);
         }
-    }
-}
-
-/// Struct-of-arrays access metadata for one device array: per-element
-/// writer `(iter, warp)` pairs (sorted ascending, mirroring the reference
-/// `BTreeSet` order) and reader records (append order), with touched-bit
-/// tracking so the DC scan only visits elements that saw traffic. Untouched
-/// element slots are empty `Vec`s and thus allocation-free.
-#[derive(Debug, Clone)]
-struct ArrayMeta {
-    writers: Vec<Vec<(u64, u32)>>,
-    readers: Vec<Vec<ReadRec>>,
-    touched_w: BitSet,
-    touched_r: BitSet,
-    n_writers: u64,
-    n_readers: u64,
-}
-
-impl ArrayMeta {
-    fn new(len: usize) -> ArrayMeta {
-        ArrayMeta {
-            writers: vec![Vec::new(); len],
-            readers: vec![Vec::new(); len],
-            touched_w: BitSet::with_len(len),
-            touched_r: BitSet::with_len(len),
-            n_writers: 0,
-            n_readers: 0,
-        }
-    }
-
-    fn record_read(&mut self, idx: usize, rec: ReadRec) {
-        self.readers[idx].push(rec);
-        self.touched_r.set(idx);
-        self.n_readers += 1;
-    }
-
-    fn record_write(&mut self, idx: usize, iter: u64, warp: u32) {
-        let ws = &mut self.writers[idx];
-        if let Err(pos) = ws.binary_search(&(iter, warp)) {
-            ws.insert(pos, (iter, warp));
-            self.touched_w.set(idx);
-            self.n_writers += 1;
-        }
-    }
-
-    /// Merge another warp's metadata for the same array. Reader lists are
-    /// appended (the caller absorbs deltas in warp order, reproducing the
-    /// sequential append order per location); writer sets are disjoint
-    /// across warps but merged defensively.
-    fn merge(&mut self, other: ArrayMeta) {
-        for i in other.touched_w.iter_ones() {
-            for &(iter, warp) in &other.writers[i] {
-                self.record_write(i, iter, warp);
-            }
-        }
-        for i in other.touched_r.iter_ones() {
-            self.n_readers += other.readers[i].len() as u64;
-            self.readers[i].extend_from_slice(&other.readers[i]);
-        }
-        self.touched_w.union(&other.touched_w);
-        self.touched_r.union(&other.touched_r);
     }
 }
 
@@ -185,50 +128,237 @@ impl ArrayMeta {
 /// reference).
 type IterBuf = Vec<((ArrayId, i64), Value)>;
 
-/// The shared bookkeeping core behind [`SpeculativeMemory`] and
-/// [`SpecView`]: per-iteration write buffers plus per-array SoA metadata.
+/// Per-iteration write buffers, indexed by iteration offset from the
+/// lowest iteration seen. Buffers past `used` are cleared spares kept for
+/// their capacity.
 #[derive(Debug, Default)]
-struct SpecCore {
-    /// iter -> buffered writes of that iteration, location-sorted.
-    writes: BTreeMap<u64, IterBuf>,
-    meta: BTreeMap<ArrayId, ArrayMeta>,
+struct IterBufs {
+    lo: u64,
+    used: usize,
+    bufs: Vec<IterBuf>,
 }
 
-impl SpecCore {
-    fn entries(&self) -> u64 {
-        self.meta.values().map(|m| m.n_writers + m.n_readers).sum()
+impl IterBufs {
+    fn clear(&mut self) {
+        self.bufs[..self.used].iter_mut().for_each(Vec::clear);
+        self.used = 0;
     }
 
-    fn buffered_writes(&self) -> u64 {
-        self.writes.values().map(|b| b.len() as u64).sum()
+    /// `(iteration, its writes)` of every iteration that wrote, ascending.
+    fn iter(&self) -> impl Iterator<Item = (u64, &IterBuf)> {
+        let lo = self.lo;
+        self.bufs[..self.used]
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| !b.is_empty())
+            .map(move |(i, b)| (lo + i as u64, b))
+    }
+
+    fn total(&self) -> u64 {
+        self.iter().map(|(_, b)| b.len() as u64).sum()
     }
 
     /// Read-your-own-write lookup in `iter`'s buffer.
     fn read_own(&self, iter: u64, arr: ArrayId, idx: i64) -> Option<Value> {
-        let buf = self.writes.get(&iter)?;
+        let off = iter.checked_sub(self.lo)?;
+        let buf = self.bufs[..self.used].get(off as usize)?;
         buf.binary_search_by_key(&(arr, idx), |&(loc, _)| loc)
             .ok()
             .map(|p| buf[p].1)
     }
 
-    /// Ensure dense metadata exists for `arr` (slots sized to `len`).
-    fn touch_array(&mut self, arr: ArrayId, len: usize) -> &mut ArrayMeta {
-        self.meta.entry(arr).or_insert_with(|| ArrayMeta::new(len))
-    }
-
-    fn record_read(&mut self, arr: ArrayId, idx: i64, len: usize, iter: u64, warp: u32) {
-        self.touch_array(arr, len)
-            .record_read(idx as usize, ReadRec { iter, warp });
-    }
-
-    fn record_write(&mut self, arr: ArrayId, idx: i64, len: usize, v: Value, iter: u64, warp: u32) {
-        self.touch_array(arr, len)
-            .record_write(idx as usize, iter, warp);
-        let buf = self.writes.entry(iter).or_default();
-        match buf.binary_search_by_key(&(arr, idx), |&(loc, _)| loc) {
-            Ok(p) => buf[p].1 = v,
-            Err(p) => buf.insert(p, ((arr, idx), v)),
+    fn buf_mut(&mut self, iter: u64) -> &mut IterBuf {
+        let grow = |bufs: &mut Vec<IterBuf>, n: usize| {
+            if bufs.len() < n {
+                bufs.resize_with(n, Vec::new);
+            }
+        };
+        if self.used == 0 {
+            self.lo = iter;
         }
+        if iter < self.lo {
+            // Launches visit iterations ascending, so this is rare: re-base
+            // by rotating empty spares in front of the buffers in use.
+            let shift = (self.lo - iter) as usize;
+            grow(&mut self.bufs, self.used + shift);
+            self.bufs[..self.used + shift].rotate_right(shift);
+            self.used += shift;
+            self.lo = iter;
+        }
+        let off = (iter - self.lo) as usize;
+        if off >= self.used {
+            grow(&mut self.bufs, off + 1);
+            self.used = off + 1;
+        }
+        &mut self.bufs[off]
+    }
+
+    fn write(&mut self, iter: u64, loc: (ArrayId, i64), v: Value) {
+        let buf = self.buf_mut(iter);
+        match buf.binary_search_by_key(&loc, |&(l, _)| l) {
+            Ok(p) => buf[p].1 = v,
+            Err(p) => buf.insert(p, (loc, v)),
+        }
+    }
+
+    /// Take over another set of buffers. Iterations are disjoint across
+    /// warps (one iteration, one warp); a shared one is merged defensively.
+    fn adopt(&mut self, other: IterBufs) {
+        let lo = other.lo;
+        for (i, buf) in other.bufs.into_iter().take(other.used).enumerate() {
+            if buf.is_empty() {
+                continue;
+            }
+            let iter = lo + i as u64;
+            let dst = self.buf_mut(iter);
+            if dst.is_empty() {
+                *dst = buf;
+            } else {
+                for (loc, v) in buf {
+                    self.write(iter, loc, v);
+                }
+            }
+        }
+    }
+}
+
+/// One pooled list node: an access by iteration `iter` of warp `warp`.
+/// `next` is the 1-based pool index of the following node, 0 at the end.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    iter: u64,
+    warp: u32,
+    next: u32,
+}
+
+/// Access metadata for one device array: per element the heads (1-based
+/// pool indices, 0 = empty) of its writer list — `(iter, warp)` pairs,
+/// unique, descending, so the usual ascending arrival is a head insert —
+/// and of its reader list (latest first; every consumer is a sum or a
+/// set, so reader order is not observable). An array never touched has
+/// empty tables.
+#[derive(Debug, Default)]
+struct ArrayMeta {
+    writers: Vec<u32>,
+    readers: Vec<u32>,
+    touched_w: BitSet,
+    touched_r: BitSet,
+    n_writers: u64,
+    n_readers: u64,
+}
+
+/// The reusable allocation behind a [`SpeculativeMemory`]: write buffers,
+/// dense per-array metadata tables and the node pool. See
+/// [`SpeculativeMemory::with_arena`].
+#[derive(Debug, Default)]
+pub struct SpecArena {
+    /// Buffered writes per iteration, location-sorted.
+    writes: IterBufs,
+    /// Indexed by `ArrayId.0` (device-resident ids are dense heap ids).
+    meta: Vec<ArrayMeta>,
+    nodes: Vec<Node>,
+}
+
+impl SpecArena {
+    /// Forget everything recorded, keeping every allocation. Cost is
+    /// proportional to what was touched (plus one bitset word per 64
+    /// elements of each array ever seen), not to the arrays' lengths.
+    fn reset(&mut self) {
+        self.writes.clear();
+        self.nodes.clear();
+        for m in &mut self.meta {
+            let ArrayMeta {
+                writers,
+                readers,
+                touched_w,
+                touched_r,
+                ..
+            } = m;
+            touched_w.drain_ones(|i| writers[i] = 0);
+            touched_r.drain_ones(|i| readers[i] = 0);
+            m.n_writers = 0;
+            m.n_readers = 0;
+        }
+    }
+
+    fn entries(&self) -> u64 {
+        self.meta.iter().map(|m| m.n_writers + m.n_readers).sum()
+    }
+
+    /// The nodes of the list starting at `head`.
+    fn list(&self, head: u32) -> impl Iterator<Item = Node> + '_ {
+        let mut cur = head;
+        std::iter::from_fn(move || {
+            let n = *self.nodes.get((cur as usize).checked_sub(1)?)?;
+            cur = n.next;
+            Some(n)
+        })
+    }
+
+    /// Element `idx`'s writer pairs into `out`, ascending.
+    fn writers_of(&self, m: &ArrayMeta, idx: usize, out: &mut Vec<(u64, u32)>) {
+        out.clear();
+        out.extend(self.list(m.writers[idx]).map(|n| (n.iter, n.warp)));
+        out.reverse();
+    }
+
+    /// Metadata tables of `arr`, sized to its `len` elements. All-zero
+    /// tables allocate lazily, so this costs what gets touched.
+    fn meta_for(meta: &mut Vec<ArrayMeta>, arr: ArrayId, len: usize) -> &mut ArrayMeta {
+        let a = arr.0 as usize;
+        if meta.len() <= a {
+            meta.resize_with(a + 1, ArrayMeta::default);
+        }
+        let m = &mut meta[a];
+        if m.writers.len() != len {
+            // Between resets every head is 0 and every bit clear.
+            m.writers.resize(len, 0);
+            m.readers.resize(len, 0);
+            m.touched_w.resize(len);
+            m.touched_r.resize(len);
+        }
+        m
+    }
+
+    fn push_node(nodes: &mut Vec<Node>, node: Node) -> u32 {
+        nodes.push(node);
+        u32::try_from(nodes.len()).expect("metadata pool outgrew its u32 links")
+    }
+
+    fn record_read(&mut self, arr: ArrayId, idx: usize, len: usize, iter: u64, warp: u32) {
+        let m = Self::meta_for(&mut self.meta, arr, len);
+        let next = m.readers[idx];
+        m.readers[idx] = Self::push_node(&mut self.nodes, Node { iter, warp, next });
+        m.touched_r.set(idx);
+        m.n_readers += 1;
+    }
+
+    /// Note `(iter, warp)` in element `idx`'s writer set.
+    fn note_write(&mut self, arr: ArrayId, idx: usize, len: usize, iter: u64, warp: u32) {
+        let m = Self::meta_for(&mut self.meta, arr, len);
+        let (mut prev, mut cur) = (0u32, m.writers[idx]);
+        while cur != 0 {
+            let n = self.nodes[cur as usize - 1];
+            match (n.iter, n.warp).cmp(&(iter, warp)) {
+                std::cmp::Ordering::Equal => return,
+                std::cmp::Ordering::Less => break,
+                std::cmp::Ordering::Greater => (prev, cur) = (cur, n.next),
+            }
+        }
+        let new = Self::push_node(
+            &mut self.nodes,
+            Node {
+                iter,
+                warp,
+                next: cur,
+            },
+        );
+        match prev {
+            0 => m.writers[idx] = new,
+            p => self.nodes[p as usize - 1].next = new,
+        }
+        m.touched_w.set(idx);
+        m.n_writers += 1;
     }
 
     fn check(&self) -> DcOutcome {
@@ -237,13 +367,14 @@ impl SpecCore {
             ..DcOutcome::default()
         };
         let mut violators: BTreeSet<u64> = BTreeSet::new();
-        for m in self.meta.values() {
+        let mut ws = Vec::new();
+        for m in &self.meta {
             for i in m.touched_r.iter_ones() {
                 if !m.touched_w.get(i) {
                     continue;
                 }
-                let ws = &m.writers[i];
-                for r in &m.readers[i] {
+                self.writers_of(m, i, &mut ws);
+                for r in self.list(m.readers[i]) {
                     // Latest writer strictly earlier than the reader, if any.
                     let p = ws.partition_point(|&w| w < (r.iter, 0u32));
                     if p > 0 {
@@ -265,10 +396,12 @@ impl SpecCore {
 
     fn dependence_stats(&self) -> DepStats {
         let mut st = DepStats::default();
-        for (&arr, m) in &self.meta {
+        let mut ws = Vec::new();
+        for (a, m) in self.meta.iter().enumerate() {
+            let arr = ArrayId(a as u32);
             for i in m.touched_r.iter_ones() {
-                let ws = &m.writers[i];
-                for r in &m.readers[i] {
+                self.writers_of(m, i, &mut ws);
+                for r in self.list(m.readers[i]) {
                     // RAW: latest earlier writer.
                     let p = ws.partition_point(|&w| w < (r.iter, 0u32));
                     if p > 0 {
@@ -295,7 +428,7 @@ impl SpecCore {
                 }
             }
             for i in m.touched_w.iter_ones() {
-                let ws = &m.writers[i];
+                self.writers_of(m, i, &mut ws);
                 if ws.len() > 1 {
                     st.waw_pairs += ws.len() as u64 - 1;
                     for &(w, _) in ws.iter().skip(1) {
@@ -306,35 +439,29 @@ impl SpecCore {
         }
         st
     }
+}
 
-    fn merge(&mut self, other: SpecCore) {
-        for (iter, buf) in other.writes {
-            match self.writes.entry(iter) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(buf);
-                }
-                // Iteration keys are disjoint across warps (one iteration,
-                // one warp); merge defensively anyway.
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    let dst = e.get_mut();
-                    for (loc, v) in buf {
-                        match dst.binary_search_by_key(&loc, |&(l, _)| l) {
-                            Ok(p) => dst[p].1 = v,
-                            Err(p) => dst.insert(p, (loc, v)),
-                        }
-                    }
-                }
-            }
+/// A [`SpeculativeMemory`]'s arena: its own, or one lent by the caller.
+enum ArenaRef<'a> {
+    Owned(SpecArena),
+    Lent(&'a mut SpecArena),
+}
+
+impl Deref for ArenaRef<'_> {
+    type Target = SpecArena;
+    fn deref(&self) -> &SpecArena {
+        match self {
+            ArenaRef::Owned(a) => a,
+            ArenaRef::Lent(a) => a,
         }
-        for (arr, dm) in other.meta {
-            match self.meta.entry(arr) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(dm);
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    e.get_mut().merge(dm);
-                }
-            }
+    }
+}
+
+impl DerefMut for ArenaRef<'_> {
+    fn deref_mut(&mut self) -> &mut SpecArena {
+        match self {
+            ArenaRef::Owned(a) => a,
+            ArenaRef::Lent(a) => a,
         }
     }
 }
@@ -343,7 +470,7 @@ impl SpecCore {
 /// global reads and writes for the DC phase.
 pub struct SpeculativeMemory<'d> {
     base: &'d mut DeviceMemory,
-    core: SpecCore,
+    core: ArenaRef<'d>,
     overhead_cycles: f64,
 }
 
@@ -352,7 +479,24 @@ impl<'d> SpeculativeMemory<'d> {
     pub fn new(base: &'d mut DeviceMemory, overhead_cycles: f64) -> SpeculativeMemory<'d> {
         SpeculativeMemory {
             base,
-            core: SpecCore::default(),
+            core: ArenaRef::Owned(SpecArena::default()),
+            overhead_cycles,
+        }
+    }
+
+    /// [`SpeculativeMemory::new`] recording into `arena`, which is reset
+    /// first. A loop that speculates round after round passes the same
+    /// arena each time and so allocates its tables, pool and buffers once;
+    /// what an earlier round recorded is never visible to a later one.
+    pub fn with_arena(
+        base: &'d mut DeviceMemory,
+        overhead_cycles: f64,
+        arena: &'d mut SpecArena,
+    ) -> SpeculativeMemory<'d> {
+        arena.reset();
+        SpeculativeMemory {
+            base,
+            core: ArenaRef::Lent(arena),
             overhead_cycles,
         }
     }
@@ -364,7 +508,7 @@ impl<'d> SpeculativeMemory<'d> {
 
     /// Total buffered writes.
     pub fn buffered_writes(&self) -> u64 {
-        self.core.buffered_writes()
+        self.core.writes.total()
     }
 
     /// The DC phase: find read-after-write violations — a read by iteration
@@ -380,25 +524,36 @@ impl<'d> SpeculativeMemory<'d> {
         self.core.dependence_stats()
     }
 
+    /// Apply the buffered writes of iterations `< upto` to global memory in
+    /// iteration order, handing each to `each`.
+    fn commit(
+        self,
+        upto: u64,
+        mut each: impl FnMut((ArrayId, i64), Value),
+    ) -> Result<(), ExecError> {
+        for (iter, writes) in self.core.writes.iter() {
+            if iter >= upto {
+                break;
+            }
+            let ctx = AccessCtx {
+                lane: 0,
+                warp: 0,
+                iter,
+            };
+            for &((arr, idx), v) in writes {
+                self.base.store(ctx, arr, idx, v)?;
+                each((arr, idx), v);
+            }
+        }
+        Ok(())
+    }
+
     /// Commit phase: apply buffered writes of iterations `< upto` to global
     /// memory in iteration order; discard the rest. Returns the number of
     /// values copied.
     pub fn commit_prefix(self, upto: u64) -> Result<u64, ExecError> {
         let mut copied = 0u64;
-        for (iter, writes) in self.core.writes {
-            if iter >= upto {
-                break;
-            }
-            for ((arr, idx), v) in writes {
-                let ctx = AccessCtx {
-                    lane: 0,
-                    warp: 0,
-                    iter,
-                };
-                self.base.store(ctx, arr, idx, v)?;
-                copied += 1;
-            }
-        }
+        self.commit(upto, |_, _| copied += 1)?;
         Ok(copied)
     }
 
@@ -412,64 +567,73 @@ impl<'d> SpeculativeMemory<'d> {
     /// the host heap and account exact device-to-host byte counts (the
     /// sharing scheduler does both).
     pub fn commit_all_collect(self) -> Result<WriteList, ExecError> {
-        let mut out = Vec::new();
-        for (iter, writes) in self.core.writes {
-            for ((arr, idx), v) in writes {
-                let ctx = AccessCtx {
-                    lane: 0,
-                    warp: 0,
-                    iter,
-                };
-                self.base.store(ctx, arr, idx, v)?;
-                out.push(((arr, idx), v));
-            }
-        }
+        let mut out = Vec::with_capacity(self.core.writes.total() as usize);
+        self.commit(u64::MAX, |loc, v| out.push((loc, v)))?;
         Ok(out)
     }
+}
+
+/// One access a [`SpecView`] logged for the coordinator to replay.
+struct Access {
+    arr: ArrayId,
+    idx: usize,
+    iter: u64,
+    warp: u32,
+    write: bool,
 }
 
 /// One warp's private window onto a [`SpeculativeMemory`] during a
 /// host-parallel speculative launch. Semantically *exactly* the sequential
 /// wrapper: reads hit the warp's own per-iteration buffer first and
 /// otherwise the (read-only during SE) pre-sub-loop device state, stores
-/// buffer per iteration, and all metadata is recorded locally and merged
-/// back in warp order — so the DC phase sees byte-identical conflict sets
-/// for every `host_threads` value.
+/// buffer per iteration. Metadata is not built here: the view keeps a flat
+/// log of its global accesses — so a view costs what its warp touches, not
+/// the arrays' lengths — and the coordinator replays the logs in warp
+/// order, which *is* the sequential recording order. The DC phase therefore
+/// sees byte-identical conflict sets for every `host_threads` value.
 pub struct SpecView<'v> {
     base: &'v DeviceMemory,
-    core: SpecCore,
+    writes: IterBufs,
+    log: Vec<Access>,
     overhead_cycles: f64,
 }
 
 /// One warp's harvested speculative effects: buffered writes plus the
-/// read/write metadata the DC phase scans.
+/// access log the metadata is rebuilt from.
 pub struct SpecDelta {
-    core: SpecCore,
+    writes: IterBufs,
+    log: Vec<Access>,
 }
 
 impl LaneMemory for SpecView<'_> {
     fn load(&mut self, ctx: AccessCtx, arr: ArrayId, idx: i64) -> Result<Value, ExecError> {
         // Read-your-own-write: iterations never span warps, so the warp's
         // local buffer is authoritative for its own iterations.
-        if let Some(v) = self.core.read_own(ctx.iter, arr, idx) {
+        if let Some(v) = self.writes.read_own(ctx.iter, arr, idx) {
             return Ok(v);
         }
-        let v = self.base.peek(arr, idx)?;
-        let len = self.base.array_len(arr)?;
-        self.core.record_read(arr, idx, len, ctx.iter, ctx.warp);
-        Ok(v)
+        let data = self.base.array(arr)?;
+        let i = data.index_of(arr, idx)?;
+        self.log.push(Access {
+            arr,
+            idx: i,
+            iter: ctx.iter,
+            warp: ctx.warp,
+            write: false,
+        });
+        Ok(data.get(i))
     }
 
     fn store(&mut self, ctx: AccessCtx, arr: ArrayId, idx: i64, v: Value) -> Result<(), ExecError> {
-        let len = self.base.array_len(arr)?;
-        if idx < 0 || idx as usize >= len {
-            return Err(ExecError::IndexOutOfBounds {
-                array: arr,
-                index: idx,
-                len,
-            });
-        }
-        self.core.record_write(arr, idx, len, v, ctx.iter, ctx.warp);
+        let i = self.base.array(arr)?.index_of(arr, idx)?;
+        self.log.push(Access {
+            arr,
+            idx: i,
+            iter: ctx.iter,
+            warp: ctx.warp,
+            write: true,
+        });
+        self.writes.write(ctx.iter, (arr, idx), v);
         Ok(())
     }
 
@@ -477,8 +641,8 @@ impl LaneMemory for SpecView<'_> {
         self.base.array_len(arr)
     }
 
-    fn address_of(&self, arr: ArrayId, idx: i64) -> Option<u64> {
-        self.base.address_of(arr, idx)
+    fn placement(&self, arr: ArrayId) -> Option<(u64, u64)> {
+        self.base.placement(arr)
     }
 
     fn overhead_cycles(&self) -> f64 {
@@ -496,21 +660,31 @@ impl ParallelLaneMemory for SpeculativeMemory<'_> {
     fn fork(&self) -> SpecView<'_> {
         SpecView {
             base: &*self.base,
-            core: SpecCore::default(),
+            writes: IterBufs::default(),
+            log: Vec::new(),
             overhead_cycles: self.overhead_cycles,
         }
     }
 
     fn harvest(view: SpecView<'_>) -> SpecDelta {
-        SpecDelta { core: view.core }
+        SpecDelta {
+            writes: view.writes,
+            log: view.log,
+        }
     }
 
     fn absorb(&mut self, delta: SpecDelta) -> Result<(), ExecError> {
-        // Iteration keys are disjoint across warps (one iteration, one
-        // warp) and the per-location writer sets are order-independent; the
-        // reader lists are appended in warp order by the caller's contract,
-        // reproducing the sequential append order per location.
-        self.core.merge(delta.core);
+        // The caller absorbs in warp order, so replaying each log in turn
+        // records exactly what sequential execution would have.
+        for a in delta.log {
+            let len = self.base.array_len(a.arr)?;
+            if a.write {
+                self.core.note_write(a.arr, a.idx, len, a.iter, a.warp);
+            } else {
+                self.core.record_read(a.arr, a.idx, len, a.iter, a.warp);
+            }
+        }
+        self.core.writes.adopt(delta.writes);
         Ok(())
     }
 }
@@ -518,27 +692,23 @@ impl ParallelLaneMemory for SpeculativeMemory<'_> {
 impl LaneMemory for SpeculativeMemory<'_> {
     fn load(&mut self, ctx: AccessCtx, arr: ArrayId, idx: i64) -> Result<Value, ExecError> {
         // Read-your-own-write: the thread's buffered update wins.
-        if let Some(v) = self.core.read_own(ctx.iter, arr, idx) {
+        if let Some(v) = self.core.writes.read_own(ctx.iter, arr, idx) {
             return Ok(v);
         }
         // Global read: record metadata, then read the (stale) global value.
-        let v = self.base.load(ctx, arr, idx)?;
-        let len = self.base.array_len(arr)?;
-        self.core.record_read(arr, idx, len, ctx.iter, ctx.warp);
-        Ok(v)
+        let data = self.base.array(arr)?;
+        let i = data.index_of(arr, idx)?;
+        self.core
+            .record_read(arr, i, data.len(), ctx.iter, ctx.warp);
+        Ok(data.get(i))
     }
 
     fn store(&mut self, ctx: AccessCtx, arr: ArrayId, idx: i64, v: Value) -> Result<(), ExecError> {
         // Validate against the real array so OOB faults surface during SE.
-        let len = self.base.array_len(arr)?;
-        if idx < 0 || idx as usize >= len {
-            return Err(ExecError::IndexOutOfBounds {
-                array: arr,
-                index: idx,
-                len,
-            });
-        }
-        self.core.record_write(arr, idx, len, v, ctx.iter, ctx.warp);
+        let data = self.base.array(arr)?;
+        let i = data.index_of(arr, idx)?;
+        self.core.note_write(arr, i, data.len(), ctx.iter, ctx.warp);
+        self.core.writes.write(ctx.iter, (arr, idx), v);
         Ok(())
     }
 
@@ -546,8 +716,8 @@ impl LaneMemory for SpeculativeMemory<'_> {
         self.base.array_len(arr)
     }
 
-    fn address_of(&self, arr: ArrayId, idx: i64) -> Option<u64> {
-        self.base.address_of(arr, idx)
+    fn placement(&self, arr: ArrayId) -> Option<(u64, u64)> {
+        self.base.placement(arr)
     }
 
     fn overhead_cycles(&self) -> f64 {
@@ -560,6 +730,15 @@ mod tests {
     use super::*;
     use japonica_gpusim::DeviceConfig;
     use japonica_ir::Heap;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// One recorded global-memory read of the reference model.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct ReadRec {
+        iter: u64,
+        warp: u32,
+    }
 
     fn ctx(iter: u64, warp: u32) -> AccessCtx {
         AccessCtx {
@@ -786,8 +965,11 @@ mod tests {
         }
     }
 
+    /// One access of a test stream: `(iter, warp, array #, index, is_write)`.
+    type Op = (u64, u32, usize, i64, bool);
+
     /// Deterministic pseudo-random access stream (xorshift, fixed seed).
-    fn access_stream(n: usize, arrays: usize, len: usize) -> Vec<(u64, u32, usize, i64, bool)> {
+    fn access_stream(n: usize, arrays: usize, len: usize) -> Vec<Op> {
         let mut s = 0x9e3779b97f4a7c15u64;
         let mut next = move || {
             s ^= s << 13;
@@ -807,25 +989,111 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn matches_map_based_reference_model() {
-        // Drive the SoA core and the map-based executable spec through the
-        // same deterministic access stream and demand identical DC
-        // outcomes, dependence stats, and commit order — the determinism
-        // contract the rollback fingerprint tests build on.
+    /// `count` zeroed `long[len]` arrays, resident on a fresh device.
+    fn device_with_arrays(count: usize, len: usize) -> (DeviceMemory, Vec<ArrayId>) {
         let mut heap = Heap::new();
-        let arrs: Vec<ArrayId> = (0..3).map(|_| heap.alloc_longs(&[0; 32])).collect();
+        let arrs: Vec<ArrayId> = (0..count)
+            .map(|_| heap.alloc_longs(&vec![0; len]))
+            .collect();
         let mut dev = DeviceMemory::new();
         for &a in &arrs {
-            dev.copy_in(&heap, a, 0, 32, &DeviceConfig::default())
+            dev.copy_in(&heap, a, 0, len, &DeviceConfig::default())
                 .unwrap();
         }
+        (dev, arrs)
+    }
+
+    fn value_of(iter: u64, idx: i64) -> Value {
+        Value::Long((iter * 1000 + idx as u64) as i64)
+    }
+
+    /// Feed `ops` to `mem` (a speculative memory or one warp's view).
+    fn replay(mem: &mut impl LaneMemory, arrs: &[ArrayId], ops: &[Op]) {
+        for &(iter, warp, ai, idx, is_write) in ops {
+            if is_write {
+                mem.store(ctx(iter, warp), arrs[ai], idx, value_of(iter, idx))
+                    .unwrap();
+            } else {
+                mem.load(ctx(iter, warp), arrs[ai], idx).unwrap();
+            }
+        }
+    }
+
+    /// The map-based executable spec's account of `ops`.
+    fn model_of(arrs: &[ArrayId], ops: &[Op]) -> MapModel {
+        let mut model = MapModel::default();
+        for &(iter, warp, ai, idx, is_write) in ops {
+            if is_write {
+                model.write(iter, warp, arrs[ai], idx, value_of(iter, idx));
+            } else {
+                model.read(iter, warp, arrs[ai], idx);
+            }
+        }
+        model
+    }
+
+    /// Everything observable about `sm` before commit equals the model's
+    /// account: DC outcome, dependence stats, entry count, commit order
+    /// element for element (iteration ascending, location ascending within
+    /// one). Then commits the prefix below `upto`; returns the count.
+    fn check_and_commit(
+        sm: SpeculativeMemory<'_>,
+        model: &MapModel,
+        upto: u64,
+    ) -> Result<u64, TestCaseError> {
+        prop_assert_eq!(sm.check(), model.check());
+        prop_assert_eq!(sm.dependence_stats(), model.dependence_stats());
+        prop_assert_eq!(sm.entries(), model.check().entries_scanned);
+        let expect = model.commit_order();
+        let flat: Vec<_> = sm
+            .core
+            .writes
+            .iter()
+            .flat_map(|(iter, buf)| buf.iter().map(move |&(loc, v)| (iter, loc, v)))
+            .collect();
+        prop_assert_eq!(&flat, &expect);
+        prop_assert_eq!(sm.buffered_writes(), expect.len() as u64);
+        Ok(sm.commit_prefix(upto).unwrap())
+    }
+
+    /// `dev` (zeroed `len`-element arrays before the commit) holds exactly
+    /// the model's writes of iterations below `upto`, `copied` of them.
+    fn assert_committed(
+        dev: &DeviceMemory,
+        model: &MapModel,
+        (arrs, len): (&[ArrayId], usize),
+        upto: u64,
+        copied: u64,
+    ) -> Result<(), TestCaseError> {
+        let (mut ref_dev, _) = device_with_arrays(arrs.len(), len);
+        let mut ref_copied = 0u64;
+        for (iter, (arr, idx), v) in model.commit_order() {
+            if iter < upto {
+                ref_dev.store(ctx(iter, 0), arr, idx, v).unwrap();
+                ref_copied += 1;
+            }
+        }
+        prop_assert_eq!(copied, ref_copied);
+        for &a in arrs {
+            prop_assert_eq!(dev.array(a).unwrap(), ref_dev.array(a).unwrap());
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn matches_map_based_reference_model() {
+        // Drive the pooled core and the map-based executable spec through
+        // the same deterministic access stream and demand identical DC
+        // outcomes, dependence stats, and commit order — the determinism
+        // contract the rollback fingerprint tests build on.
+        let (mut dev, arrs) = device_with_arrays(3, 32);
+        let ops = access_stream(4000, 3, 32);
         let mut sm = SpeculativeMemory::new(&mut dev, 8.0);
         let mut model = MapModel::default();
-        for (iter, warp, ai, idx, is_write) in access_stream(4000, 3, 32) {
+        for &(iter, warp, ai, idx, is_write) in &ops {
             let arr = arrs[ai];
             if is_write {
-                let v = Value::Long((iter * 1000 + idx as u64) as i64);
+                let v = value_of(iter, idx);
                 sm.store(ctx(iter, warp), arr, idx, v).unwrap();
                 model.write(iter, warp, arr, idx, v);
             } else {
@@ -835,87 +1103,96 @@ mod tests {
                 }
             }
         }
-        assert_eq!(sm.check(), model.check());
-        assert_eq!(sm.dependence_stats(), model.dependence_stats());
-        assert_eq!(
-            sm.entries(),
-            model.check().entries_scanned,
-            "entry count diverged"
-        );
-        // Commit order must match element-for-element (iteration ascending,
-        // location ascending within an iteration).
-        let expect = model.commit_order();
-        let mut flat = Vec::new();
-        for (&iter, buf) in &sm.core.writes {
-            for &(loc, v) in buf {
-                flat.push((iter, loc, v));
+        let copied = check_and_commit(sm, &model, 40).unwrap();
+        assert_committed(&dev, &model, (&arrs, 32), 40, copied).unwrap();
+    }
+
+    /// Streams over `arrays` short arrays, so elements collect repeated
+    /// readers (GEMM's shared operand rows) and repeated writers, with
+    /// iterations arriving out of order.
+    fn op_stream(arrays: usize, len: i64, max: usize) -> impl Strategy<Value = Vec<Op>> {
+        proptest::collection::vec(
+            (0u64..96, 0..arrays, 0..len, any::<bool>())
+                .prop_map(|(iter, arr, idx, w)| (iter, (iter / 8) as u32, arr, idx, w)),
+            1..max,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        #[test]
+        fn long_streams_match_the_reference_model(
+            ops in op_stream(4, 12, 1500),
+            upto in 0u64..100,
+        ) {
+            let (mut dev, arrs) = device_with_arrays(4, 12);
+            let mut sm = SpeculativeMemory::new(&mut dev, 8.0);
+            replay(&mut sm, &arrs, &ops);
+            let model = model_of(&arrs, &ops);
+            let copied = check_and_commit(sm, &model, upto)?;
+            assert_committed(&dev, &model, (&arrs, 12), upto, copied)?;
+        }
+
+        /// Two different streams through one reused arena behave like two
+        /// fresh `SpeculativeMemory`s: nothing of the first round (heads,
+        /// touched bits, pool nodes, buffers, counts) leaks into the second.
+        #[test]
+        fn a_reused_arena_equals_fresh_memories(
+            first in op_stream(3, 10, 600),
+            second in op_stream(3, 10, 600),
+            upto in 0u64..100,
+        ) {
+            let mut arena = SpecArena::default();
+            for ops in [&first, &second] {
+                let (mut dev, arrs) = device_with_arrays(3, 10);
+                let mut sm = SpeculativeMemory::with_arena(&mut dev, 8.0, &mut arena);
+                replay(&mut sm, &arrs, ops);
+                let model = model_of(&arrs, ops);
+                let copied = check_and_commit(sm, &model, upto)?;
+                assert_committed(&dev, &model, (&arrs, 10), upto, copied)?;
             }
         }
-        assert_eq!(flat, expect, "commit order diverged");
+
+        /// Replaying per-warp slices through fork/harvest/absorb in warp
+        /// order leaves bookkeeping identical to recording the whole stream
+        /// sequentially in that order — including warps that touch nothing.
+        #[test]
+        fn sparse_forks_absorbed_in_warp_order_equal_sequential_recording(
+            ops in op_stream(3, 10, 800),
+            upto in 0u64..100,
+        ) {
+            let (mut dev, arrs) = device_with_arrays(3, 10);
+            let mut par = SpeculativeMemory::new(&mut dev, 8.0);
+            let mut in_warp_order = Vec::new();
+            let mut deltas = Vec::new();
+            for w in 0..13u32 {
+                let slice: Vec<Op> = ops.iter().copied().filter(|op| op.1 == w).collect();
+                let mut view = par.fork();
+                replay(&mut view, &arrs, &slice);
+                deltas.push(SpeculativeMemory::harvest(view));
+                in_warp_order.extend(slice);
+            }
+            for d in deltas {
+                par.absorb(d).unwrap();
+            }
+            let model = model_of(&arrs, &in_warp_order);
+            let copied = check_and_commit(par, &model, upto)?;
+            assert_committed(&dev, &model, (&arrs, 10), upto, copied)?;
+        }
     }
 
     #[test]
-    fn fork_absorb_matches_sequential_recording() {
-        // Replaying per-warp slices through fork/harvest/absorb (in warp
-        // order) must leave bookkeeping identical to recording the whole
-        // stream sequentially.
-        let (mut dev_seq, _) = device_with_array(&[0; 32]);
-        let (mut dev_par, _) = device_with_array(&[0; 32]);
-        let mut heap = Heap::new();
-        let a = heap.alloc_longs(&[0; 32]);
-        dev_seq
-            .copy_in(&heap, a, 0, 32, &DeviceConfig::default())
-            .unwrap();
-        dev_par
-            .copy_in(&heap, a, 0, 32, &DeviceConfig::default())
-            .unwrap();
-        let stream = access_stream(1000, 1, 32);
-
-        let mut seq = SpeculativeMemory::new(&mut dev_seq, 8.0);
-        for &(iter, warp, _, idx, is_write) in &stream {
-            if is_write {
-                seq.store(ctx(iter, warp), a, idx, Value::Long(iter as i64))
-                    .unwrap();
-            } else {
-                seq.load(ctx(iter, warp), a, idx).unwrap();
-            }
-        }
-
-        let mut par = SpeculativeMemory::new(&mut dev_par, 8.0);
-        let warps: BTreeSet<u32> = stream.iter().map(|&(_, w, _, _, _)| w).collect();
-        let mut deltas = Vec::new();
-        for w in &warps {
-            let mut view = par.fork();
-            for &(iter, warp, _, idx, is_write) in &stream {
-                if warp != *w {
-                    continue;
-                }
-                if is_write {
-                    view.store(ctx(iter, warp), a, idx, Value::Long(iter as i64))
-                        .unwrap();
-                } else {
-                    view.load(ctx(iter, warp), a, idx).unwrap();
-                }
-            }
-            deltas.push(SpeculativeMemory::harvest(view));
-        }
-        for d in deltas {
-            par.absorb(d).unwrap();
-        }
-
-        assert_eq!(seq.check(), par.check());
-        assert_eq!(seq.dependence_stats(), par.dependence_stats());
-        assert_eq!(seq.entries(), par.entries());
-        assert_eq!(seq.buffered_writes(), par.buffered_writes());
-        let seq_n = seq.commit_all().unwrap();
-        let par_n = par.commit_all().unwrap();
-        assert_eq!(seq_n, par_n);
-        for i in 0..32 {
-            assert_eq!(
-                dev_seq.array(a).unwrap().get(i),
-                dev_par.array(a).unwrap().get(i),
-                "element {i} diverged after commit"
-            );
-        }
+    fn iterations_arriving_descending_rebase_the_buffers() {
+        let (mut dev, arrs) = device_with_arrays(1, 4);
+        let ops: Vec<Op> = (0..40u64)
+            .rev()
+            .map(|iter| (iter * 3, 0, 0, (iter % 4) as i64, true))
+            .collect();
+        let mut sm = SpeculativeMemory::new(&mut dev, 8.0);
+        replay(&mut sm, &arrs, &ops);
+        let model = model_of(&arrs, &ops);
+        let copied = check_and_commit(sm, &model, 60).unwrap();
+        assert_committed(&dev, &model, (&arrs, 4), 60, copied).unwrap();
     }
 }
