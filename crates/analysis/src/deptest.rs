@@ -148,6 +148,19 @@ pub struct LoopAnalysis {
     pub determination: Determination,
 }
 
+impl LoopAnalysis {
+    /// Is the loop *proven* free of cross-iteration dependences by the
+    /// static tests alone — the precondition for executing its iterations
+    /// in lockstep? Stricter than [`Determination::is_doall`], which
+    /// trusts a `private(..)` clause for live-out scalars
+    /// ([`analyze_loop_with`] skips them): here every scalar the body
+    /// writes must be a loop-local temp. A clean profile proves nothing.
+    pub fn proven_independent(&self) -> bool {
+        let c = &self.classes;
+        self.determination.is_doall() && c.live_out.iter().all(|v| c.uses[v].is_array)
+    }
+}
+
 /// Analyze one canonical loop in isolation. Calls inside the body are
 /// opaque: without [`EffectSummaries`] the loop is conservatively
 /// [`Determination::Uncertain`] whenever it calls another function. Use
@@ -637,6 +650,57 @@ mod tests {
                 for (int i = 0; i < n; i++) { t = a[i] * 2.0; b[i] = t; }
             }");
         assert!(d.is_doall(), "{d:?}");
+    }
+
+    #[test]
+    fn proven_independent_needs_a_static_proof_not_a_clause_or_a_profile() {
+        let analysis = |src: &str| {
+            let p = compile_source(src).unwrap();
+            let l = p.functions[0]
+                .all_loops()
+                .into_iter()
+                .find(|l| l.is_annotated())
+                .expect("annotated loop")
+                .clone();
+            analyze_loop(&l)
+        };
+        // Proven: loop-local temp, disjoint element writes.
+        let proven = analysis(
+            "static void f(double[] a, double[] b, int n) {
+                /* acc parallel */
+                for (int i = 0; i < n; i++) { double t = a[i] * 2.0; b[i] = t; }
+            }",
+        );
+        assert!(proven.determination.is_doall() && proven.proven_independent());
+        // DOALL only because the clause is trusted.
+        let clause = analysis(
+            "static void f(double[] a, double[] b, int n) {
+                double t = 0.0;
+                /* acc parallel private(t) */
+                for (int i = 0; i < n; i++) { t = a[i] * 2.0; b[i] = t; }
+            }",
+        );
+        assert!(clause.determination.is_doall() && !clause.proven_independent());
+        // Uncertain: a permutation index profiles clean, yet nothing is proven.
+        let uncertain = analysis(
+            "static void f(int[] a, int[] idx, int n) {
+                /* acc parallel */
+                for (int i = 0; i < n; i++) { a[idx[i]] = i; }
+            }",
+        );
+        assert!(uncertain.determination.needs_profiling() && !uncertain.proven_independent());
+        // Deterministic: a proven true dependence.
+        let dependent = analysis(
+            "static void f(double[] a, int n) {
+                /* acc parallel */
+                for (int i = 1; i < n; i++) { a[i] = a[i - 1] + 1.0; }
+            }",
+        );
+        assert!(matches!(
+            dependent.determination,
+            Determination::Deterministic(_)
+        ));
+        assert!(!dependent.proven_independent());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! representative configuration pair.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use japonica::cpuexec::{run_sequential_with, CpuConfig};
+use japonica::cpuexec::{CpuConfig, CpuCtx, Independence};
 use japonica::gpusim::{AccessCtx, DeviceConfig, DeviceMemory, LaneMemory};
 use japonica::ir::{
     compile_kernel, compile_native, ArrayId, Env, ExecEngine, ForLoop, Heap, KernelCache,
@@ -215,18 +215,31 @@ fn warmed_cache(fx: &EngineFx) -> KernelCache {
 }
 
 fn engine_run(fx: &EngineFx, engine: ExecEngine, kernels: Option<&KernelCache>) {
+    cpu_run(fx, engine, kernels, Independence::Unproven)
+}
+
+/// One sequential pass over the kernel; [`Independence::Proven`] (every
+/// engine kernel is DOALL) takes the lane-batched path.
+fn cpu_run(
+    fx: &EngineFx,
+    engine: ExecEngine,
+    kernels: Option<&KernelCache>,
+    independence: Independence,
+) {
     let mut cfg = CpuConfig::default();
     cfg.engine = engine;
     let mut heap = fx.heap.clone();
-    run_sequential_with(
-        &fx.program,
-        &cfg,
+    let ctx = CpuCtx {
+        kernels,
+        independence,
+        ..CpuCtx::new(&fx.program, &cfg)
+    };
+    ctx.run_sequential(
         &fx.loop_,
         &fx.bounds,
         0..fx.n,
         &mut fx.env.clone(),
         &mut heap,
-        kernels,
     )
     .unwrap();
 }
@@ -460,6 +473,10 @@ fn bench(c: &mut Criterion) {
         // Steady state: the warmed cache serves the memoized closure array.
         g.bench_function(&format!("{name}_native"), |b| {
             b.iter(|| engine_run(&fx, ExecEngine::Native, Some(&cache)));
+        });
+        // The same bytecode kernel, 32 iterations at a time.
+        g.bench_function(&format!("{name}_cpu_lanes"), |b| {
+            b.iter(|| cpu_run(&fx, ExecEngine::Bytecode, None, Independence::Proven));
         });
         g.bench_function(&format!("{name}_compile"), |b| {
             b.iter(|| compile_kernel(&fx.program, &fx.loop_).unwrap());

@@ -1,60 +1,45 @@
 //! Sequential and multi-threaded chunk execution of canonical loops.
 
-use crate::buffer::BufferedBackend;
+use crate::buffer::{apply_writes, BufferedBackend};
 use crate::config::CpuConfig;
+use crate::lanes::run_batches;
 use japonica_faults::{DeviceFault, FaultOrigin, FaultPlan};
+use japonica_gpusim::LanePlan;
 use japonica_ir::{
-    compile_kernel, compile_native, CompiledKernel, CountingBackend, Env, ExecEngine, ExecError,
-    ForLoop, Heap, HeapBackend, Interp, KernelCache, LoopBounds, NativeKernel, NativeVm, OpCounts,
-    Program, ScalarVm,
+    compile_kernel, compile_native, ArrayId, Backend, CompiledKernel, CountingBackend, Env,
+    ExecEngine, ExecError, Flow, ForLoop, Heap, HeapBackend, Interp, KernelCache, LoopBounds,
+    NativeKernel, NativeVm, OpCounts, Program, ScalarVm, Value,
 };
+use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
+/// What the caller knows about the loop's cross-iteration dependences. Not
+/// a setting: a fact about the loop, established by static analysis
+/// (`LoopAnalysis::proven_independent`) and handed down by the scheduler.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Independence {
+    /// Nothing proven (dependent, profiled-only or clause-privatized
+    /// loops): iterations run one at a time, in order, on the scalar VMs.
+    #[default]
+    Unproven,
+    /// Statically proven: no iteration reads or overwrites what another
+    /// writes, so consecutive iterations may execute in lockstep.
+    Proven,
+}
+
 /// Chunk executor picked for a loop: the reference tree walker (config
 /// opt-out, or a loop the bytecode compiler declines), the register
-/// bytecode VM, or the threaded-code native tier.
+/// bytecode VM, the threaded-code native tier, or — for a
+/// [`Independence::Proven`] loop whose kernel the lane VM accepts — lane
+/// batches over the bytecode kernel, with [`ScalarVm`] on the same kernel
+/// as the replay path.
 enum ResolvedChunk {
     Walker,
     Bytecode(Arc<CompiledKernel>),
     Native(Arc<NativeKernel>),
-}
-
-/// Resolve which chunk executor to use. Under [`ExecEngine::Native`] a
-/// cached loop is promoted to the closure-array tier once its use counter
-/// crosses [`japonica_ir::NATIVE_PROMOTE_USES`]; an uncached launch has no
-/// counter to consult and compiles natively up front.
-fn resolve_kernel(
-    program: &Program,
-    cfg: &CpuConfig,
-    loop_: &ForLoop,
-    kernels: Option<&KernelCache>,
-) -> ResolvedChunk {
-    if cfg.engine == ExecEngine::TreeWalker {
-        return ResolvedChunk::Walker;
-    }
-    match kernels {
-        Some(cache) => {
-            let k = cache.get_or_compile(program, loop_);
-            if cfg.engine == ExecEngine::Native {
-                if let Some(nk) = cache.native_tier::<NativeKernel, _>(loop_.id.0, compile_native) {
-                    return ResolvedChunk::Native(nk);
-                }
-            }
-            match k {
-                Some(k) => ResolvedChunk::Bytecode(k),
-                None => ResolvedChunk::Walker,
-            }
-        }
-        None => match compile_kernel(program, loop_) {
-            Ok(k) if cfg.engine == ExecEngine::Native => {
-                ResolvedChunk::Native(Arc::new(compile_native(&k)))
-            }
-            Ok(k) => ResolvedChunk::Bytecode(Arc::new(k)),
-            Err(_) => ResolvedChunk::Walker,
-        },
-    }
+    Lanes(Arc<CompiledKernel>, LanePlan),
 }
 
 /// Errors out of the guarded CPU executor: either a real interpreter error
@@ -114,23 +99,279 @@ impl CpuReport {
     }
 }
 
-/// Execute iterations `range` of `loop_` sequentially on one core
-/// (the paper's mode C and all serial baselines).
-pub fn run_sequential(
-    program: &Program,
-    cfg: &CpuConfig,
-    loop_: &ForLoop,
-    bounds: &LoopBounds,
-    range: Range<u64>,
-    env: &mut Env,
-    heap: &mut Heap,
-) -> Result<CpuReport, ExecError> {
-    run_sequential_with(program, cfg, loop_, bounds, range, env, heap, None)
+/// One simulated chunk's op counts and deferred writes.
+type ChunkResult = (OpCounts, BTreeMap<(ArrayId, i64), Value>);
+
+/// Everything one CPU execution needs besides the loop, the range and the
+/// mutable state: build it once per scheduled loop and run any number of
+/// ranges through it.
+#[derive(Clone, Copy)]
+pub struct CpuCtx<'a> {
+    pub program: &'a Program,
+    pub cfg: &'a CpuConfig,
+    /// Shared [`KernelCache`] so repeated dispatches of the same loop
+    /// reuse one compilation; without one the loop is compiled per call.
+    pub kernels: Option<&'a KernelCache>,
+    /// Fault-injection plan consulted once per [`run_parallel`](CpuCtx::run_parallel)
+    /// batch, under `origin`.
+    pub faults: Option<&'a FaultPlan>,
+    pub origin: FaultOrigin,
+    pub independence: Independence,
 }
 
-/// [`run_sequential`] with an optional shared [`KernelCache`] so repeated
-/// chunk dispatches of the same loop reuse one bytecode compilation.
-#[allow(clippy::too_many_arguments)] // mirrors run_sequential plus the cache
+impl<'a> CpuCtx<'a> {
+    /// No kernel cache, no fault plan, nothing proven.
+    pub fn new(program: &'a Program, cfg: &'a CpuConfig) -> CpuCtx<'a> {
+        CpuCtx {
+            program,
+            cfg,
+            kernels: None,
+            faults: None,
+            origin: FaultOrigin::default(),
+            independence: Independence::Unproven,
+        }
+    }
+
+    /// Resolve which chunk executor to use. Under [`ExecEngine::Native`] a
+    /// cached loop is promoted to the closure-array tier once its use
+    /// counter crosses [`japonica_ir::NATIVE_PROMOTE_USES`]; an uncached
+    /// launch has no counter to consult and compiles natively up front.
+    /// Proven ranges take the bytecode lane path under either compiled
+    /// engine; the tree walker stays purely scalar, as the oracle.
+    fn resolve(&self, loop_: &ForLoop) -> ResolvedChunk {
+        let engine = self.cfg.engine;
+        if engine == ExecEngine::TreeWalker {
+            return ResolvedChunk::Walker;
+        }
+        let kernel = match self.kernels {
+            Some(cache) => cache.get_or_compile(self.program, loop_),
+            None => compile_kernel(self.program, loop_).ok().map(Arc::new),
+        };
+        if let (Independence::Proven, Some(k)) = (self.independence, &kernel) {
+            if let Some(plan) = LanePlan::of(k) {
+                return ResolvedChunk::Lanes(Arc::clone(k), plan);
+            }
+        }
+        if engine == ExecEngine::Native {
+            let native = match (self.kernels, &kernel) {
+                (Some(cache), _) => {
+                    cache.native_tier::<NativeKernel, _>(loop_.id.0, compile_native)
+                }
+                (None, Some(k)) => Some(Arc::new(compile_native(k))),
+                (None, None) => None,
+            };
+            if let Some(nk) = native {
+                return ResolvedChunk::Native(nk);
+            }
+        }
+        kernel.map_or(ResolvedChunk::Walker, ResolvedChunk::Bytecode)
+    }
+
+    /// Run `range` one iteration at a time on the scalar executor behind
+    /// `compiled`.
+    fn exec_scalar<B: Backend>(
+        &self,
+        compiled: &ResolvedChunk,
+        loop_: &ForLoop,
+        bounds: &LoopBounds,
+        range: Range<u64>,
+        env: &mut Env,
+        be: &mut B,
+    ) -> Result<Flow, ExecError> {
+        let (var, lo, hi) = (loop_.var, range.start, range.end);
+        match compiled {
+            ResolvedChunk::Bytecode(k) | ResolvedChunk::Lanes(k, _) => {
+                ScalarVm::new().exec_range(k, var, bounds, lo, hi, env, be)
+            }
+            ResolvedChunk::Native(nk) => {
+                NativeVm::new().exec_range(nk, var, bounds, lo, hi, env, be)
+            }
+            ResolvedChunk::Walker => {
+                Interp::new(self.program).exec_range(loop_, bounds, lo, hi, env, be)
+            }
+        }
+    }
+
+    /// Price per-simulated-thread op counts: busy seconds per thread (plus
+    /// `dispatch_s` each), packed round-robin onto `cfg.cores` cores; the
+    /// busiest core is the critical path.
+    fn report(&self, per_thread_counts: &[OpCounts], dispatch_s: f64) -> CpuReport {
+        let cfg = self.cfg;
+        let mut counts = OpCounts::new();
+        let mut core_load = vec![0.0f64; cfg.cores as usize];
+        let mut per_thread = Vec::with_capacity(per_thread_counts.len());
+        for (t, c) in per_thread_counts.iter().enumerate() {
+            let s = cfg.cycles_to_seconds(cfg.cost.total(c)) + dispatch_s;
+            core_load[t % cfg.cores as usize] += s;
+            per_thread.push(s);
+            counts.merge(c);
+        }
+        CpuReport {
+            time_s: core_load.iter().copied().fold(0.0, f64::max),
+            counts,
+            threads_used: per_thread.len() as u32,
+            per_thread_seconds: per_thread,
+        }
+    }
+
+    /// Execute iterations `range` of `loop_` sequentially on one core
+    /// (the paper's mode C and all serial baselines). `env` holds the
+    /// state after the last executed iteration afterwards, on error too.
+    pub fn run_sequential(
+        &self,
+        loop_: &ForLoop,
+        bounds: &LoopBounds,
+        range: Range<u64>,
+        env: &mut Env,
+        heap: &mut Heap,
+    ) -> Result<CpuReport, ExecError> {
+        let compiled = self.resolve(loop_);
+        let mut counts = OpCounts::new();
+        let mut scalar_from = range.start;
+        if let ResolvedChunk::Lanes(k, plan) = &compiled {
+            let owner = std::slice::from_ref(&range);
+            let thread = std::slice::from_mut(&mut counts);
+            // A batch that cannot finish in lockstep is replayed, with
+            // everything after it, on the scalar VM.
+            scalar_from = run_batches(k, plan, loop_.var, bounds, owner, env, heap, thread, false)
+                .err()
+                .unwrap_or(range.end);
+        }
+        if scalar_from < range.end {
+            let mut be = CountingBackend::new(HeapBackend::new(heap));
+            self.exec_scalar(
+                &compiled,
+                loop_,
+                bounds,
+                scalar_from..range.end,
+                env,
+                &mut be,
+            )?;
+            counts.merge(&be.counts);
+        }
+        Ok(self.report(&[counts], 0.0))
+    }
+
+    /// Execute iterations `range` of `loop_` as `threads` simulated worker
+    /// threads over contiguous balanced chunks.
+    ///
+    /// A proven-independent range runs lane-batched on the calling thread.
+    /// Anything else runs each chunk against a private write buffer, on at
+    /// most `available_parallelism` OS workers (`std::thread::scope`);
+    /// buffers are committed to the heap in chunk order afterwards, so a
+    /// DOALL loop yields exactly the sequential result. Either way modeled
+    /// time packs the simulated threads' busy-times onto `cfg.cores` cores
+    /// and takes the busiest core.
+    ///
+    /// The fault plan is consulted once per call *before any work starts*
+    /// (on the calling thread, so injection order is deterministic); a
+    /// fired fault surfaces as [`CpuExecError::Fault`], which lets the
+    /// scheduler resubmit the whole batch elsewhere. On any error the heap
+    /// is untouched.
+    pub fn run_parallel(
+        &self,
+        loop_: &ForLoop,
+        bounds: &LoopBounds,
+        range: Range<u64>,
+        env: &Env,
+        heap: &mut Heap,
+        threads: u32,
+    ) -> Result<CpuReport, CpuExecError> {
+        let total = range.end.saturating_sub(range.start);
+        if total == 0 {
+            return Ok(CpuReport::empty());
+        }
+        if let Some(f) = self.faults.and_then(|plan| plan.on_cpu_chunk(self.origin)) {
+            return Err(CpuExecError::Fault(f));
+        }
+        // Contiguous, balanced, non-empty chunks.
+        let threads = u64::from(threads).clamp(1, total);
+        let (base, extra) = (total / threads, total % threads);
+        let mut lo = range.start;
+        let chunks: Vec<Range<u64>> = (0..threads)
+            .map(|t| {
+                let len = base + u64::from(t < extra);
+                lo += len;
+                lo - len..lo
+            })
+            .collect();
+        let dispatch_s = self.cfg.chunk_dispatch_us * 1e-6;
+
+        let compiled = self.resolve(loop_);
+        if let ResolvedChunk::Lanes(k, plan) = &compiled {
+            let mut counts = vec![OpCounts::new(); chunks.len()];
+            let mut scratch_env = env.clone();
+            let ran = run_batches(
+                k,
+                plan,
+                loop_.var,
+                bounds,
+                &chunks,
+                &mut scratch_env,
+                heap,
+                &mut counts,
+                true,
+            );
+            if ran.is_ok() {
+                return Ok(self.report(&counts, dispatch_s));
+            }
+            // Rolled back; the buffered path below reports the error.
+        }
+
+        let heap_ref: &Heap = heap;
+        let run_block = |block: &[Range<u64>]| -> Result<Vec<ChunkResult>, ExecError> {
+            block
+                .iter()
+                .map(|chunk| {
+                    let mut be = BufferedBackend::new(heap_ref);
+                    let mut env = env.clone();
+                    self.exec_scalar(&compiled, loop_, bounds, chunk.clone(), &mut env, &mut be)?;
+                    Ok((be.counts.clone(), be.into_writes()))
+                })
+                .collect()
+        };
+        // Each OS worker runs a contiguous block of simulated chunks in
+        // ascending order; a block stops at its first failing chunk, so
+        // the first error in block order is the first in chunk order.
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let per_worker = chunks.len().div_ceil(workers);
+        let blocks: Vec<Result<Vec<ChunkResult>, ExecError>> = if per_worker == chunks.len() {
+            vec![run_block(&chunks)]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = chunks
+                    .chunks(per_worker)
+                    .map(|block| scope.spawn(|| run_block(block)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| {
+                        h.join().unwrap_or_else(|_| {
+                            Err(ExecError::Aborted("worker thread panicked".into()))
+                        })
+                    })
+                    .collect()
+            })
+        };
+        let mut counts = Vec::with_capacity(chunks.len());
+        let mut buffers = Vec::with_capacity(chunks.len());
+        for block in blocks {
+            for (c, writes) in block? {
+                counts.push(c);
+                buffers.push(writes);
+            }
+        }
+        // Commit in chunk order (sequential last-writer-wins semantics).
+        for writes in buffers {
+            apply_writes(heap, writes)?;
+        }
+        Ok(self.report(&counts, dispatch_s))
+    }
+}
+
+/// [`CpuCtx::run_sequential`] with no fault plan and nothing proven: always
+/// the scalar executors.
+#[allow(clippy::too_many_arguments)] // the flat signature the perf probes call
 pub fn run_sequential_with(
     program: &Program,
     cfg: &CpuConfig,
@@ -141,83 +382,16 @@ pub fn run_sequential_with(
     heap: &mut Heap,
     kernels: Option<&KernelCache>,
 ) -> Result<CpuReport, ExecError> {
-    let compiled = resolve_kernel(program, cfg, loop_, kernels);
-    let mut be = CountingBackend::new(HeapBackend::new(heap));
-    match &compiled {
-        ResolvedChunk::Bytecode(k) => {
-            ScalarVm::new().exec_range(
-                k,
-                loop_.var,
-                bounds,
-                range.start,
-                range.end,
-                env,
-                &mut be,
-            )?;
-        }
-        ResolvedChunk::Native(nk) => {
-            NativeVm::new().exec_range(
-                nk,
-                loop_.var,
-                bounds,
-                range.start,
-                range.end,
-                env,
-                &mut be,
-            )?;
-        }
-        ResolvedChunk::Walker => {
-            Interp::new(program).exec_range(loop_, bounds, range.start, range.end, env, &mut be)?;
-        }
-    }
-    let cycles = be.cycles(&cfg.cost);
-    Ok(CpuReport {
-        time_s: cfg.cycles_to_seconds(cycles),
-        counts: be.counts,
-        threads_used: 1,
-        per_thread_seconds: vec![cfg.cycles_to_seconds(cycles)],
-    })
+    let ctx = CpuCtx {
+        kernels,
+        ..CpuCtx::new(program, cfg)
+    };
+    ctx.run_sequential(loop_, bounds, range, env, heap)
 }
 
-/// Execute iterations `range` of `loop_` on `threads` worker threads
-/// (contiguous chunks, real OS threads via `std::thread::scope`).
-///
-/// Each worker runs against a private write buffer; buffers are committed
-/// to the heap in chunk order afterwards, so a DOALL loop yields exactly
-/// the sequential result. Modeled time packs worker busy-times onto
-/// `cfg.cores` cores and takes the busiest core.
-#[allow(clippy::too_many_arguments)] // mirrors the launch signature (program/config/loop/range/state)
-pub fn run_parallel(
-    program: &Program,
-    cfg: &CpuConfig,
-    loop_: &ForLoop,
-    bounds: &LoopBounds,
-    range: Range<u64>,
-    env: &Env,
-    heap: &mut Heap,
-    threads: u32,
-) -> Result<CpuReport, ExecError> {
-    run_parallel_guarded(
-        program,
-        cfg,
-        loop_,
-        bounds,
-        range,
-        env,
-        heap,
-        threads,
-        None,
-        FaultOrigin::default(),
-    )
-    .map_err(|e| match e {
-        CpuExecError::Exec(x) => x,
-        // Unreachable: faults only fire when a plan is installed.
-        CpuExecError::Fault(f) => ExecError::Aborted(format!("unexpected fault: {f}")),
-    })
-}
-
-/// [`run_parallel`] with an optional shared [`KernelCache`].
-#[allow(clippy::too_many_arguments)] // mirrors run_parallel plus the cache
+/// [`CpuCtx::run_parallel`] with no fault plan and nothing proven: always
+/// buffered scalar chunks.
+#[allow(clippy::too_many_arguments)] // the flat signature the perf probes call
 pub fn run_parallel_with(
     program: &Program,
     cfg: &CpuConfig,
@@ -229,172 +403,16 @@ pub fn run_parallel_with(
     threads: u32,
     kernels: Option<&KernelCache>,
 ) -> Result<CpuReport, ExecError> {
-    run_parallel_guarded_with(
-        program,
-        cfg,
-        loop_,
-        bounds,
-        range,
-        env,
-        heap,
-        threads,
-        None,
-        FaultOrigin::default(),
+    let ctx = CpuCtx {
         kernels,
-    )
-    .map_err(|e| match e {
-        CpuExecError::Exec(x) => x,
-        // Unreachable: faults only fire when a plan is installed.
-        CpuExecError::Fault(f) => ExecError::Aborted(format!("unexpected fault: {f}")),
-    })
-}
-
-/// [`run_parallel`] with an optional fault-injection plan. The plan is
-/// consulted once per worker batch *before any worker starts* (on the
-/// calling thread, so injection order is deterministic); a fired fault
-/// surfaces as [`CpuExecError::Fault`] with the heap untouched, which lets
-/// the scheduler resubmit the whole batch elsewhere.
-#[allow(clippy::too_many_arguments)] // mirrors the launch signature (program/config/loop/range/state)
-pub fn run_parallel_guarded(
-    program: &Program,
-    cfg: &CpuConfig,
-    loop_: &ForLoop,
-    bounds: &LoopBounds,
-    range: Range<u64>,
-    env: &Env,
-    heap: &mut Heap,
-    threads: u32,
-    faults: Option<&FaultPlan>,
-    origin: FaultOrigin,
-) -> Result<CpuReport, CpuExecError> {
-    run_parallel_guarded_with(
-        program, cfg, loop_, bounds, range, env, heap, threads, faults, origin, None,
-    )
-}
-
-/// [`run_parallel_guarded`] with an optional shared [`KernelCache`]. Each
-/// worker thread runs its own [`ScalarVm`] over the shared compiled
-/// kernel; with no cache the loop is compiled once per call.
-#[allow(clippy::too_many_arguments)] // mirrors run_parallel_guarded plus the cache
-pub fn run_parallel_guarded_with(
-    program: &Program,
-    cfg: &CpuConfig,
-    loop_: &ForLoop,
-    bounds: &LoopBounds,
-    range: Range<u64>,
-    env: &Env,
-    heap: &mut Heap,
-    threads: u32,
-    faults: Option<&FaultPlan>,
-    origin: FaultOrigin,
-    kernels: Option<&KernelCache>,
-) -> Result<CpuReport, CpuExecError> {
-    let total = range.end.saturating_sub(range.start);
-    if total == 0 {
-        return Ok(CpuReport::empty());
-    }
-    if let Some(plan) = faults {
-        if let Some(f) = plan.on_cpu_chunk(origin) {
-            return Err(CpuExecError::Fault(f));
-        }
-    }
-    let threads = threads.max(1).min(total as u32);
-    // Contiguous, balanced chunks.
-    let mut chunks: Vec<Range<u64>> = Vec::with_capacity(threads as usize);
-    let base = total / threads as u64;
-    let extra = total % threads as u64;
-    let mut lo = range.start;
-    for t in 0..threads as u64 {
-        let len = base + if t < extra { 1 } else { 0 };
-        chunks.push(lo..lo + len);
-        lo += len;
-    }
-
-    let compiled = resolve_kernel(program, cfg, loop_, kernels);
-    let interp = Interp::new(program);
-    let heap_ref: &Heap = heap;
-    let results: Vec<Result<(BufferedBackend, Range<u64>), ExecError>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .cloned()
-                .map(|chunk| {
-                    let interp = &interp;
-                    let compiled = &compiled;
-                    let env = env.clone();
-                    scope.spawn(move || {
-                        let mut be = BufferedBackend::new(heap_ref);
-                        let mut env = env;
-                        match compiled {
-                            ResolvedChunk::Bytecode(k) => ScalarVm::new().exec_range(
-                                k,
-                                loop_.var,
-                                bounds,
-                                chunk.start,
-                                chunk.end,
-                                &mut env,
-                                &mut be,
-                            ),
-                            ResolvedChunk::Native(nk) => NativeVm::new().exec_range(
-                                nk,
-                                loop_.var,
-                                bounds,
-                                chunk.start,
-                                chunk.end,
-                                &mut env,
-                                &mut be,
-                            ),
-                            ResolvedChunk::Walker => interp.exec_range(
-                                loop_,
-                                bounds,
-                                chunk.start,
-                                chunk.end,
-                                &mut env,
-                                &mut be,
-                            ),
-                        }
-                        .map(|_| (be, chunk))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(ExecError::Aborted("worker thread panicked".into()))
-                    })
-                })
-                .collect()
-        });
-
-    let mut counts = OpCounts::new();
-    let mut per_thread = Vec::with_capacity(threads as usize);
-    let mut buffers = Vec::with_capacity(threads as usize);
-    for r in results {
-        let (be, chunk) = r?;
-        let cycles = cfg.cost.total(&be.counts);
-        per_thread.push(cfg.cycles_to_seconds(cycles) + cfg.chunk_dispatch_us * 1e-6);
-        counts.merge(&be.counts);
-        buffers.push((chunk.start, be.into_writes()));
-    }
-    // Commit in chunk order (sequential last-writer-wins semantics).
-    buffers.sort_by_key(|(start, _)| *start);
-    for (_, writes) in buffers {
-        crate::buffer::apply_writes(heap, writes)?;
-    }
-    // Pack threads onto cores round-robin; the busiest core is the
-    // critical path.
-    let mut core_load = vec![0.0f64; cfg.cores as usize];
-    for (t, s) in per_thread.iter().enumerate() {
-        core_load[t % cfg.cores as usize] += *s;
-    }
-    let time_s = core_load.iter().copied().fold(0.0, f64::max);
-    Ok(CpuReport {
-        time_s,
-        counts,
-        threads_used: threads,
-        per_thread_seconds: per_thread,
-    })
+        ..CpuCtx::new(program, cfg)
+    };
+    ctx.run_parallel(loop_, bounds, range, env, heap, threads)
+        .map_err(|e| match e {
+            CpuExecError::Exec(x) => x,
+            // Unreachable: faults only fire when a plan is installed.
+            CpuExecError::Fault(f) => ExecError::Aborted(format!("unexpected fault: {f}")),
+        })
 }
 
 #[cfg(test)]
@@ -442,16 +460,9 @@ mod tests {
             end: n as i64,
             step: 1,
         };
-        let r = run_sequential(
-            &p,
-            &cfg,
-            &l,
-            &bounds,
-            0..n as u64,
-            &mut env.clone(),
-            &mut heap,
-        )
-        .unwrap();
+        let r = CpuCtx::new(&p, &cfg)
+            .run_sequential(&l, &bounds, 0..n as u64, &mut env.clone(), &mut heap)
+            .unwrap();
         assert!(r.time_s > 0.0);
         assert!(heap.read_doubles(a).unwrap().iter().all(|&v| v == 3.0));
     }
@@ -465,7 +476,9 @@ mod tests {
             end: n as i64,
             step: 1,
         };
-        run_parallel(&p, &cfg, &l, &bounds, 0..n as u64, &env, &mut heap, 16).unwrap();
+        CpuCtx::new(&p, &cfg)
+            .run_parallel(&l, &bounds, 0..n as u64, &env, &mut heap, 16)
+            .unwrap();
         assert!(heap.read_doubles(a).unwrap().iter().all(|&v| v == 3.0));
     }
 
@@ -479,17 +492,18 @@ mod tests {
             end: n as i64,
             step: 1,
         };
-        let seq = run_sequential(
-            &p,
-            &cfg,
-            &l,
-            &bounds,
-            0..n as u64,
-            &mut env.clone(),
-            &mut heap.clone(),
-        )
-        .unwrap();
-        let par = run_parallel(&p, &cfg, &l, &bounds, 0..n as u64, &env, &mut heap, 12).unwrap();
+        let seq = CpuCtx::new(&p, &cfg)
+            .run_sequential(
+                &l,
+                &bounds,
+                0..n as u64,
+                &mut env.clone(),
+                &mut heap.clone(),
+            )
+            .unwrap();
+        let par = CpuCtx::new(&p, &cfg)
+            .run_parallel(&l, &bounds, 0..n as u64, &env, &mut heap, 12)
+            .unwrap();
         assert!(
             par.time_s < seq.time_s / 4.0,
             "par {} vs seq {}",
@@ -507,28 +521,12 @@ mod tests {
             end: n as i64,
             step: 1,
         };
-        let t12 = run_parallel(
-            &p,
-            &cfg,
-            &l,
-            &bounds,
-            0..n as u64,
-            &env,
-            &mut heap.clone(),
-            12,
-        )
-        .unwrap();
-        let t48 = run_parallel(
-            &p,
-            &cfg,
-            &l,
-            &bounds,
-            0..n as u64,
-            &env,
-            &mut heap.clone(),
-            48,
-        )
-        .unwrap();
+        let t12 = CpuCtx::new(&p, &cfg)
+            .run_parallel(&l, &bounds, 0..n as u64, &env, &mut heap.clone(), 12)
+            .unwrap();
+        let t48 = CpuCtx::new(&p, &cfg)
+            .run_parallel(&l, &bounds, 0..n as u64, &env, &mut heap.clone(), 48)
+            .unwrap();
         // Oversubscription cannot beat the core count by more than noise.
         assert!(t48.time_s > t12.time_s * 0.8);
     }
@@ -542,7 +540,9 @@ mod tests {
             end: n as i64,
             step: 1,
         };
-        run_parallel(&p, &cfg, &l, &bounds, 100..200, &env, &mut heap, 4).unwrap();
+        CpuCtx::new(&p, &cfg)
+            .run_parallel(&l, &bounds, 100..200, &env, &mut heap, 4)
+            .unwrap();
         let vals = heap.read_doubles(a).unwrap();
         assert_eq!(vals[99], 1.5);
         assert_eq!(vals[150], 3.0);
@@ -558,7 +558,9 @@ mod tests {
             end: 0,
             step: 1,
         };
-        let r = run_parallel(&p, &cfg, &l, &bounds, 0..0, &env, &mut heap, 8).unwrap();
+        let r = CpuCtx::new(&p, &cfg)
+            .run_parallel(&l, &bounds, 0..0, &env, &mut heap, 8)
+            .unwrap();
         assert_eq!(r.time_s, 0.0);
         assert_eq!(r.threads_used, 0);
     }
@@ -576,8 +578,11 @@ mod tests {
             end: n as i64,
             step: 1,
         };
-        let err = run_parallel(&p, &cfg, &l, &bounds, 0..n as u64, &env, &mut heap, 8);
-        assert!(matches!(err, Err(ExecError::IndexOutOfBounds { .. })));
+        let err = CpuCtx::new(&p, &cfg).run_parallel(&l, &bounds, 0..n as u64, &env, &mut heap, 8);
+        assert!(matches!(
+            err,
+            Err(CpuExecError::Exec(ExecError::IndexOutOfBounds { .. }))
+        ));
     }
 
     #[test]
@@ -591,34 +596,22 @@ mod tests {
             step: 1,
         };
         let plan = FaultPlan::new(1, vec![FaultRule::transient(FaultKind::CpuChunk, 1)]);
-        let err = run_parallel_guarded(
-            &p,
-            &cfg,
-            &l,
-            &bounds,
-            0..n as u64,
-            &env,
-            &mut heap,
-            8,
-            Some(&plan),
-            FaultOrigin::default(),
-        );
+        let err = CpuCtx {
+            faults: Some(&plan),
+            origin: FaultOrigin::default(),
+            ..CpuCtx::new(&p, &cfg)
+        }
+        .run_parallel(&l, &bounds, 0..n as u64, &env, &mut heap, 8);
         assert!(matches!(err, Err(CpuExecError::Fault(f)) if f.kind == FaultKind::CpuChunk));
         // Nothing committed: the batch can be resubmitted elsewhere.
         assert!(heap.read_doubles(a).unwrap().iter().all(|&v| v == 1.5));
         // The transient window has passed; the retry succeeds.
-        run_parallel_guarded(
-            &p,
-            &cfg,
-            &l,
-            &bounds,
-            0..n as u64,
-            &env,
-            &mut heap,
-            8,
-            Some(&plan),
-            FaultOrigin::default(),
-        )
+        CpuCtx {
+            faults: Some(&plan),
+            origin: FaultOrigin::default(),
+            ..CpuCtx::new(&p, &cfg)
+        }
+        .run_parallel(&l, &bounds, 0..n as u64, &env, &mut heap, 8)
         .unwrap();
         assert!(heap.read_doubles(a).unwrap().iter().all(|&v| v == 3.0));
     }
@@ -642,7 +635,9 @@ mod tests {
             end: n as i64,
             step: 1,
         };
-        run_parallel(&p, &cfg, &l, &bounds, 0..n as u64, &env, &mut heap, 8).unwrap();
+        CpuCtx::new(&p, &cfg)
+            .run_parallel(&l, &bounds, 0..n as u64, &env, &mut heap, 8)
+            .unwrap();
         assert!(heap.read_doubles(a).unwrap().iter().all(|&v| v == 3.0));
     }
 }

@@ -5,15 +5,25 @@
 //!
 //! * [`config::CpuConfig`] — core count, clock, a JIT-efficiency factor
 //!   calibrated once globally (Java vs. native), and a per-op cost table;
-//! * [`executor::run_sequential`] — single-thread execution of an iteration
-//!   range (the paper's mode C and the serial baselines);
-//! * [`executor::run_parallel`] — chunked execution over real OS threads
-//!   (`std::thread::scope`), each thread working on a private write
-//!   buffer that is committed in chunk order afterwards, so DOALL loops
-//!   produce exactly the sequential result ([`executor::run_parallel_guarded`]
-//!   additionally consults a fault-injection plan);
-//! * [`buffer::BufferedBackend`] — the read-through/write-buffer backend
-//!   that makes the shared heap safe to use from many threads.
+//! * [`executor::CpuCtx`] — what one execution needs besides the loop and
+//!   its state (program, config, kernel cache, fault plan, and what static
+//!   analysis proved about the loop), with the two executors as methods:
+//!   [`run_sequential`](executor::CpuCtx::run_sequential), single-thread
+//!   execution of an iteration range (the paper's mode C and the serial
+//!   baselines), and [`run_parallel`](executor::CpuCtx::run_parallel), the
+//!   range split into contiguous chunks, one per *simulated* worker thread;
+//! * how the host walks those iterations is invisible to every simulated
+//!   number. A range whose loop is [`executor::Independence::Proven`] runs
+//!   32 consecutive iterations at a time through the SIMT simulator's lane
+//!   sweeps on the calling thread (`lanes.rs`), each lane's ops counted
+//!   into the simulated thread that owns it. Anything else runs the scalar
+//!   VMs: `run_parallel` gives each simulated chunk a private write buffer
+//!   ([`buffer::BufferedBackend`]), spreads the chunks over at most
+//!   `available_parallelism` OS workers (`std::thread::scope`) and commits
+//!   the buffers in chunk order, so DOALL loops produce exactly the
+//!   sequential result;
+//! * [`executor::run_sequential_with`] / [`executor::run_parallel_with`] —
+//!   flat-argument wrappers with nothing proven (always scalar).
 //!
 //! Reported times come from the same cycle-accounting model the GPU
 //! simulator uses, so CPU:GPU ratios are controlled by configuration, not
@@ -22,10 +32,10 @@
 pub mod buffer;
 pub mod config;
 pub mod executor;
+mod lanes;
 
 pub use buffer::BufferedBackend;
 pub use config::CpuConfig;
 pub use executor::{
-    run_parallel, run_parallel_guarded, run_parallel_guarded_with, run_parallel_with,
-    run_sequential, run_sequential_with, CpuExecError, CpuReport,
+    run_parallel_with, run_sequential_with, CpuCtx, CpuExecError, CpuReport, Independence,
 };

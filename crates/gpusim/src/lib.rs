@@ -38,4 +38,5 @@ pub use memory::{AccessCtx, DeviceMemory, LaneMemory, ParallelLaneMemory, Shadow
 pub use native::{compile_native_warp, NativeSimtVm, NativeWarpKernel};
 pub use simt::{SimtError, SimtExec};
 pub use stats::{GpuStats, WarpStats};
-pub use vm::SimtVm;
+pub use vm::{LanePlan, SimtVm};
+pub use warp::LaneCounts;

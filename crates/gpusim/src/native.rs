@@ -23,13 +23,13 @@ use crate::config::DeviceConfig;
 use crate::memory::LaneMemory;
 use crate::simt::SimtError;
 use crate::stats::WarpStats;
-use crate::warp::{bit, Frame, LaneCtx, LaneRegs};
+use crate::warp::{bit, Accounting, Frame, LaneCtx, LaneRegs, WarpIssue};
 use japonica_ir::bytecode::{CompiledKernel, Instr};
 use japonica_ir::{BinOp, Env, ExecError, LoopBounds, OpClass, ParamTy, Value, VarId};
 
 /// Dynamic execution context threaded through the closure sweep. The
 /// memory is a trait object so the compiled artifact is backend-agnostic.
-type DynCtx<'a> = crate::warp::WarpCtx<'a, dyn LaneMemory + 'a>;
+type DynCtx<'a> = crate::warp::WarpCtx<'a, dyn LaneMemory + 'a, WarpIssue<'a>>;
 
 /// One pre-compiled warp op.
 type WOp = Box<
@@ -131,6 +131,7 @@ impl NativeSimtVm {
         mem: &mut M,
         cfg: &DeviceConfig,
     ) -> Result<WarpStats, SimtError> {
+        assert!(warp_iters.len() <= cfg.warp_size as usize, "warp overfull");
         let c0 = &kernel.entry;
         let full = self.rf.enter(
             (c0.num_regs, c0.num_vars),
@@ -138,13 +139,15 @@ impl NativeSimtVm {
             bounds,
             warp_iters,
             base_env,
-            cfg,
         );
         let mut stats = WarpStats::new();
-        let mut ctx = DynCtx {
-            mem,
+        let issue = WarpIssue {
             stats: &mut stats,
             cfg,
+        };
+        let mut ctx = DynCtx {
+            mem,
+            acct: issue,
             iters: warp_iters,
             warp_id,
         };
@@ -224,7 +227,7 @@ impl Lowerer<'_> {
                 let dst = *dst as usize;
                 let v = self.k.pool[*pool as usize];
                 Box::new(move |vm, lc, _f, ctx| {
-                    ctx.stats.charge(OpClass::Move, &ctx.cfg.cost);
+                    ctx.acct.op(OpClass::Move, lc.live);
                     vm.rf.fill(lc, dst, v);
                     Ok(())
                 })
@@ -232,7 +235,7 @@ impl Lowerer<'_> {
             Instr::Copy { dst, src } => {
                 let (dst, src) = (*dst as usize, *src as usize);
                 Box::new(move |vm, lc, _f, ctx| {
-                    ctx.stats.charge(OpClass::Move, &ctx.cfg.cost);
+                    ctx.acct.op(OpClass::Move, lc.live);
                     vm.rf.copy(lc, dst, src, ctx)
                 })
             }
@@ -286,7 +289,7 @@ impl Lowerer<'_> {
                 let dst = dst.map(|d| d as usize);
                 let args: Vec<usize> = args.iter().map(|r| *r as usize).collect();
                 Box::new(move |vm, lc, _f, ctx| {
-                    ctx.stats.charge(OpClass::Call, &ctx.cfg.cost);
+                    ctx.acct.op(OpClass::Call, lc.live);
                     let c = &callee;
                     let nbase = vm.rf.regs.len();
                     let nbbase = vm.rf.bound.len();
@@ -376,15 +379,14 @@ impl Lowerer<'_> {
                 let rhs_ops = self.lower(ci, rhs_range.0, rhs_range.1);
                 Box::new(move |vm, lc, frame, ctx| {
                     let truth = vm.rf.truth_mask(lc, lhs, lc.live, ctx)?;
-                    ctx.stats.charge(OpClass::Branch, &ctx.cfg.cost);
-                    ctx.stats.branches += 1;
+                    ctx.acct.branch(lc.live);
                     let need_rhs = match op {
                         BinOp::LAnd => lc.live & truth,
                         _ => lc.live & !truth,
                     };
                     let short = lc.live & !need_rhs;
                     if need_rhs != 0 && short != 0 {
-                        ctx.stats.divergent_branches += 1;
+                        ctx.acct.diverged();
                     }
                     let mut rtruth = 0u32;
                     if need_rhs != 0 {
@@ -421,12 +423,11 @@ impl Lowerer<'_> {
                 let f_ops = self.lower(ci, f_range.0, f_range.1);
                 Box::new(move |vm, lc, frame, ctx| {
                     let truth = vm.rf.truth_mask(lc, cond, lc.live, ctx)?;
-                    ctx.stats.charge(OpClass::Branch, &ctx.cfg.cost);
-                    ctx.stats.branches += 1;
+                    ctx.acct.branch(lc.live);
                     let t_mask = lc.live & truth;
                     let f_mask = lc.live & !truth;
                     if t_mask != 0 && f_mask != 0 {
-                        ctx.stats.divergent_branches += 1;
+                        ctx.acct.diverged();
                     }
                     if t_mask != 0 {
                         run_ops(vm, &t_ops, lc.lanes, t_mask, lc.base, lc.bbase, frame, ctx)?;
@@ -472,12 +473,11 @@ impl Lowerer<'_> {
                 let else_ops = self.lower(ci, else_range.0, else_range.1);
                 Box::new(move |vm, lc, frame, ctx| {
                     let truth = vm.rf.truth_mask(lc, cond, lc.live, ctx)?;
-                    ctx.stats.charge(OpClass::Branch, &ctx.cfg.cost);
-                    ctx.stats.branches += 1;
+                    ctx.acct.branch(lc.live);
                     let t_mask = lc.live & truth;
                     let e_mask = lc.live & !truth;
                     if t_mask != 0 && e_mask != 0 {
-                        ctx.stats.divergent_branches += 1;
+                        ctx.acct.diverged();
                     }
                     if t_mask != 0 {
                         run_ops(
@@ -512,14 +512,13 @@ impl Lowerer<'_> {
                             vm, &cond_ops, lc.lanes, live_now, lc.base, lc.bbase, frame, ctx,
                         )?;
                         let truth = vm.rf.truth_mask(lc, cond, live_now, ctx)?;
-                        ctx.stats.charge(OpClass::Branch, &ctx.cfg.cost);
-                        ctx.stats.branches += 1;
+                        ctx.acct.branch(live_now);
                         live_w = live_now & truth;
                         if live_w == 0 {
                             break;
                         }
                         if live_w.count_ones() < entered {
-                            ctx.stats.divergent_branches += 1;
+                            ctx.acct.diverged();
                         }
                         run_ops(
                             vm, &body_ops, lc.lanes, live_w, lc.base, lc.bbase, frame, ctx,
@@ -618,11 +617,10 @@ impl Lowerer<'_> {
                         if round == 0 {
                             break;
                         }
-                        ctx.stats.charge(OpClass::IntAlu, &ctx.cfg.cost);
-                        ctx.stats.charge(OpClass::Branch, &ctx.cfg.cost);
-                        ctx.stats.branches += 1;
+                        ctx.acct.op(OpClass::IntAlu, round);
+                        ctx.acct.branch(round);
                         if round.count_ones() < entered {
-                            ctx.stats.divergent_branches += 1;
+                            ctx.acct.diverged();
                         }
                         for l in 0..lc.lanes {
                             if round & bit(l) != 0 {

@@ -27,9 +27,44 @@ use crate::config::DeviceConfig;
 use crate::memory::LaneMemory;
 use crate::simt::SimtError;
 use crate::stats::WarpStats;
-use crate::warp::{bit, Frame, LaneCtx, LaneRegs, WarpCtx};
+use crate::warp::{bit, Accounting, Frame, LaneCounts, LaneCtx, LaneRegs, WarpCtx, WarpIssue};
 use japonica_ir::bytecode::{CompiledKernel, Instr, Reg};
 use japonica_ir::{BinOp, Env, ExecError, LoopBounds, OpClass, Value, VarId};
+
+/// Evidence that [`SimtVm::run_lanes`] can execute a kernel, plus what it
+/// needs to know up front: the variable slots the kernel body writes.
+#[derive(Debug, Clone)]
+pub struct LanePlan {
+    written: Vec<usize>,
+}
+
+impl LanePlan {
+    /// `None` when the kernel holds an instruction the lane VM rejects at
+    /// execution time: `new T[n]`, `break` or `continue` anywhere, or a
+    /// `return` in the kernel body itself.
+    pub fn of(kernel: &CompiledKernel) -> Option<LanePlan> {
+        let mut written = Vec::new();
+        for (ci, chunk) in kernel.chunks.iter().enumerate() {
+            for instr in &chunk.code {
+                match instr {
+                    Instr::NewArray { .. } | Instr::Break | Instr::Continue => return None,
+                    Instr::Return { .. } if ci == 0 => return None,
+                    Instr::Decl { var, .. }
+                    | Instr::Assign { var, .. }
+                    | Instr::For { var, .. }
+                        if ci == 0 =>
+                    {
+                        written.push(*var as usize)
+                    }
+                    _ => {}
+                }
+            }
+        }
+        written.sort_unstable();
+        written.dedup();
+        Some(LanePlan { written })
+    }
+}
 
 /// The warp-level bytecode VM. Owns reusable arenas; create one per host
 /// thread and reuse it across warps.
@@ -58,6 +93,7 @@ impl SimtVm {
         mem: &mut M,
         cfg: &DeviceConfig,
     ) -> Result<WarpStats, SimtError> {
+        assert!(warp_iters.len() <= cfg.warp_size as usize, "warp overfull");
         let c0 = &kernel.chunks[0];
         let full = self.rf.enter(
             (c0.num_regs as usize, c0.num_vars as usize),
@@ -65,13 +101,15 @@ impl SimtVm {
             bounds,
             warp_iters,
             base_env,
-            cfg,
         );
         let mut stats = WarpStats::new();
-        let mut ctx = WarpCtx {
-            mem,
+        let issue = WarpIssue {
             stats: &mut stats,
             cfg,
+        };
+        let mut ctx = WarpCtx {
+            mem,
+            acct: issue,
             iters: warp_iters,
             warp_id,
         };
@@ -80,6 +118,79 @@ impl SimtVm {
         let lanes = warp_iters.len();
         self.run(kernel, 0, 0, hi, lanes, full, 0, 0, &mut frame, &mut ctx)?;
         Ok(stats)
+    }
+
+    /// Execute loop iterations `first..first + lanes` (at most 32) of a
+    /// kernel as one batch of *independent scalar threads*, one per lane —
+    /// the CPU executor's whole-warp path for loops proven free of
+    /// cross-iteration dependences. Same sweeps and decode loop as
+    /// [`run_warp`](SimtVm::run_warp); only the accounting differs:
+    /// `counts` receives, per lane, exactly the ops `ScalarVm` charges
+    /// running that iteration alone (loop bookkeeping included).
+    ///
+    /// A lane sees the variables of `env` the kernel body never writes,
+    /// its own induction value, and what it wrote itself — state another
+    /// iteration left behind reads as unbound. On success every variable
+    /// the body bound is written back to `env` from the highest lane that
+    /// bound it, which is what running the iterations in order leaves.
+    /// Any error means "not expressible in lockstep": the caller undoes
+    /// the batch's stores and replays it on the scalar VM, which owns the
+    /// precise error.
+    #[allow(clippy::too_many_arguments)] // run_warp's launch signature
+    pub fn run_lanes<M: LaneMemory>(
+        &mut self,
+        kernel: &CompiledKernel,
+        plan: &LanePlan,
+        loop_var: VarId,
+        bounds: &LoopBounds,
+        first: u64,
+        lanes: usize,
+        env: &mut Env,
+        mem: &mut M,
+        counts: &mut LaneCounts,
+    ) -> Result<(), SimtError> {
+        let mut iters = [0u64; 32];
+        for (l, k) in iters[..lanes].iter_mut().enumerate() {
+            *k = first + l as u64;
+        }
+        let c0 = &kernel.chunks[0];
+        let dims = (c0.num_regs as usize, c0.num_vars as usize);
+        let full = self.rf.enter(dims, loop_var, bounds, &iters[..lanes], env);
+        let vi = loop_var.index();
+        for &v in plan.written.iter().filter(|&&v| v != vi) {
+            self.rf.bound[v] = 0;
+        }
+        counts.begin(lanes);
+        // Loop bookkeeping: induction update + bound test + back edge.
+        counts.record(OpClass::IntAlu, full);
+        counts.record(OpClass::Branch, full);
+        let mut ctx = WarpCtx {
+            mem,
+            acct: counts,
+            iters: &iters[..lanes],
+            warp_id: 0,
+        };
+        let hi = c0.code.len() as u32;
+        self.run(
+            kernel,
+            0,
+            0,
+            hi,
+            lanes,
+            full,
+            0,
+            0,
+            &mut Frame::new(false),
+            &mut ctx,
+        )?;
+        for &v in plan.written.iter().chain([&vi]) {
+            let bound = self.rf.bound[v];
+            if bound != 0 {
+                let top = 31 - bound.leading_zeros() as usize;
+                env.set(VarId(v as u32), self.rf.reg(0, lanes, v, top));
+            }
+        }
+        Ok(())
     }
 
     #[inline]
@@ -97,7 +208,7 @@ impl SimtVm {
     /// which is equivalent to the walker's per-statement recheck because
     /// `returned` only changes at `Return` instructions.
     #[allow(clippy::too_many_arguments)]
-    fn run<M: LaneMemory>(
+    fn run<M: LaneMemory, A: Accounting>(
         &mut self,
         k: &CompiledKernel,
         ci: usize,
@@ -108,7 +219,7 @@ impl SimtVm {
         base: usize,
         bbase: usize,
         frame: &mut Frame,
-        ctx: &mut WarpCtx<'_, M>,
+        ctx: &mut WarpCtx<'_, M, A>,
     ) -> Result<(), SimtError> {
         let mut pc = lo;
         while pc < hi {
@@ -126,11 +237,11 @@ impl SimtVm {
             };
             match instr {
                 Instr::Const { dst, pool } => {
-                    ctx.stats.charge(OpClass::Move, &ctx.cfg.cost);
+                    ctx.acct.op(OpClass::Move, live);
                     self.rf.fill(lc, *dst as usize, k.pool[*pool as usize]);
                 }
                 Instr::Copy { dst, src } => {
-                    ctx.stats.charge(OpClass::Move, &ctx.cfg.cost);
+                    ctx.acct.op(OpClass::Move, live);
                     self.rf.copy(lc, *dst as usize, *src as usize, ctx)?;
                 }
                 Instr::Unary {
@@ -179,7 +290,7 @@ impl SimtVm {
                     ctx,
                 )?,
                 Instr::Call { chunk, dst, args } => {
-                    ctx.stats.charge(OpClass::Call, &ctx.cfg.cost);
+                    ctx.acct.op(OpClass::Call, live);
                     let callee = *chunk as usize;
                     let c = &k.chunks[callee];
                     let nbase = self.rf.regs.len();
@@ -267,15 +378,14 @@ impl SimtVm {
                     rhs,
                 } => {
                     let truth = self.rf.truth_mask(lc, *lhs as usize, live, ctx)?;
-                    ctx.stats.charge(OpClass::Branch, &ctx.cfg.cost);
-                    ctx.stats.branches += 1;
+                    ctx.acct.branch(live);
                     let need_rhs = match op {
                         BinOp::LAnd => live & truth,
                         _ => live & !truth,
                     };
                     let short = live & !need_rhs;
                     if need_rhs != 0 && short != 0 {
-                        ctx.stats.divergent_branches += 1;
+                        ctx.acct.diverged();
                     }
                     let mut rtruth = 0u32;
                     if need_rhs != 0 {
@@ -314,12 +424,11 @@ impl SimtVm {
                     f_dst,
                 } => {
                     let truth = self.rf.truth_mask(lc, *cond as usize, live, ctx)?;
-                    ctx.stats.charge(OpClass::Branch, &ctx.cfg.cost);
-                    ctx.stats.branches += 1;
+                    ctx.acct.branch(live);
                     let t_mask = live & truth;
                     let f_mask = live & !truth;
                     if t_mask != 0 && f_mask != 0 {
-                        ctx.stats.divergent_branches += 1;
+                        ctx.acct.diverged();
                     }
                     if t_mask != 0 {
                         self.run(
@@ -362,12 +471,11 @@ impl SimtVm {
                     else_range,
                 } => {
                     let truth = self.rf.truth_mask(lc, *cond as usize, live, ctx)?;
-                    ctx.stats.charge(OpClass::Branch, &ctx.cfg.cost);
-                    ctx.stats.branches += 1;
+                    ctx.acct.branch(live);
                     let t_mask = live & truth;
                     let e_mask = live & !truth;
                     if t_mask != 0 && e_mask != 0 {
-                        ctx.stats.divergent_branches += 1;
+                        ctx.acct.diverged();
                     }
                     if t_mask != 0 {
                         self.run(
@@ -423,14 +531,13 @@ impl SimtVm {
                             ctx,
                         )?;
                         let truth = self.rf.truth_mask(lc, *cond as usize, live_now, ctx)?;
-                        ctx.stats.charge(OpClass::Branch, &ctx.cfg.cost);
-                        ctx.stats.branches += 1;
+                        ctx.acct.branch(live_now);
                         live_w = live_now & truth;
                         if live_w == 0 {
                             break;
                         }
                         if live_w.count_ones() < entered {
-                            ctx.stats.divergent_branches += 1;
+                            ctx.acct.diverged();
                         }
                         self.run(
                             k,
@@ -465,7 +572,7 @@ impl SimtVm {
                                         range: &(u32, u32),
                                         r: Reg,
                                         out: &mut [i64; 32],
-                                        ctx: &mut WarpCtx<'_, M>|
+                                        ctx: &mut WarpCtx<'_, M, A>|
                      -> Result<(), SimtError> {
                         vm.run(
                             k, ci, range.0, range.1, lanes, live, base, bbase, frame, ctx,
@@ -523,11 +630,10 @@ impl SimtVm {
                         if round == 0 {
                             break;
                         }
-                        ctx.stats.charge(OpClass::IntAlu, &ctx.cfg.cost);
-                        ctx.stats.charge(OpClass::Branch, &ctx.cfg.cost);
-                        ctx.stats.branches += 1;
+                        ctx.acct.op(OpClass::IntAlu, round);
+                        ctx.acct.branch(round);
                         if round.count_ones() < entered {
-                            ctx.stats.divergent_branches += 1;
+                            ctx.acct.diverged();
                         }
                         for l in 0..lanes {
                             if round & bit(l) != 0 {

@@ -4,17 +4,24 @@
 //! per-instruction lane sweeps whose charge order, coalescing segment sets
 //! and per-lane error selection both must replay from the tree walker in
 //! `simt.rs` bit for bit. Written once so the two tiers cannot drift.
+//!
+//! What an instruction *costs* is an [`Accounting`] policy the sweeps are
+//! monomorphised over: [`WarpIssue`] is the GPU's (one issue per warp
+//! instruction, coalesced memory transactions), [`LaneCounts`] the CPU
+//! executor's (one op per live lane), which runs proven-independent CPU
+//! ranges through these same sweeps via [`crate::vm::SimtVm::run_lanes`].
 
 use crate::config::DeviceConfig;
 use crate::memory::{AccessCtx, LaneMemory};
 use crate::simt::SimtError;
 use crate::stats::WarpStats;
 use japonica_ir::{
-    ops, ArrayId, BinOp, Env, ExecError, Intrinsic, LoopBounds, OpClass, Ty, UnOp, Value, VarId,
+    ops, ArrayId, BinOp, Env, ExecError, Intrinsic, LoopBounds, OpClass, OpCounts, Ty, UnOp, Value,
+    VarId,
 };
 use std::convert::identity;
 use std::num::Wrapping;
-use std::ops::{Add, Div, Mul, Rem, Sub};
+use std::ops::{Add, Div, Mul, Range, Rem, Sub};
 
 #[inline]
 fn is_float(v: Value) -> bool {
@@ -48,18 +55,171 @@ impl Frame {
     }
 }
 
-/// Execution context threaded through a warp's instruction walk. `M` is a
-/// concrete memory for the bytecode VM and `dyn LaneMemory` for the native
-/// tier, whose compiled closures are backend-agnostic.
-pub(crate) struct WarpCtx<'a, M: LaneMemory + ?Sized> {
-    pub mem: &'a mut M,
+/// What one lane-sweep instruction costs, as a policy the sweeps and the
+/// decode loop are monomorphised over — each machine model pays only for
+/// its own bookkeeping.
+pub(crate) trait Accounting {
+    /// `true` when every lane is its own scalar thread, so the int/float
+    /// cost class of an operator is each lane's own; `false` when the warp
+    /// issues once and the first live lane's operands pick the class.
+    const PER_LANE_CLASS: bool;
+    /// One instruction of class `cls` issued under mask `live`.
+    fn op(&mut self, cls: OpClass, live: u32);
+    /// One branch decision taken under mask `live`.
+    fn branch(&mut self, live: u32);
+    /// The last branch split its lanes.
+    fn diverged(&mut self);
+    /// One warp memory access over per-lane `(lane, array, index)` triples.
+    fn mem_access<M: LaneMemory + ?Sized>(
+        &mut self,
+        seg_scratch: &mut Vec<u64>,
+        touched: &[(usize, ArrayId, i64)],
+        mem: &M,
+    );
+}
+
+/// The GPU's accounting: one issue per warp instruction whatever the
+/// mask, branch/divergence tallies, and coalesced memory transactions.
+pub(crate) struct WarpIssue<'a> {
     pub stats: &'a mut WarpStats,
     pub cfg: &'a DeviceConfig,
+}
+
+impl Accounting for WarpIssue<'_> {
+    const PER_LANE_CLASS: bool = false;
+    #[inline]
+    fn op(&mut self, cls: OpClass, _live: u32) {
+        self.stats.charge(cls, &self.cfg.cost);
+    }
+    #[inline]
+    fn branch(&mut self, _live: u32) {
+        self.stats.charge(OpClass::Branch, &self.cfg.cost);
+        self.stats.branches += 1;
+    }
+    #[inline]
+    fn diverged(&mut self) {
+        self.stats.divergent_branches += 1;
+    }
+    #[inline]
+    fn mem_access<M: LaneMemory + ?Sized>(
+        &mut self,
+        seg_scratch: &mut Vec<u64>,
+        touched: &[(usize, ArrayId, i64)],
+        mem: &M,
+    ) {
+        charge_coalesced(seg_scratch, touched, mem, self.stats, self.cfg);
+    }
+}
+
+/// The CPU's accounting: every lane is one iteration of a scalar thread,
+/// so an instruction issued under mask `live` is one op *per live lane* —
+/// exactly what `ScalarVm` charges running those iterations one by one.
+/// While the whole batch is live a single count stands for every lane;
+/// per-lane rows are touched only under divergence. No issue cycles, no
+/// coalescing: CPU time comes from the folded counts alone.
+#[derive(Debug, Clone, Default)]
+pub struct LaneCounts {
+    full: u32,
+    uniform: OpCounts,
+    rows: [OpCounts; 32],
+    /// Lanes whose row is non-zero.
+    partial: u32,
+}
+
+impl LaneCounts {
+    /// Zeroed counts.
+    pub fn new() -> LaneCounts {
+        LaneCounts::default()
+    }
+
+    /// Reset for a batch of `lanes` lanes.
+    pub(crate) fn begin(&mut self, lanes: usize) {
+        self.full = full_mask(lanes);
+        self.uniform = OpCounts::new();
+        for l in lanes_of(self.partial) {
+            self.rows[l] = OpCounts::new();
+        }
+        self.partial = 0;
+    }
+
+    /// One op of class `cls` on every lane of `live`.
+    #[inline]
+    pub(crate) fn record(&mut self, cls: OpClass, live: u32) {
+        if live == self.full {
+            self.uniform.record(cls);
+        } else {
+            self.partial |= live;
+            for l in lanes_of(live) {
+                self.rows[l].record(cls);
+            }
+        }
+    }
+
+    /// Add everything lanes `lanes` of the last batch executed to `into`.
+    pub fn fold(&self, lanes: Range<usize>, into: &mut OpCounts) {
+        into.merge_scaled(&self.uniform, lanes.len() as u64);
+        for l in lanes_of(self.partial & full_mask(lanes.end) & !full_mask(lanes.start)) {
+            into.merge(&self.rows[l]);
+        }
+    }
+}
+
+impl Accounting for &mut LaneCounts {
+    const PER_LANE_CLASS: bool = true;
+    #[inline]
+    fn op(&mut self, cls: OpClass, live: u32) {
+        self.record(cls, live);
+    }
+    #[inline]
+    fn branch(&mut self, live: u32) {
+        self.record(OpClass::Branch, live);
+    }
+    #[inline]
+    fn diverged(&mut self) {}
+    #[inline]
+    fn mem_access<M: LaneMemory + ?Sized>(
+        &mut self,
+        _: &mut Vec<u64>,
+        _: &[(usize, ArrayId, i64)],
+        _: &M,
+    ) {
+    }
+}
+
+/// The mask with lanes `0..lanes` set.
+#[inline]
+pub(crate) fn full_mask(lanes: usize) -> u32 {
+    if lanes >= 32 {
+        u32::MAX
+    } else {
+        bit(lanes) - 1
+    }
+}
+
+/// The set lanes of `mask`, ascending.
+#[inline]
+fn lanes_of(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let l = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            l
+        })
+    })
+}
+
+/// Execution context threaded through a warp's instruction walk. `M` is a
+/// concrete memory for the bytecode VM and `dyn LaneMemory` for the native
+/// tier, whose compiled closures are backend-agnostic; `A` is the machine
+/// model's [`Accounting`].
+pub(crate) struct WarpCtx<'a, M: LaneMemory + ?Sized, A: Accounting> {
+    pub mem: &'a mut M,
+    pub acct: A,
     pub iters: &'a [u64],
     pub warp_id: u32,
 }
 
-impl<M: LaneMemory + ?Sized> WarpCtx<'_, M> {
+impl<M: LaneMemory + ?Sized, A: Accounting> WarpCtx<'_, M, A> {
     #[inline]
     pub fn access_ctx(&self, lane: usize) -> AccessCtx {
         AccessCtx {
@@ -227,6 +387,25 @@ fn sweep<T: Num>(
     true
 }
 
+/// Per-lane class selection: charge an operator `cls_f` on the live lanes
+/// where `float` holds and `cls_i` on the rest.
+fn charge_per_lane<A: Accounting>(
+    acct: &mut A,
+    lc: LaneCtx,
+    (cls_i, cls_f): (OpClass, OpClass),
+    float: impl Fn(usize) -> bool,
+) {
+    let fmask = lc
+        .live_lanes()
+        .filter(|&l| float(l))
+        .fold(0u32, |m, l| m | bit(l));
+    for (cls, mask) in [(cls_f, fmask), (cls_i, lc.live & !fmask)] {
+        if mask != 0 {
+            acct.op(cls, mask);
+        }
+    }
+}
+
 /// The SoA lane register file: register `r` of lane `l` lives at
 /// `frame_base + r * lanes + l` in one flat arena reused across warps and
 /// grown only by call frames; per-variable boundness is a lane bitmask
@@ -250,16 +429,10 @@ impl LaneRegs {
         bounds: &LoopBounds,
         warp_iters: &[u64],
         base_env: &Env,
-        cfg: &DeviceConfig,
     ) -> u32 {
-        assert!(warp_iters.len() <= cfg.warp_size as usize, "warp overfull");
         assert!(warp_iters.len() <= 32, "register VM lanes bounded at 32");
         let lanes = warp_iters.len();
-        let full: u32 = if lanes == 32 {
-            u32::MAX
-        } else {
-            bit(lanes) - 1
-        };
+        let full = full_mask(lanes);
         self.regs.clear();
         self.regs.resize(num_regs * lanes, Value::Int(0));
         self.bound.clear();
@@ -305,12 +478,12 @@ impl LaneRegs {
 
     /// `dst = src` (a variable read) on every live lane; the lowest live
     /// lane on which the variable is unbound raises `UnboundVariable`.
-    pub fn copy<M: LaneMemory + ?Sized>(
+    pub fn copy<M: LaneMemory + ?Sized, A: Accounting>(
         &mut self,
         lc: LaneCtx,
         dst: usize,
         src: usize,
-        ctx: &WarpCtx<'_, M>,
+        ctx: &WarpCtx<'_, M, A>,
     ) -> Result<(), SimtError> {
         let unbound = lc.live & !self.bound[lc.bbase + src];
         if unbound != 0 {
@@ -331,12 +504,12 @@ impl LaneRegs {
 
     /// Convert the lanes of `sub` to a truth bitmask, raising the walker's
     /// per-lane boolean `TypeMismatch` in lane order.
-    pub fn truth_mask<M: LaneMemory + ?Sized>(
+    pub fn truth_mask<M: LaneMemory + ?Sized, A: Accounting>(
         &self,
         lc: LaneCtx,
         r: usize,
         sub: u32,
-        ctx: &WarpCtx<'_, M>,
+        ctx: &WarpCtx<'_, M, A>,
     ) -> Result<u32, SimtError> {
         let mut truth = 0u32;
         for l in 0..lc.lanes {
@@ -360,22 +533,29 @@ impl LaneRegs {
         Ok(truth)
     }
 
-    /// `dst = op src` on every live lane; the first live lane's operand
-    /// picks the int/float cost class.
+    /// `dst = op src` on every live lane; the int/float cost class is the
+    /// first live lane's operand's, or each lane's own
+    /// ([`Accounting::PER_LANE_CLASS`]).
     #[allow(clippy::too_many_arguments)]
-    pub fn unary<M: LaneMemory + ?Sized>(
+    pub fn unary<M: LaneMemory + ?Sized, A: Accounting>(
         &mut self,
         lc: LaneCtx,
         op: UnOp,
         dst: usize,
         src: usize,
         (cls_i, cls_f): (OpClass, OpClass),
-        ctx: &mut WarpCtx<'_, M>,
+        ctx: &mut WarpCtx<'_, M, A>,
     ) -> Result<(), SimtError> {
-        let fl = lc.live.trailing_zeros() as usize;
-        let float = is_float(self.reg(lc.base, lc.lanes, src, fl));
-        ctx.stats
-            .charge(if float { cls_f } else { cls_i }, &ctx.cfg.cost);
+        let os = lc.base + src * lc.lanes;
+        if A::PER_LANE_CLASS {
+            charge_per_lane(&mut ctx.acct, lc, (cls_i, cls_f), |l| {
+                is_float(self.regs[os + l])
+            });
+        } else {
+            let fl = lc.live.trailing_zeros() as usize;
+            let float = is_float(self.regs[os + fl]);
+            ctx.acct.op(if float { cls_f } else { cls_i }, lc.live);
+        }
         for l in lc.live_lanes() {
             let v = self.reg(lc.base, lc.lanes, src, l);
             let r = ops::unary(op, v).map_err(|er| ctx.lane_err(l, er))?;
@@ -386,7 +566,7 @@ impl LaneRegs {
 
     /// `dst = a op b` on every live lane, errors in lane order.
     #[allow(clippy::too_many_arguments)]
-    pub fn binary<M: LaneMemory + ?Sized>(
+    pub fn binary<M: LaneMemory + ?Sized, A: Accounting>(
         &mut self,
         lc: LaneCtx,
         op: BinOp,
@@ -394,13 +574,15 @@ impl LaneRegs {
         a: usize,
         b: usize,
         (cls_i, cls_f): (OpClass, OpClass),
-        ctx: &mut WarpCtx<'_, M>,
+        ctx: &mut WarpCtx<'_, M, A>,
     ) -> Result<(), SimtError> {
         let fl = lc.live.trailing_zeros() as usize;
         let float = is_float(self.reg(lc.base, lc.lanes, a, fl))
             || is_float(self.reg(lc.base, lc.lanes, b, fl));
-        ctx.stats
-            .charge(if float { cls_f } else { cls_i }, &ctx.cfg.cost);
+        let cls = if float { cls_f } else { cls_i };
+        if !A::PER_LANE_CLASS {
+            ctx.acct.op(cls, lc.live);
+        }
         let n = lc.lanes;
         let rows = (lc.base + a * n, lc.base + b * n, lc.base + dst * n);
         let swept = match (self.regs[rows.0 + fl], self.regs[rows.1 + fl]) {
@@ -412,6 +594,16 @@ impl LaneRegs {
             (Value::Float(_), Value::Float(_)) => sweep::<f32>(&mut self.regs, rows, lc, op),
             _ => false,
         };
+        if A::PER_LANE_CLASS {
+            if swept {
+                // Every live lane holds the first lane's operand types.
+                ctx.acct.op(cls, lc.live);
+            } else {
+                charge_per_lane(&mut ctx.acct, lc, (cls_i, cls_f), |l| {
+                    is_float(self.regs[rows.0 + l]) || is_float(self.regs[rows.1 + l])
+                });
+            }
+        }
         if swept {
             return Ok(());
         }
@@ -425,15 +617,15 @@ impl LaneRegs {
     }
 
     /// `dst = (ty) src` on every live lane.
-    pub fn cast<M: LaneMemory + ?Sized>(
+    pub fn cast<M: LaneMemory + ?Sized, A: Accounting>(
         &mut self,
         lc: LaneCtx,
         ty: Ty,
         dst: usize,
         src: usize,
-        ctx: &mut WarpCtx<'_, M>,
+        ctx: &mut WarpCtx<'_, M, A>,
     ) -> Result<(), SimtError> {
-        ctx.stats.charge(OpClass::Cast, &ctx.cfg.cost);
+        ctx.acct.op(OpClass::Cast, lc.live);
         for l in lc.live_lanes() {
             let v = self.reg(lc.base, lc.lanes, src, l);
             let r = v.cast(ty).ok_or_else(|| {
@@ -451,15 +643,15 @@ impl LaneRegs {
     }
 
     /// `dst = arr.length` on every live lane.
-    pub fn len<M: LaneMemory + ?Sized>(
+    pub fn len<M: LaneMemory + ?Sized, A: Accounting>(
         &mut self,
         lc: LaneCtx,
         dst: usize,
         arr: usize,
         var: VarId,
-        ctx: &mut WarpCtx<'_, M>,
+        ctx: &mut WarpCtx<'_, M, A>,
     ) -> Result<(), SimtError> {
-        ctx.stats.charge(OpClass::Move, &ctx.cfg.cost);
+        ctx.acct.op(OpClass::Move, lc.live);
         for l in lc.live_lanes() {
             if self.bound[lc.bbase + arr] & bit(l) == 0 {
                 return Err(ctx.lane_err(l, ExecError::UnboundVariable(var)));
@@ -483,15 +675,15 @@ impl LaneRegs {
     }
 
     /// `dst = f(args..)` on every live lane.
-    pub fn intrinsic<M: LaneMemory + ?Sized>(
+    pub fn intrinsic<M: LaneMemory + ?Sized, A: Accounting>(
         &mut self,
         lc: LaneCtx,
         (f, cls): (Intrinsic, OpClass),
         dst: usize,
         args: impl Iterator<Item = usize> + Clone,
-        ctx: &mut WarpCtx<'_, M>,
+        ctx: &mut WarpCtx<'_, M, A>,
     ) -> Result<(), SimtError> {
-        ctx.stats.charge(cls, &ctx.cfg.cost);
+        ctx.acct.op(cls, lc.live);
         for l in lc.live_lanes() {
             let mut buf = [Value::Int(0); 4];
             let mut n = 0;
@@ -506,15 +698,15 @@ impl LaneRegs {
     }
 
     /// `ty var = init` (or the type's zero) on every live lane; binds `var`.
-    pub fn decl<M: LaneMemory + ?Sized>(
+    pub fn decl<M: LaneMemory + ?Sized, A: Accounting>(
         &mut self,
         lc: LaneCtx,
         var: usize,
         ty: Ty,
         init: Option<usize>,
-        ctx: &mut WarpCtx<'_, M>,
+        ctx: &mut WarpCtx<'_, M, A>,
     ) -> Result<(), SimtError> {
-        ctx.stats.charge(OpClass::Move, &ctx.cfg.cost);
+        ctx.acct.op(OpClass::Move, lc.live);
         for l in lc.live_lanes() {
             let v = match init {
                 Some(r) => {
@@ -539,14 +731,14 @@ impl LaneRegs {
 
     /// `var = src` on every live lane, converting to the type `var`
     /// already holds on that lane (Java assignment conversion); binds `var`.
-    pub fn assign<M: LaneMemory + ?Sized>(
+    pub fn assign<M: LaneMemory + ?Sized, A: Accounting>(
         &mut self,
         lc: LaneCtx,
         var: usize,
         src: usize,
-        ctx: &mut WarpCtx<'_, M>,
+        ctx: &mut WarpCtx<'_, M, A>,
     ) -> Result<(), SimtError> {
-        ctx.stats.charge(OpClass::Move, &ctx.cfg.cost);
+        ctx.acct.op(OpClass::Move, lc.live);
         for l in lc.live_lanes() {
             let mut v = self.reg(lc.base, lc.lanes, src, l);
             if self.bound[lc.bbase + var] & bit(l) != 0 {
@@ -573,17 +765,17 @@ impl LaneRegs {
     /// per-lane errors in lane order), charge the coalesced transactions.
     /// Returns how many lanes of `out` are filled.
     #[allow(clippy::too_many_arguments)]
-    fn touch<M: LaneMemory + ?Sized>(
+    fn touch<M: LaneMemory + ?Sized, A: Accounting>(
         &mut self,
         lc: LaneCtx,
         cls: OpClass,
         arr: usize,
         var: VarId,
         idx: usize,
-        ctx: &mut WarpCtx<'_, M>,
+        ctx: &mut WarpCtx<'_, M, A>,
         out: &mut [(usize, ArrayId, i64); 32],
     ) -> Result<usize, SimtError> {
-        ctx.stats.charge(cls, &ctx.cfg.cost);
+        ctx.acct.op(cls, lc.live);
         let mut n = 0usize;
         for l in lc.live_lanes() {
             if self.bound[lc.bbase + arr] & bit(l) == 0 {
@@ -616,25 +808,20 @@ impl LaneRegs {
             out[n] = (l, a, i);
             n += 1;
         }
-        charge_coalesced(
-            &mut self.seg_scratch,
-            &out[..n],
-            &*ctx.mem,
-            ctx.stats,
-            ctx.cfg,
-        );
+        ctx.acct
+            .mem_access(&mut self.seg_scratch, &out[..n], &*ctx.mem);
         Ok(n)
     }
 
     /// `dst = arr[idx]` on every live lane.
-    pub fn load<M: LaneMemory + ?Sized>(
+    pub fn load<M: LaneMemory + ?Sized, A: Accounting>(
         &mut self,
         lc: LaneCtx,
         dst: usize,
         arr: usize,
         var: VarId,
         idx: usize,
-        ctx: &mut WarpCtx<'_, M>,
+        ctx: &mut WarpCtx<'_, M, A>,
     ) -> Result<(), SimtError> {
         let mut touched = [(0usize, ArrayId(0), 0i64); 32];
         let n = self.touch(lc, OpClass::Load, arr, var, idx, ctx, &mut touched)?;
@@ -647,14 +834,14 @@ impl LaneRegs {
     }
 
     /// `arr[idx] = val` on every live lane.
-    pub fn store<M: LaneMemory + ?Sized>(
+    pub fn store<M: LaneMemory + ?Sized, A: Accounting>(
         &mut self,
         lc: LaneCtx,
         arr: usize,
         var: VarId,
         idx: usize,
         val: usize,
-        ctx: &mut WarpCtx<'_, M>,
+        ctx: &mut WarpCtx<'_, M, A>,
     ) -> Result<(), SimtError> {
         let mut touched = [(0usize, ArrayId(0), 0i64); 32];
         let n = self.touch(lc, OpClass::Store, arr, var, idx, ctx, &mut touched)?;
@@ -744,7 +931,7 @@ mod tests {
     }
 
     #[test]
-    fn binary_sweep_equals_lane_by_lane_ops_under_every_mask() {
+    fn binary_sweep_equals_lane_by_lane_ops_and_cpu_counts_popcount_under_every_mask() {
         let cfg = DeviceConfig::default();
         let iters: Vec<u64> = (100..108).collect();
         let classes = (OpClass::IntAlu, OpClass::FpAlu);
@@ -761,10 +948,13 @@ mod tests {
                         };
                         let mut mem = DeviceMemory::new();
                         let mut stats = WarpStats::new();
-                        let mut ctx = WarpCtx {
-                            mem: &mut mem,
+                        let issue = WarpIssue {
                             stats: &mut stats,
                             cfg: &cfg,
+                        };
+                        let mut ctx = WarpCtx {
+                            mem: &mut mem,
+                            acct: issue,
                             iters: &iters,
                             warp_id: 0,
                         };
@@ -775,6 +965,44 @@ mod tests {
                             bbase: 0,
                         };
                         let got = rf.binary(lc, op, 2, 0, 1, classes, &mut ctx);
+                        // The CPU policy on the same operands: same values,
+                        // one op per live lane in that lane's own class.
+                        let mut rf_cpu = LaneRegs {
+                            regs: [row_a.clone(), b.clone(), vec![Value::Bool(false); n]].concat(),
+                            ..LaneRegs::default()
+                        };
+                        let mut tally = LaneCounts::new();
+                        tally.begin(n);
+                        let mut cpu_ctx = WarpCtx {
+                            mem: &mut mem,
+                            acct: &mut tally,
+                            iters: &iters,
+                            warp_id: 0,
+                        };
+                        let got_cpu = rf_cpu.binary(lc, op, 2, 0, 1, classes, &mut cpu_ctx);
+                        assert_eq!(got_cpu, got, "{op:?} mask {live:#b}: cpu outcome");
+                        if got.is_ok() {
+                            assert_eq!(
+                                rf_cpu.regs.iter().map(|v| bits(*v)).collect::<Vec<_>>(),
+                                rf.regs.iter().map(|v| bits(*v)).collect::<Vec<_>>()
+                            );
+                        }
+                        let float_lanes = (0..n)
+                            .filter(|&l| live & bit(l) != 0)
+                            .filter(|&l| is_float(row_a[l]) || is_float(b[l]))
+                            .count() as u64;
+                        let mut folded = OpCounts::new();
+                        tally.fold(0..n, &mut folded);
+                        assert_eq!(folded.count(OpClass::FpAlu), float_lanes);
+                        assert_eq!(
+                            folded.count(OpClass::IntAlu),
+                            live.count_ones() as u64 - float_lanes
+                        );
+                        for l in 0..n {
+                            let mut one = OpCounts::new();
+                            tally.fold(l..l + 1, &mut one);
+                            assert_eq!(one.total_ops(), (live & bit(l) != 0) as u64, "lane {l}");
+                        }
                         // Reference: lanes in order, first error wins.
                         let mut want = Ok(());
                         for l in (0..n).filter(|&l| live & bit(l) != 0) {
@@ -817,10 +1045,13 @@ mod tests {
         };
         let mut mem = DeviceMemory::new();
         let mut stats = WarpStats::new();
-        let ctx = WarpCtx {
-            mem: &mut mem,
+        let issue = WarpIssue {
             stats: &mut stats,
             cfg: &cfg,
+        };
+        let ctx = WarpCtx {
+            mem: &mut mem,
+            acct: issue,
             iters: &iters,
             warp_id: 0,
         };

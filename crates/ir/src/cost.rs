@@ -167,8 +167,14 @@ impl OpCounts {
 
     /// Merge another count set into this one.
     pub fn merge(&mut self, other: &OpCounts) {
+        self.merge_scaled(other, 1);
+    }
+
+    /// Merge `n` copies of another count set (one count that stands for
+    /// `n` identical executions) into this one.
+    pub fn merge_scaled(&mut self, other: &OpCounts, n: u64) {
         for i in 0..self.counts.len() {
-            self.counts[i] += other.counts[i];
+            self.counts[i] += other.counts[i] * n;
         }
     }
 }

@@ -1,6 +1,7 @@
 //! Execution reports and scheduler errors.
 
 use crate::modes::ExecutionMode;
+use japonica_cpuexec::CpuExecError;
 use japonica_faults::{DeviceFault, FaultStats};
 use japonica_gpusim::SimtError;
 use japonica_ir::{ExecError, LoopId, Scheme};
@@ -56,6 +57,15 @@ impl std::error::Error for SchedError {
 impl From<ExecError> for SchedError {
     fn from(e: ExecError) -> SchedError {
         SchedError::Exec(e)
+    }
+}
+
+impl From<CpuExecError> for SchedError {
+    fn from(e: CpuExecError) -> SchedError {
+        match e {
+            CpuExecError::Exec(e) => SchedError::Exec(e),
+            CpuExecError::Fault(f) => f.into(),
+        }
     }
 }
 

@@ -16,9 +16,7 @@ use crate::modes::{decide_mode, try_decide_mode, ExecutionMode};
 use crate::plan::DataPlan;
 use crate::report::{LoopExecReport, SchedError};
 use japonica_analysis::LoopAnalysis;
-use japonica_cpuexec::{
-    run_parallel_guarded_with, run_parallel_with, run_sequential_with, CpuConfig, CpuExecError,
-};
+use japonica_cpuexec::{CpuConfig, CpuCtx, CpuExecError, Independence};
 use japonica_faults::{DegradationLevel, FaultOrigin, FaultStats, ResilienceConfig};
 use japonica_gpusim::{launch_loop_par_with, DeviceMemory, SimtError};
 use japonica_ir::{
@@ -47,6 +45,26 @@ impl<'a> LoopTask<'a> {
             self.profile,
             cfg.td_density_threshold,
         )
+    }
+
+    /// The CPU execution context for this loop: the scheduler's CPU model
+    /// and kernel cache, plus what static analysis proved about the loop —
+    /// only a loop it proved independent may run its CPU ranges lane-batched.
+    pub(crate) fn cpu_ctx<'c>(
+        &self,
+        program: &'c Program,
+        cfg: &'c SchedulerConfig,
+        kernels: &'c KernelCache,
+    ) -> CpuCtx<'c> {
+        CpuCtx {
+            kernels: Some(kernels),
+            independence: if self.analysis.proven_independent() {
+                Independence::Proven
+            } else {
+                Independence::Unproven
+            },
+            ..CpuCtx::new(program, &cfg.cpu)
+        }
     }
 
     /// Panic-free mode selection for the scheduling hot path.
@@ -257,16 +275,8 @@ pub fn run_sharing(
             program, cfg, task, env, heap, &bounds, &plan, report, &kernels,
         ),
         ExecutionMode::C => {
-            let r = run_sequential_with(
-                program,
-                &cfg.cpu,
-                task.loop_,
-                &bounds,
-                0..trip,
-                env,
-                heap,
-                Some(&kernels),
-            )?;
+            let cpu = task.cpu_ctx(program, cfg, &kernels);
+            let r = cpu.run_sequential(task.loop_, &bounds, 0..trip, env, heap)?;
             report.cpu_iters = trip;
             report.cpu_busy_s = r.time_s;
             report.wall_s = r.time_s;
@@ -314,6 +324,7 @@ fn greedy_share(
         None
     };
     let loop_origin = FaultOrigin::for_loop(task.loop_.id);
+    let cpu = task.cpu_ctx(program, cfg, kernels);
 
     let mut dev = DeviceMemory::new();
     if let Err(e) = stage_device_guarded(plan, heap, &mut dev, cfg, loop_origin, &mut report.faults)
@@ -332,16 +343,7 @@ fn greedy_share(
                 }
                 report.faults.fallbacks += 1;
                 report.faults.escalate(DegradationLevel::Sequential);
-                let r = run_sequential_with(
-                    program,
-                    &cfg.cpu,
-                    task.loop_,
-                    bounds,
-                    0..trip,
-                    env,
-                    heap,
-                    Some(kernels),
-                )?;
+                let r = cpu.run_sequential(task.loop_, bounds, 0..trip, env, heap)?;
                 report.cpu_iters = trip;
                 report.cpu_busy_s = r.time_s + report.faults.backoff_s;
                 report.wall_s = report.cpu_busy_s;
@@ -516,18 +518,8 @@ fn greedy_share(
                         ordered_writes.push((idx, false, writes));
                         t
                     } else {
-                        run_parallel_with(
-                            program,
-                            &cfg.cpu,
-                            task.loop_,
-                            bounds,
-                            lo..hi,
-                            env,
-                            heap,
-                            cpu_threads,
-                            Some(kernels),
-                        )?
-                        .time_s
+                        cpu.run_parallel(task.loop_, bounds, lo..hi, env, heap, cpu_threads)?
+                            .time_s
                     };
                     cpu_clock += batch_s + chunk_backoff;
                     report.cpu_iters += hi - lo;
@@ -567,34 +559,19 @@ fn greedy_share(
                 // Worker-pool dispatch with bounded retry; a pool that
                 // exhausts its fault tolerance is retired and batches drop
                 // to sequential execution (the guaranteed rung).
+                let pool = CpuCtx {
+                    faults,
+                    origin: loop_origin.with_chunk(idx),
+                    ..cpu
+                };
                 let mut attempt = 0u32;
                 loop {
                     if !cpu_pool_alive {
-                        let r = run_sequential_with(
-                            program,
-                            &cfg.cpu,
-                            task.loop_,
-                            bounds,
-                            lo..hi,
-                            &mut env.clone(),
-                            heap,
-                            Some(kernels),
-                        )?;
+                        let r =
+                            cpu.run_sequential(task.loop_, bounds, lo..hi, &mut env.clone(), heap)?;
                         break r.time_s;
                     }
-                    match run_parallel_guarded_with(
-                        program,
-                        &cfg.cpu,
-                        task.loop_,
-                        bounds,
-                        lo..hi,
-                        env,
-                        heap,
-                        cpu_threads,
-                        faults,
-                        loop_origin.with_chunk(idx),
-                        Some(kernels),
-                    ) {
+                    match pool.run_parallel(task.loop_, bounds, lo..hi, env, heap, cpu_threads) {
                         Ok(r) => break r.time_s,
                         Err(CpuExecError::Fault(f)) => {
                             report.faults.observe(&f);
@@ -618,15 +595,12 @@ fn greedy_share(
                                 report.faults.escalate(DegradationLevel::Sequential);
                             }
                             // One sequential shot for this batch either way.
-                            let r = run_sequential_with(
-                                program,
-                                &cfg.cpu,
+                            let r = cpu.run_sequential(
                                 task.loop_,
                                 bounds,
                                 lo..hi,
                                 &mut env.clone(),
                                 heap,
-                                Some(kernels),
                             )?;
                             break r.time_s;
                         }
@@ -685,6 +659,7 @@ fn run_mode_b(
     let faults = cfg.faults.as_ref();
     let res = &cfg.resilience;
     let loop_origin = FaultOrigin::for_loop(task.loop_.id);
+    let cpu = task.cpu_ctx(program, cfg, kernels);
     // The sequential rung for mode B restores the heap to its pre-loop
     // state and replays everything on the host.
     let sequential_rung =
@@ -692,16 +667,7 @@ fn run_mode_b(
             report.faults.fallbacks += 1;
             report.faults.escalate(DegradationLevel::Sequential);
             *heap = pristine;
-            let r = run_sequential_with(
-                program,
-                &cfg.cpu,
-                task.loop_,
-                bounds,
-                0..trip,
-                &mut env.clone(),
-                heap,
-                Some(kernels),
-            )?;
+            let r = cpu.run_sequential(task.loop_, bounds, 0..trip, &mut env.clone(), heap)?;
             report.gpu_iters = 0;
             report.cpu_iters = trip;
             report.cpu_busy_s = r.time_s + report.faults.backoff_s;
@@ -808,32 +774,14 @@ pub fn run_cpu_only(
         .kernels
         .clone()
         .unwrap_or_else(|| std::sync::Arc::new(KernelCache::new()));
+    let cpu = task.cpu_ctx(program, cfg, &kernels);
     let r = match mode {
         ExecutionMode::B | ExecutionMode::C => {
             // A true dependence exists somewhere: a plain Java port cannot
             // blindly multithread this loop.
-            run_sequential_with(
-                program,
-                &cfg.cpu,
-                task.loop_,
-                &bounds,
-                0..trip,
-                env,
-                heap,
-                Some(&kernels),
-            )?
+            cpu.run_sequential(task.loop_, &bounds, 0..trip, env, heap)?
         }
-        _ => run_parallel_with(
-            program,
-            &cfg.cpu,
-            task.loop_,
-            &bounds,
-            0..trip,
-            env,
-            heap,
-            threads,
-            Some(&kernels),
-        )?,
+        _ => cpu.run_parallel(task.loop_, &bounds, 0..trip, env, heap, threads)?,
     };
     report.cpu_busy_s = r.time_s;
     report.wall_s = r.time_s;
@@ -857,16 +805,8 @@ pub fn run_cpu_serial(
         .kernels
         .clone()
         .unwrap_or_else(|| std::sync::Arc::new(KernelCache::new()));
-    let r = run_sequential_with(
-        program,
-        &cfg.cpu,
-        task.loop_,
-        &bounds,
-        0..trip,
-        env,
-        heap,
-        Some(&kernels),
-    )?;
+    let cpu = task.cpu_ctx(program, cfg, &kernels);
+    let r = cpu.run_sequential(task.loop_, &bounds, 0..trip, env, heap)?;
     report.cpu_busy_s = r.time_s;
     report.wall_s = r.time_s;
     Ok(report)
@@ -1013,16 +953,13 @@ pub fn run_fixed_split(
         Some(&kernels),
     )?;
     let writes = spec.commit_all_collect()?;
-    let cpu = run_parallel_with(
-        program,
-        &cfg.cpu,
+    let cpu = task.cpu_ctx(program, cfg, &kernels).run_parallel(
         task.loop_,
         &bounds,
         split..trip,
         env,
         heap,
         cfg.cpu_threads,
-        Some(&kernels),
     )?;
     let bytes_out = apply_writes_to_host(heap, &writes)?;
     let d2h = cfg.gpu.transfer_seconds(bytes_out);
@@ -1092,17 +1029,15 @@ mod tests {
     fn seq_reference(fx: &Fx) -> Vec<Vec<f64>> {
         let mut heap = fx.heap.clone();
         let bounds = eval_bounds(&fx.program, &fx.loop_, &fx.env, &mut heap).unwrap();
-        run_sequential_with(
-            &fx.program,
-            &CpuConfig::default(),
-            &fx.loop_,
-            &bounds,
-            0..bounds.trip(),
-            &mut fx.env.clone(),
-            &mut heap,
-            None,
-        )
-        .unwrap();
+        CpuCtx::new(&fx.program, &CpuConfig::default())
+            .run_sequential(
+                &fx.loop_,
+                &bounds,
+                0..bounds.trip(),
+                &mut fx.env.clone(),
+                &mut heap,
+            )
+            .unwrap();
         fx.arrays
             .iter()
             .map(|a| heap.read_doubles(*a).unwrap())

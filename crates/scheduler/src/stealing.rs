@@ -21,7 +21,7 @@ use crate::plan::DataPlan;
 use crate::report::{LoopExecReport, SchedError};
 use crate::sharing::{eval_bounds, stage_device_guarded, transfer_with_retry, LoopTask};
 use japonica_analysis::Pdg;
-use japonica_cpuexec::{run_parallel_guarded_with, run_sequential_with, CpuExecError};
+use japonica_cpuexec::{CpuCtx, CpuExecError};
 use japonica_faults::{DegradationLevel, FaultOrigin, FaultStats};
 use japonica_gpusim::{launch_loop_par_with, DeviceMemory, SimtError};
 use japonica_ir::{Env, Heap, KernelCache, LoopBounds, LoopId, Program, Scheme};
@@ -535,21 +535,18 @@ fn exec_cpu(
     kernels: &KernelCache,
     stats: &mut FaultStats,
 ) -> Result<f64, SchedError> {
-    let faults = cfg.faults.as_ref();
     let origin = FaultOrigin::for_loop(t.task.loop_.id)
         .with_subloop(t.lo)
         .with_chunk(t.sub.0 as u64);
+    let cpu = CpuCtx {
+        faults: cfg.faults.as_ref(),
+        origin,
+        ..t.task.cpu_ctx(program, cfg, kernels)
+    };
     let r = match t.mode {
-        ExecutionMode::B | ExecutionMode::C | ExecutionMode::D => run_sequential_with(
-            program,
-            &cfg.cpu,
-            t.task.loop_,
-            &t.bounds,
-            t.lo..t.hi,
-            &mut env.clone(),
-            heap,
-            Some(kernels),
-        )?,
+        ExecutionMode::B | ExecutionMode::C | ExecutionMode::D => {
+            cpu.run_sequential(t.task.loop_, &t.bounds, t.lo..t.hi, &mut env.clone(), heap)?
+        }
         _ => {
             let threads = t
                 .task
@@ -560,19 +557,7 @@ fn exec_cpu(
                 .unwrap_or(cfg.cpu_threads);
             let mut attempt = 0u32;
             loop {
-                match run_parallel_guarded_with(
-                    program,
-                    &cfg.cpu,
-                    t.task.loop_,
-                    &t.bounds,
-                    t.lo..t.hi,
-                    env,
-                    heap,
-                    threads,
-                    faults,
-                    origin,
-                    Some(kernels),
-                ) {
+                match cpu.run_parallel(t.task.loop_, &t.bounds, t.lo..t.hi, env, heap, threads) {
                     Ok(r) => break r,
                     Err(CpuExecError::Fault(f)) => {
                         stats.observe(&f);
@@ -592,15 +577,12 @@ fn exec_cpu(
                         if stats.cpu_faults >= res.device_fault_tolerance {
                             stats.escalate(DegradationLevel::Sequential);
                         }
-                        break run_sequential_with(
-                            program,
-                            &cfg.cpu,
+                        break cpu.run_sequential(
                             t.task.loop_,
                             &t.bounds,
                             t.lo..t.hi,
                             &mut env.clone(),
                             heap,
-                            Some(kernels),
                         )?;
                     }
                     Err(CpuExecError::Exec(e)) => return Err(e.into()),

@@ -10,17 +10,18 @@
 //!   at `host_threads ∈ {1, 4}`, both with an up-front native compile and
 //!   through the `KernelCache` hit-counter promotion path;
 //! * CPU path: heap memory, op counts, and modeled time for both the
-//!   sequential executor and the chunked parallel executor;
+//!   sequential executor and the chunked parallel executor — and, for the
+//!   kernels static analysis proves independent, the same plus the
+//!   written-back `Env` between the lane-batched path and the scalar VMs;
 //! * TLS path: identical rollback decisions (violations, recovery windows,
 //!   kernels launched) and committed memory on a loop with a seeded
 //!   cross-iteration dependence;
 //! * fault-retry path: identical injected-fault surfacing and identical
 //!   post-retry results on both the GPU and CPU guarded executors.
 
-use japonica_cpuexec::{
-    run_parallel, run_parallel_guarded, run_sequential, CpuConfig, CpuExecError, CpuReport,
-};
-use japonica_faults::{FaultKind, FaultOrigin, FaultPlan, FaultRule};
+use japonica_analysis::analyze_program;
+use japonica_cpuexec::{CpuConfig, CpuCtx, CpuExecError, CpuReport, Independence};
+use japonica_faults::{FaultKind, FaultPlan, FaultRule};
 use japonica_frontend::compile_source;
 use japonica_gpusim::{
     launch_loop_guarded, launch_loop_par, launch_loop_par_with, DeviceConfig, DeviceMemory,
@@ -28,7 +29,7 @@ use japonica_gpusim::{
 };
 use japonica_ir::{
     compile_kernel, ArrayId, Env, ExecEngine, ForLoop, Heap, KernelCache, LoopBounds, Program,
-    Value, NATIVE_PROMOTE_USES,
+    Value, VarId, NATIVE_PROMOTE_USES,
 };
 use japonica_tls::{run_tls_loop, TlsConfig, TlsReport};
 use proptest::prelude::*;
@@ -204,6 +205,7 @@ fn gen_kernel(genes: &[u8]) -> String {
 struct Fx {
     program: Program,
     loop_: ForLoop,
+    num_vars: u32,
     env: Env,
     heap: Heap,
     a: ArrayId,
@@ -237,7 +239,8 @@ fn fx(src: &str, n: usize) -> Fx {
         step: 1,
     };
     Fx {
-        program,
+        num_vars: f.num_vars,
+        program: program.clone(),
         loop_,
         env,
         heap,
@@ -348,38 +351,55 @@ fn run_gpu_cached(
 // CPU path
 // ---------------------------------------------------------------------------
 
-fn run_cpu_seq(fx: &Fx, engine: ExecEngine) -> (CpuFingerprint, Vec<u64>) {
-    let mut cfg = CpuConfig::default();
-    cfg.engine = engine;
-    let mut heap = fx.heap.clone();
-    let r = run_sequential(
-        &fx.program,
-        &cfg,
-        &fx.loop_,
-        &fx.bounds,
-        0..fx.n as u64,
-        &mut fx.env.clone(),
-        &mut heap,
-    )
-    .unwrap();
-    (CpuFingerprint::of(&r), heap_bits(&heap, fx.a))
+fn cpu_ctx<'a>(fx: &'a Fx, cfg: &'a CpuConfig, independence: Independence) -> CpuCtx<'a> {
+    CpuCtx {
+        independence,
+        ..CpuCtx::new(&fx.program, cfg)
+    }
 }
 
-fn run_cpu_par(fx: &Fx, engine: ExecEngine, threads: u32) -> (CpuFingerprint, Vec<u64>) {
+/// Sequential run: report, heap bits of `a`, and the written-back `Env`.
+fn run_cpu_seq(
+    fx: &Fx,
+    engine: ExecEngine,
+    independence: Independence,
+) -> (CpuFingerprint, Vec<u64>, Vec<Option<String>>) {
     let mut cfg = CpuConfig::default();
     cfg.engine = engine;
     let mut heap = fx.heap.clone();
-    let r = run_parallel(
-        &fx.program,
-        &cfg,
-        &fx.loop_,
-        &fx.bounds,
-        0..fx.n as u64,
-        &fx.env,
-        &mut heap,
-        threads,
-    )
-    .unwrap();
+    let mut env = fx.env.clone();
+    let r = cpu_ctx(fx, &cfg, independence)
+        .run_sequential(&fx.loop_, &fx.bounds, 0..fx.n as u64, &mut env, &mut heap)
+        .unwrap();
+    // NaN-proof: doubles compare by bit pattern.
+    let env = (0..fx.num_vars)
+        .map(|v| match env.get(VarId(v)).ok()? {
+            Value::Double(d) => Some(format!("double {:#x}", d.to_bits())),
+            other => Some(format!("{other:?}")),
+        })
+        .collect();
+    (CpuFingerprint::of(&r), heap_bits(&heap, fx.a), env)
+}
+
+fn run_cpu_par(
+    fx: &Fx,
+    engine: ExecEngine,
+    threads: u32,
+    independence: Independence,
+) -> (CpuFingerprint, Vec<u64>) {
+    let mut cfg = CpuConfig::default();
+    cfg.engine = engine;
+    let mut heap = fx.heap.clone();
+    let r = cpu_ctx(fx, &cfg, independence)
+        .run_parallel(
+            &fx.loop_,
+            &fx.bounds,
+            0..fx.n as u64,
+            &fx.env,
+            &mut heap,
+            threads,
+        )
+        .unwrap();
     (CpuFingerprint::of(&r), heap_bits(&heap, fx.a))
 }
 
@@ -537,18 +557,50 @@ proptest! {
             compile_kernel(&fx.program, &fx.loop_).is_ok(),
             "generated kernel must compile to bytecode:\n{}", src
         );
-        let (fw, mw) = run_cpu_seq(&fx, ExecEngine::TreeWalker);
+        let (fw, mw, _) = run_cpu_seq(&fx, ExecEngine::TreeWalker, Independence::Unproven);
         for engine in COMPILED_ENGINES {
-            let (fb, mb) = run_cpu_seq(&fx, engine);
+            let (fb, mb, _) = run_cpu_seq(&fx, engine, Independence::Unproven);
             prop_assert_eq!(&fw, &fb, "{:?} sequential report diverged:\n{}", engine, &src);
             prop_assert_eq!(&mw, &mb, "{:?} sequential memory diverged:\n{}", engine, &src);
         }
         for threads in [1u32, 4] {
-            let (fw, mw) = run_cpu_par(&fx, ExecEngine::TreeWalker, threads);
+            let (fw, mw) = run_cpu_par(&fx, ExecEngine::TreeWalker, threads, Independence::Unproven);
             for engine in COMPILED_ENGINES {
-                let (fb, mb) = run_cpu_par(&fx, engine, threads);
+                let (fb, mb) = run_cpu_par(&fx, engine, threads, Independence::Unproven);
                 prop_assert_eq!(&fw, &fb, "{:?} parallel report diverged at {} threads:\n{}", engine, threads, &src);
                 prop_assert_eq!(&mw, &mb, "{:?} parallel memory diverged at {} threads:\n{}", engine, threads, &src);
+            }
+        }
+    }
+
+    /// Lane-batched CPU path: on every generated kernel static analysis
+    /// proves independent, running 32 iterations at a time through the warp
+    /// sweeps is indistinguishable from the scalar VMs — heap bits,
+    /// per-simulated-thread op counts and seconds, modeled time, and the
+    /// `Env` a sequential run writes back — around every batch-size edge.
+    #[test]
+    fn cpu_lanes_bit_identical_to_scalar(
+        genes in proptest::collection::vec(any::<u8>(), 8..64),
+    ) {
+        let src = gen_kernel(&genes);
+        for trip in [1usize, 31, 32, 33, 100] {
+            let fx = fx(&src, trip);
+            prop_assert!(
+                analyze_program(&fx.program)[&fx.loop_.id].proven_independent(),
+                "the generator's DOALL contract must be provable:\n{}", src
+            );
+            for engine in COMPILED_ENGINES {
+                let scalar = run_cpu_seq(&fx, engine, Independence::Unproven);
+                let lanes = run_cpu_seq(&fx, engine, Independence::Proven);
+                prop_assert_eq!(&scalar, &lanes, "{:?} sequential diverged at trip {}:\n{}", engine, trip, &src);
+                for threads in [1u32, 3, 16] {
+                    let scalar = run_cpu_par(&fx, engine, threads, Independence::Unproven);
+                    let lanes = run_cpu_par(&fx, engine, threads, Independence::Proven);
+                    prop_assert_eq!(
+                        &scalar, &lanes,
+                        "{:?} parallel diverged at trip {} on {} threads:\n{}", engine, trip, threads, &src
+                    );
+                }
             }
         }
     }
@@ -624,11 +676,12 @@ proptest! {
             cfg.engine = engine;
             let mut heap = fx.heap.clone();
             let plan = FaultPlan::new(9, vec![FaultRule::transient(FaultKind::CpuChunk, 1)]);
+            let guarded = CpuCtx {
+                faults: Some(&plan),
+                ..CpuCtx::new(&fx.program, &cfg)
+            };
             let run = |heap: &mut Heap| {
-                run_parallel_guarded(
-                    &fx.program, &cfg, &fx.loop_, &fx.bounds, 0..fx.n as u64,
-                    &fx.env, heap, 4, Some(&plan), FaultOrigin::default(),
-                )
+                guarded.run_parallel(&fx.loop_, &fx.bounds, 0..fx.n as u64, &fx.env, heap, 4)
             };
             let first = run(&mut heap);
             prop_assert!(
