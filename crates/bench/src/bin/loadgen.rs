@@ -1187,7 +1187,7 @@ fn run_sessions(o: &Opts) -> ExitCode {
     };
     let pool_ok = thr
         .with_serve(|s| {
-            let snap = s.pool().snapshot();
+            let snap = s.pool_snapshots()[0];
             snap.free_sms == snap.sm_count && snap.free_cpu_slots == snap.cpu_slots
         })
         .unwrap_or(false);

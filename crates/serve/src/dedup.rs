@@ -11,10 +11,10 @@
 //!
 //! Under chaos the job salt seeds the fault draws and therefore the rung
 //! walk, so the salt joins the key whenever the fleet has a fault template:
-//! same key ⇒ same salt ⇒ identical ladder, which is what keeps the
-//! threaded service and the virtual-clock simulator in lockstep on
-//! `dedup_joins`, rung counters and fault totals even though they coalesce
-//! at different wall-clock moments. `chaos_panic` jobs never dedup — a
+//! same key ⇒ same salt ⇒ identical ladder, so `dedup_joins`, rung
+//! counters and fault totals do not depend on *which* duplicate led or on
+//! when the duplicates coalesced — the threaded and the virtual-clock
+//! driver agree on them whatever their timing. `chaos_panic` jobs never dedup — a
 //! deliberately panicking probe must panic every time it is submitted.
 //!
 //! Completed identities are memoized in a bounded FIFO table so a duplicate
@@ -28,7 +28,7 @@ use crate::job::JobRequest;
 use japonica::RunReport;
 use japonica_ir::{ArrayData, Heap, Value};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Mutex;
+use std::sync::Arc;
 
 /// Default capacity of the recently-completed memo table.
 pub const DEFAULT_DEDUP_CAPACITY: usize = 1024;
@@ -235,105 +235,85 @@ pub struct DoneEntry {
     pub attempts: u64,
 }
 
-/// What a pop-time dedup lookup resolved to.
-pub enum DedupRole<W> {
-    /// First of its key: caller must execute and then [`DedupTable::complete`].
-    Lead(W),
-    /// A leader is in flight; the waiter was parked and will be handed back
-    /// to the leader's `complete` call.
-    Joined,
-    /// The key completed recently: the memoized verdict applies immediately.
-    Done(W, std::sync::Arc<DoneEntry>),
-    /// Dedup is disabled (or the job opted out): execute solo.
-    Solo(W),
+/// What a first-dispatch dedup lookup resolved to.
+pub(crate) enum Lookup {
+    /// First of its key: the job executes and leads the key.
+    Lead,
+    /// A leader is in flight: the job parks on it.
+    InFlight,
+    /// The key completed recently: the memoized verdict applies at once.
+    Done(Arc<DoneEntry>),
 }
 
-struct TableState<W> {
+/// The dedup registry: keys with a leader dispatched but not yet retired
+/// (plus the duplicates parked on them) and the bounded FIFO memo of
+/// recently completed keys. Pure state — the dispatch core owns one.
+pub(crate) struct DedupState<W> {
+    capacity: usize,
     inflight: BTreeMap<DedupKey, Vec<W>>,
-    done: BTreeMap<DedupKey, std::sync::Arc<DoneEntry>>,
+    done: BTreeMap<DedupKey, Arc<DoneEntry>>,
     done_order: VecDeque<DedupKey>,
 }
 
-/// The threaded service's dedup registry (in-flight + recently-completed).
-pub struct DedupTable<W> {
-    cfg: DedupConfig,
-    state: Mutex<TableState<W>>,
-    hits: std::sync::atomic::AtomicU64,
-}
-
-impl<W> DedupTable<W> {
-    pub fn new(cfg: DedupConfig) -> DedupTable<W> {
-        DedupTable {
-            cfg,
-            state: Mutex::new(TableState {
-                inflight: BTreeMap::new(),
-                done: BTreeMap::new(),
-                done_order: VecDeque::new(),
-            }),
-            hits: std::sync::atomic::AtomicU64::new(0),
+impl<W> DedupState<W> {
+    /// An empty registry memoizing at most `capacity` completed keys.
+    pub fn new(capacity: usize) -> DedupState<W> {
+        DedupState {
+            capacity,
+            inflight: BTreeMap::new(),
+            done: BTreeMap::new(),
+            done_order: VecDeque::new(),
         }
     }
 
-    pub fn enabled(&self) -> bool {
-        self.cfg.enabled
-    }
-
-    /// Table hits (joins against an in-flight leader or the memo table).
-    pub fn hits(&self) -> u64 {
-        self.hits.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Resolve one popped job: become the leader, join an in-flight leader
-    /// (parking `waiter`), or take a memoized verdict. `dedup_me` is false
-    /// for jobs that must never coalesce (`chaos_panic` probes).
-    pub fn resolve(&self, key: DedupKey, dedup_me: bool, waiter: W) -> DedupRole<W> {
-        if !self.cfg.enabled || !dedup_me {
-            return DedupRole::Solo(waiter);
-        }
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(done) = st.done.get(&key) {
-            self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let done = done.clone();
-            return DedupRole::Done(waiter, done);
-        }
-        match st.inflight.get_mut(&key) {
-            Some(waiters) => {
-                waiters.push(waiter);
-                self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                DedupRole::Joined
-            }
-            None => {
-                st.inflight.insert(key, Vec::new());
-                DedupRole::Lead(waiter)
-            }
+    pub fn lookup(&self, key: &DedupKey) -> Lookup {
+        if self.inflight.contains_key(key) {
+            Lookup::InFlight
+        } else if let Some(e) = self.done.get(key) {
+            Lookup::Done(Arc::clone(e))
+        } else {
+            Lookup::Lead
         }
     }
 
-    /// Retire a leader: memoize its verdict (bounded FIFO) and hand back
-    /// every parked waiter for fan-out. `memoize` is false when the leader
-    /// did not actually execute (service shutdown) — waiters then must not
-    /// inherit a verdict that never happened.
-    pub fn complete(
-        &self,
-        key: DedupKey,
-        entry: Option<DoneEntry>,
-    ) -> (Vec<W>, Option<std::sync::Arc<DoneEntry>>) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let waiters = st.inflight.remove(&key).unwrap_or_default();
-        let memo = entry.map(std::sync::Arc::new);
-        if let Some(m) = &memo {
-            if self.cfg.capacity > 0 {
-                if st.done.len() >= self.cfg.capacity {
-                    if let Some(old) = st.done_order.pop_front() {
-                        st.done.remove(&old);
-                    }
-                }
-                if st.done.insert(key, m.clone()).is_none() {
-                    st.done_order.push_back(key);
+    /// Register `key`'s leader: later duplicates park instead of executing.
+    pub fn lead(&mut self, key: DedupKey) {
+        self.inflight.entry(key).or_default();
+    }
+
+    /// Park a duplicate on `key`'s in-flight leader.
+    pub fn park(&mut self, key: DedupKey, waiter: W) {
+        self.inflight.entry(key).or_default().push(waiter);
+    }
+
+    /// Retire `key`'s leader: memoize its verdict (bounded FIFO) and hand
+    /// back every parked duplicate for fan-out.
+    pub fn complete(&mut self, key: DedupKey, entry: Arc<DoneEntry>) -> Vec<W> {
+        let waiters = self.inflight.remove(&key).unwrap_or_default();
+        if self.capacity > 0 {
+            if self.done.len() >= self.capacity {
+                if let Some(old) = self.done_order.pop_front() {
+                    self.done.remove(&old);
                 }
             }
+            if self.done.insert(key, entry).is_none() {
+                self.done_order.push_back(key);
+            }
         }
-        (waiters, memo)
+        waiters
+    }
+
+    /// Keys with a leader in flight.
+    pub fn in_flight(&self) -> usize {
+        self.inflight.len()
+    }
+
+    /// Take every parked duplicate (their leaders will never retire).
+    pub fn drain_parked(&mut self) -> Vec<W> {
+        std::mem::take(&mut self.inflight)
+            .into_values()
+            .flatten()
+            .collect()
     }
 }
 
@@ -383,62 +363,46 @@ mod tests {
         assert_ne!(k0, dedup_key(&resized, false), "resource slice");
     }
 
+    fn done(attempts: u64) -> Arc<DoneEntry> {
+        Arc::new(DoneEntry {
+            verdict: Ok((RunReport::default(), Heap::default())),
+            attempts,
+        })
+    }
+
     #[test]
-    fn table_leads_joins_and_memoizes() {
-        let t: DedupTable<u32> = DedupTable::new(DedupConfig::enabled());
+    fn state_leads_parks_and_memoizes() {
+        let mut t: DedupState<u32> = DedupState::new(DEFAULT_DEDUP_CAPACITY);
         let k = dedup_key(&req("int f() { return 1; }", 0), false);
-        assert!(matches!(t.resolve(k, true, 1), DedupRole::Lead(1)));
-        assert!(matches!(t.resolve(k, true, 2), DedupRole::Joined));
-        assert!(matches!(t.resolve(k, true, 3), DedupRole::Joined));
-        assert_eq!(t.hits(), 2);
-        let (waiters, memo) = t.complete(
-            k,
-            Some(DoneEntry {
-                verdict: Ok((RunReport::default(), Heap::default())),
-                attempts: 1,
-            }),
-        );
-        assert_eq!(waiters, vec![2, 3]);
-        assert!(memo.is_some());
+        assert!(matches!(t.lookup(&k), Lookup::Lead));
+        t.lead(k);
+        assert!(matches!(t.lookup(&k), Lookup::InFlight));
+        t.park(k, 2);
+        t.park(k, 3);
+        assert_eq!(t.in_flight(), 1);
+        assert_eq!(t.complete(k, done(1)), vec![2, 3]);
+        assert_eq!(t.in_flight(), 0);
         // Late join hits the memo table.
-        match t.resolve(k, true, 4) {
-            DedupRole::Done(4, e) => assert_eq!(e.attempts, 1),
+        match t.lookup(&k) {
+            Lookup::Done(e) => assert_eq!(e.attempts, 1),
             _ => panic!("late duplicate must take the memoized verdict"),
         }
-        assert_eq!(t.hits(), 3);
     }
 
     #[test]
     fn memo_table_is_bounded_fifo() {
-        let t: DedupTable<u32> = DedupTable::new(DedupConfig {
-            enabled: true,
-            capacity: 2,
-        });
+        let mut t: DedupState<u32> = DedupState::new(2);
         let keys: Vec<DedupKey> = (0..3)
             .map(|i| dedup_key(&req(&format!("int f() {{ return {i}; }}"), 0), false))
             .collect();
         for &k in &keys {
-            assert!(matches!(t.resolve(k, true, 0), DedupRole::Lead(_)));
-            t.complete(
-                k,
-                Some(DoneEntry {
-                    verdict: Ok((RunReport::default(), Heap::default())),
-                    attempts: 1,
-                }),
-            );
+            assert!(matches!(t.lookup(&k), Lookup::Lead));
+            t.lead(k);
+            t.complete(k, done(1));
         }
         // Oldest key evicted; the two newest remain.
-        assert!(matches!(t.resolve(keys[0], true, 0), DedupRole::Lead(_)));
-        assert!(matches!(t.resolve(keys[1], true, 0), DedupRole::Done(..)));
-        assert!(matches!(t.resolve(keys[2], true, 0), DedupRole::Done(..)));
-    }
-
-    #[test]
-    fn disabled_table_and_optouts_run_solo() {
-        let t: DedupTable<u32> = DedupTable::new(DedupConfig::default());
-        let k = dedup_key(&req("int f() { return 1; }", 0), false);
-        assert!(matches!(t.resolve(k, true, 7), DedupRole::Solo(7)));
-        let on: DedupTable<u32> = DedupTable::new(DedupConfig::enabled());
-        assert!(matches!(on.resolve(k, false, 9), DedupRole::Solo(9)));
+        assert!(matches!(t.lookup(&keys[0]), Lookup::Lead));
+        assert!(matches!(t.lookup(&keys[1]), Lookup::Done(..)));
+        assert!(matches!(t.lookup(&keys[2]), Lookup::Done(..)));
     }
 }

@@ -1,5 +1,9 @@
-//! The device fleet: N independent [`DevicePool`]s with per-device health
-//! tracking and a serve-layer retry/failover ladder.
+//! The device fleet: N independent devices with per-device health
+//! tracking and a serve-layer retry/failover ladder. This module holds the
+//! fleet's *policy pieces* — configuration, the retry budget, the health
+//! circuit breaker, device selection and the per-device kernel registry;
+//! the dispatch core ([`crate::dispatch`]) owns one of each per device and
+//! is the only code that drives them.
 //!
 //! PR 1's resilience ladder lives *inside* one scheduler run (retry a
 //! chunk, resubmit it on the other device, degrade the run). This module
@@ -23,7 +27,7 @@
 //! job therefore walks the *same* rung sequence and produces bit-identical
 //! per-attempt reports whether it runs threaded, in the virtual-clock
 //! simulator, or solo on a single-device fleet. Health tracking can only
-//! redirect *which pool* serves a rung; it never skips or reorders rungs.
+//! redirect *which device* serves a rung; it never skips or reorders rungs.
 //!
 //! Health is a per-device circuit breaker: a sliding window of attempt
 //! outcomes drives Healthy → Suspect → Quarantined transitions, and a
@@ -33,13 +37,10 @@
 //! is quarantined and probes keep failing, dispatch proceeds anyway with
 //! the event marked `forced`, so the fleet can never livelock.
 
-use crate::error::Rejected;
-use crate::pool::{DevicePool, ResourceRequest};
 use japonica_faults::{FaultOrigin, FaultPlan};
 use japonica_ir::KernelCache;
 use japonica_scheduler::SchedulerConfig;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Index of a device in the fleet (dense, stable for the fleet's life).
@@ -409,8 +410,6 @@ pub fn probe_draw(template: Option<&FaultPlan>, probe_index: u64) -> bool {
 /// fleet's current health states, and run the quarantine/probe machinery.
 /// Returns `(device, forced)`.
 ///
-/// Shared verbatim by the threaded fleet and the virtual-clock simulator so
-/// both make identical placement decisions from identical health states.
 /// The preference order is a pure function of `(rung, salt, states)`:
 /// rungs 0 and 1 prefer the home device (`salt % n`), rung 2 prefers the
 /// healthiest *other* device, and the CPU rung the healthiest device
@@ -561,171 +560,6 @@ impl ProgramKernels {
     }
 }
 
-struct FleetDevice {
-    pool: DevicePool,
-    template: Option<FaultPlan>,
-    health: Mutex<HealthTracker>,
-    kernels: ProgramKernels,
-}
-
-/// The threaded fleet: N independent pools plus shared health state.
-pub struct Fleet {
-    devices: Vec<FleetDevice>,
-    retry: RetryPolicy,
-    /// Fleet-wide forced-dispatch count (mirrors the per-device counters;
-    /// cheap to read on the stats path).
-    forced: AtomicU64,
-}
-
-impl Fleet {
-    /// Build the fleet (at least one device; an empty config gets a
-    /// default single device).
-    pub fn new(mut cfg: FleetConfig) -> Fleet {
-        if cfg.devices.is_empty() {
-            cfg.devices.push(FleetDeviceConfig {
-                base: SchedulerConfig::default(),
-                cpu_slots: 16,
-                fault_template: None,
-            });
-        }
-        let health = cfg.health;
-        Fleet {
-            devices: cfg
-                .devices
-                .into_iter()
-                .enumerate()
-                .map(|(i, d)| FleetDevice {
-                    pool: DevicePool::new(d.base, d.cpu_slots),
-                    template: d.fault_template,
-                    health: Mutex::new(HealthTracker::new(i, health.clone())),
-                    kernels: ProgramKernels::new(DEFAULT_KERNELS_PER_DEVICE),
-                })
-                .collect(),
-            retry: cfg.retry,
-            forced: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of devices.
-    pub fn len(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// Whether the fleet has no devices (never true after `new`).
-    pub fn is_empty(&self) -> bool {
-        self.devices.is_empty()
-    }
-
-    /// The retry/failover policy.
-    pub fn retry(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
-    /// Device `i`'s pool.
-    pub fn pool(&self, i: usize) -> &DevicePool {
-        &self.devices[i].pool
-    }
-
-    /// Device `i`'s fault template.
-    pub fn template(&self, i: usize) -> Option<&FaultPlan> {
-        self.devices[i].template.as_ref()
-    }
-
-    /// Does any device carry a fault template (i.e. can attempts fault)?
-    pub fn any_template(&self) -> bool {
-        self.devices.iter().any(|d| d.template.is_some())
-    }
-
-    /// Admission screen: `req` must be satisfiable by at least one device.
-    pub fn admissible(&self, req: ResourceRequest) -> Result<(), Rejected> {
-        let mut last = Ok(());
-        for d in &self.devices {
-            match d.pool.admissible(req) {
-                Ok(()) => return Ok(()),
-                e @ Err(_) => last = e,
-            }
-        }
-        last
-    }
-
-    /// Health-aware device choice for one ladder rung (locks each
-    /// tracker briefly; the decision itself is the shared
-    /// [`select_device`] policy).
-    pub fn choose(&self, rung: u32, salt: u64) -> (usize, bool) {
-        let mut trackers: Vec<HealthTracker> = self
-            .devices
-            .iter()
-            .map(|d| d.health.lock().unwrap_or_else(|e| e.into_inner()).clone())
-            .collect();
-        let templates: Vec<Option<FaultPlan>> =
-            self.devices.iter().map(|d| d.template.clone()).collect();
-        let (dev, forced) = select_device(rung, salt, &mut trackers, &templates);
-        // Write back the chosen tracker's probe/dispatch mutations (the
-        // others were only read). Lost updates under contention only skew
-        // heuristics, never correctness: health gates placement, not rungs.
-        *self.devices[dev]
-            .health
-            .lock()
-            .unwrap_or_else(|e| e.into_inner()) = trackers.swap_remove(dev);
-        if forced {
-            self.forced.fetch_add(1, Ordering::Relaxed);
-        }
-        (dev, forced)
-    }
-
-    /// Record one attempt outcome against device `dev`.
-    pub fn record_outcome(&self, dev: usize, fault: bool) {
-        self.devices[dev]
-            .health
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .record_outcome(fault);
-    }
-
-    /// The per-program kernel-cache registry of one device.
-    pub fn kernels(&self, dev: usize) -> &ProgramKernels {
-        &self.devices[dev].kernels
-    }
-
-    /// Per-device kernel-cache aggregates (batch-dispatch efficacy).
-    pub fn kernel_stats(&self) -> Vec<DeviceKernelStats> {
-        self.devices
-            .iter()
-            .enumerate()
-            .map(|(i, d)| d.kernels.stats(i))
-            .collect()
-    }
-
-    /// Per-device health snapshots.
-    pub fn device_stats(&self) -> Vec<DeviceHealthStats> {
-        self.devices
-            .iter()
-            .map(|d| {
-                d.health
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .snapshot()
-            })
-            .collect()
-    }
-
-    /// Close every pool (used on shutdown).
-    pub fn close(&self) {
-        for d in &self.devices {
-            d.pool.close();
-        }
-    }
-}
-
-impl std::fmt::Debug for Fleet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Fleet")
-            .field("devices", &self.devices.len())
-            .field("retry", &self.retry)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -862,22 +696,5 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.iter().any(|x| *x) && a.iter().any(|x| !*x));
         assert!(probe_draw(None, 7));
-    }
-
-    #[test]
-    fn fleet_builds_pools_and_screens_admission() {
-        let fleet = Fleet::new(FleetConfig::uniform(
-            2,
-            SchedulerConfig::default(),
-            16,
-            None,
-        ));
-        assert_eq!(fleet.len(), 2);
-        assert!(fleet.admissible(ResourceRequest::new(14, 16)).is_ok());
-        assert!(fleet.admissible(ResourceRequest::new(15, 1)).is_err());
-        assert!(!fleet.any_template());
-        let stats = fleet.device_stats();
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats[1].device, 1);
     }
 }

@@ -2,10 +2,12 @@
 
 use crate::cache::ProgramCache;
 use crate::error::ServeError;
+use crate::fleet::CPU_RUNG;
 use crate::pool::ResourceRequest;
 use japonica::{RunReport, Runtime, RuntimeConfig};
+use japonica_faults::FaultPlan;
 use japonica_gpusim::DevicePartition;
-use japonica_ir::{Heap, Scheme, Value};
+use japonica_ir::{Heap, KernelCache, Scheme, Value};
 use japonica_scheduler::SchedulerConfig;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -63,7 +65,7 @@ pub struct JobRequest {
     /// promoted native tiers) survive across submissions. Warmth never
     /// changes result bits, only host time, so every bit-identity oracle
     /// is unaffected by the override.
-    pub kernels: Option<Arc<japonica_ir::KernelCache>>,
+    pub kernels: Option<Arc<KernelCache>>,
 }
 
 impl JobRequest {
@@ -124,7 +126,7 @@ impl JobRequest {
 
     /// Route execution through a caller-owned kernel cache (session state)
     /// instead of the fleet's per-device registry.
-    pub fn with_kernels(mut self, kernels: Arc<japonica_ir::KernelCache>) -> JobRequest {
+    pub fn with_kernels(mut self, kernels: Arc<KernelCache>) -> JobRequest {
         self.kernels = Some(kernels);
         self
     }
@@ -176,41 +178,60 @@ impl JobHandle {
     }
 }
 
-/// Compile (through `cache`) and run one ladder attempt of a job on
-/// `partition` of `base`, with the attempt's derived fault plan and
-/// placement mode. This is the single execution path shared by the
-/// threaded service and the deterministic virtual-clock simulator, so both
-/// produce bit-identical per-job reports for equal partitions and plans.
+/// One ladder attempt as the dispatch core describes it on a ticket: where
+/// it runs, at which rung, and under which derived fault plan.
+#[derive(Debug, Clone)]
+pub struct Attempt {
+    /// Fleet device the attempt was placed on.
+    pub device: usize,
+    /// That device's platform (the slice is carved out of it).
+    pub base: Arc<SchedulerConfig>,
+    /// The carved SM slice.
+    pub partition: DevicePartition,
+    /// CPU worker slots held with the slice.
+    pub cpu_slots: u32,
+    /// Ladder rung (0 = first try; [`CPU_RUNG`] and past run CPU-only).
+    pub rung: u32,
+    /// Whether quarantine was bypassed via the forced-dispatch hatch.
+    pub forced: bool,
+    /// The device template reseeded for `(job salt, rung)`; `None` on a
+    /// fault-free device and always on the CPU rung.
+    pub plan: Option<FaultPlan>,
+    /// Kernel cache to execute through: the request's session-owned cache
+    /// when it carries one, else the device's program-scoped registry.
+    pub kernels: Arc<KernelCache>,
+}
+
+/// Compile (through `cache`) and run one ladder attempt of a job on the
+/// attempt's slice, with its derived fault plan and placement mode. This is
+/// the single execution path under both drivers of the dispatch core, so
+/// they produce bit-identical per-job reports for equal partitions and
+/// plans.
 ///
-/// When a plan is installed (and the attempt is not CPU-only), the
-/// scheduler runs *fail-fast*: the in-run recovery ladder is disabled so
-/// the first device fault escapes — with its accumulated `FaultStats` — to
-/// the serve-layer ladder, which owns retry placement across the fleet.
-/// CPU-only attempts carry no plan at all (the paper's baseline executor
-/// has no fault injection points), so the final rung is guaranteed to be
-/// fault-free.
-#[allow(clippy::too_many_arguments)]
+/// When a plan is installed, the scheduler runs *fail-fast*: the in-run
+/// recovery ladder is disabled so the first device fault escapes — with its
+/// accumulated `FaultStats` — to the serve-layer ladder, which owns retry
+/// placement across the fleet. CPU-only attempts carry no plan at all (the
+/// paper's baseline executor has no fault injection points), so the final
+/// rung is guaranteed to be fault-free.
 pub(crate) fn execute_attempt(
     cache: &ProgramCache,
-    base: &SchedulerConfig,
-    partition: DevicePartition,
-    cpu_slots: u32,
+    attempt: &Attempt,
     req: &JobRequest,
     heap: &mut Heap,
-    plan: Option<japonica_faults::FaultPlan>,
-    cpu_only: bool,
-    kernels: Option<Arc<japonica_ir::KernelCache>>,
 ) -> Result<RunReport, ServeError> {
     let compiled = cache.get_or_compile(&req.source)?;
-    let mut sched = base.clone().with_partition(partition, cpu_slots);
+    let mut sched = (*attempt.base)
+        .clone()
+        .with_partition(attempt.partition, attempt.cpu_slots);
     // Program-scoped kernel/native-tier cache (batch dispatch keeps it
     // warm). Engine warmth never changes result bits, only host time.
-    sched.kernels = kernels;
+    sched.kernels = Some(Arc::clone(&attempt.kernels));
     if let Some(s) = req.subloops_per_task {
         sched.subloops_per_task = s;
     }
-    sched.cpu_only = cpu_only;
-    sched.faults = if cpu_only { None } else { plan };
+    sched.cpu_only = attempt.rung >= CPU_RUNG;
+    sched.faults = attempt.plan.clone();
     if sched.faults.is_some() {
         sched.resilience.fail_fast = true;
         sched.resilience.max_retries = 0;
@@ -248,12 +269,20 @@ mod tests {
             Heap::new(),
             ResourceRequest::new(7, 8),
         );
-        let part = DevicePartition {
-            sm_base: 7,
-            sm_count: 7,
+        let on = |sm_base: u32| Attempt {
+            device: 0,
+            base: Arc::new(base.clone()),
+            partition: DevicePartition {
+                sm_base,
+                sm_count: 7,
+            },
+            cpu_slots: 8,
+            rung: 0,
+            forced: false,
+            plan: None,
+            kernels: Arc::new(KernelCache::new()),
         };
-        let report =
-            execute_attempt(&cache, &base, part, 8, &req, &mut heap, None, false, None).unwrap();
+        let report = execute_attempt(&cache, &on(7), &req, &mut heap).unwrap();
         assert_eq!(report.loops.len(), 1);
         assert!(heap.read_doubles(a).unwrap().iter().all(|&v| v == 2.0));
         // Identical job on the [0,7) slice: bit-identical simulated time.
@@ -266,14 +295,7 @@ mod tests {
             Heap::new(),
             ResourceRequest::new(7, 8),
         );
-        let part2 = DevicePartition {
-            sm_base: 0,
-            sm_count: 7,
-        };
-        let r2 = execute_attempt(
-            &cache, &base, part2, 8, &req2, &mut heap2, None, false, None,
-        )
-        .unwrap();
+        let r2 = execute_attempt(&cache, &on(0), &req2, &mut heap2).unwrap();
         assert_eq!(report.total_s.to_bits(), r2.total_s.to_bits());
         assert_eq!(report.summary(), r2.summary());
         assert_eq!(cache.hits(), 1);

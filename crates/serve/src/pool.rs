@@ -1,22 +1,18 @@
-//! The shared device pool: leases disjoint SM slices and CPU worker slots
-//! to in-flight jobs.
+//! Device-slice allocation: which SMs and CPU worker slots of one device
+//! are free, and how a request is carved out of them.
 //!
-//! The pool owns one simulated CPU+GPU platform (a base
-//! [`SchedulerConfig`]). A tenant asks for `sms` streaming multiprocessors
-//! and `cpu_slots` worker threads; the pool carves a *contiguous, disjoint*
-//! SM slice out of the device (first fit, lowest base first — a
-//! deterministic policy shared with the virtual-clock simulator) and hands
-//! back a [`DeviceLease`]. The lease's [`DeviceLease::scheduler_config`] is
-//! the only way work should reach the schedulers: it restricts the GPU
-//! simulation to the slice and the CPU side to the leased slots, so
+//! A tenant asks for `sms` streaming multiprocessors and `cpu_slots` worker
+//! threads; the [`PartitionAllocator`] carves a *contiguous, disjoint* SM
+//! slice out of the device (first fit, lowest base first — a deterministic
+//! policy) or reports that the request cannot be placed right now. The
+//! dispatch core owns one allocator per fleet device; work reaches the
+//! schedulers only through a carved partition, which restricts the GPU
+//! simulation to the slice and the CPU side to the held slots, so
 //! neighbors never observe each other and every simulated quantity is
 //! bit-identical to a solo run on an equal-sized partition.
 
 use crate::error::Rejected;
 use japonica_gpusim::DevicePartition;
-use japonica_scheduler::SchedulerConfig;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
 
 /// What one job asks the pool for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,9 +30,7 @@ impl ResourceRequest {
     }
 }
 
-/// Pure allocation state: which SMs and CPU slots are free. Shared by the
-/// live [`DevicePool`] and the deterministic virtual-clock simulator so
-/// both place partitions identically.
+/// Pure allocation state of one device: which SMs and CPU slots are free.
 #[derive(Debug, Clone)]
 pub struct PartitionAllocator {
     sm_taken: Vec<bool>,
@@ -72,6 +66,23 @@ impl PartitionAllocator {
     /// Currently free CPU slots.
     pub fn free_cpu_slots(&self) -> u32 {
         self.cpu_free
+    }
+
+    /// Validate that `req` could *ever* be satisfied by this device.
+    pub fn admissible(&self, req: ResourceRequest) -> Result<(), Rejected> {
+        let (sms, slots) = (self.sm_count(), self.cpu_slots);
+        if req.sms == 0 || req.cpu_slots == 0 {
+            return Err(Rejected::InvalidRequest(
+                "a job needs at least 1 SM and 1 CPU slot".into(),
+            ));
+        }
+        if req.sms > sms || req.cpu_slots > slots {
+            return Err(Rejected::InvalidRequest(format!(
+                "request {}sm/{}cpu exceeds the pool ({sms}sm/{slots}cpu)",
+                req.sms, req.cpu_slots
+            )));
+        }
+        Ok(())
     }
 
     /// First-fit: the lowest contiguous run of `sms` free SMs, plus
@@ -113,34 +124,10 @@ impl PartitionAllocator {
     }
 }
 
-#[derive(Debug)]
-struct PoolState {
-    alloc: PartitionAllocator,
-    /// Σ (seconds held × SMs) over released leases — the numerator of the
-    /// pool's SM-occupancy figure.
-    busy_sm_s: f64,
-    closed: bool,
-}
-
-#[derive(Debug)]
-struct PoolInner {
-    state: Mutex<PoolState>,
-    freed: Condvar,
-    base: SchedulerConfig,
-    opened: Instant,
-}
-
-/// The shared platform: one simulated device + CPU complex, leased out in
-/// disjoint slices.
-#[derive(Debug, Clone)]
-pub struct DevicePool {
-    inner: Arc<PoolInner>,
-}
-
-/// A snapshot of the pool's utilization.
+/// A snapshot of one device's utilization.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoolSnapshot {
-    /// Total SMs of the shared device.
+    /// Total SMs of the device.
     pub sm_count: u32,
     /// SMs free right now.
     pub free_sms: u32,
@@ -148,217 +135,14 @@ pub struct PoolSnapshot {
     pub cpu_slots: u32,
     /// CPU slots free right now.
     pub free_cpu_slots: u32,
-    /// Mean SM occupancy since the pool opened: Σ(lease seconds × SMs) of
-    /// *released* leases over (elapsed × total SMs), in [0, 1].
+    /// Mean SM occupancy since the service started: Σ(held seconds × SMs)
+    /// of *released* slices over (elapsed × total SMs), in [0, 1].
     pub sm_occupancy: f64,
-}
-
-impl DevicePool {
-    /// A pool over `base`'s whole platform, with `cpu_slots` leasable CPU
-    /// worker slots (the paper's 16 threads by default).
-    pub fn new(base: SchedulerConfig, cpu_slots: u32) -> DevicePool {
-        let sms = base.gpu.sm_count;
-        DevicePool {
-            inner: Arc::new(PoolInner {
-                state: Mutex::new(PoolState {
-                    alloc: PartitionAllocator::new(sms, cpu_slots.max(1)),
-                    busy_sm_s: 0.0,
-                    closed: false,
-                }),
-                freed: Condvar::new(),
-                base,
-                opened: Instant::now(),
-            }),
-        }
-    }
-
-    /// The platform configuration the pool slices up.
-    pub fn base_config(&self) -> &SchedulerConfig {
-        &self.inner.base
-    }
-
-    /// Validate that `req` could *ever* be satisfied by this pool.
-    pub fn admissible(&self, req: ResourceRequest) -> Result<(), Rejected> {
-        let state = self.lock();
-        let (sms, slots) = (state.alloc.sm_count(), state.alloc.cpu_slots());
-        drop(state);
-        if req.sms == 0 || req.cpu_slots == 0 {
-            return Err(Rejected::InvalidRequest(
-                "a job needs at least 1 SM and 1 CPU slot".into(),
-            ));
-        }
-        if req.sms > sms || req.cpu_slots > slots {
-            return Err(Rejected::InvalidRequest(format!(
-                "request {}sm/{}cpu exceeds the pool ({sms}sm/{slots}cpu)",
-                req.sms, req.cpu_slots
-            )));
-        }
-        Ok(())
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, PoolState> {
-        self.inner.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Non-blocking lease attempt.
-    pub fn try_lease(&self, req: ResourceRequest) -> Option<DeviceLease> {
-        let mut state = self.lock();
-        if state.closed {
-            return None;
-        }
-        state.alloc.try_alloc(req).map(|partition| DeviceLease {
-            pool: Arc::clone(&self.inner),
-            partition,
-            cpu_slots: req.cpu_slots,
-            taken: Instant::now(),
-        })
-    }
-
-    /// Lease `req`, blocking until the resources free up (or the pool
-    /// closes, yielding `None`). Callers should have validated the request
-    /// with [`DevicePool::admissible`] first — an inadmissible request
-    /// would otherwise block until close.
-    pub fn lease(&self, req: ResourceRequest) -> Option<DeviceLease> {
-        let mut state = self.lock();
-        loop {
-            if state.closed {
-                return None;
-            }
-            if let Some(partition) = state.alloc.try_alloc(req) {
-                return Some(DeviceLease {
-                    pool: Arc::clone(&self.inner),
-                    partition,
-                    cpu_slots: req.cpu_slots,
-                    taken: Instant::now(),
-                });
-            }
-            state = self
-                .inner
-                .freed
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Lease `req`, blocking at most `timeout`. The fleet's failover
-    /// ladder uses this to poll its *chosen* device without committing a
-    /// worker forever: placement is a health decision that should be
-    /// re-evaluated, not a queue position.
-    pub fn lease_for(&self, req: ResourceRequest, timeout: std::time::Duration) -> LeaseAttempt {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.lock();
-        loop {
-            if state.closed {
-                return LeaseAttempt::Closed;
-            }
-            if let Some(partition) = state.alloc.try_alloc(req) {
-                return LeaseAttempt::Leased(DeviceLease {
-                    pool: Arc::clone(&self.inner),
-                    partition,
-                    cpu_slots: req.cpu_slots,
-                    taken: Instant::now(),
-                });
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return LeaseAttempt::TimedOut;
-            }
-            let (s, _) = self
-                .inner
-                .freed
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            state = s;
-        }
-    }
-
-    /// Close the pool: blocked `lease` calls return `None`; existing
-    /// leases stay valid until dropped.
-    pub fn close(&self) {
-        self.lock().closed = true;
-        self.inner.freed.notify_all();
-    }
-
-    /// Current utilization.
-    pub fn snapshot(&self) -> PoolSnapshot {
-        let state = self.lock();
-        let elapsed = self.inner.opened.elapsed().as_secs_f64();
-        let denom = elapsed * state.alloc.sm_count() as f64;
-        PoolSnapshot {
-            sm_count: state.alloc.sm_count(),
-            free_sms: state.alloc.free_sms(),
-            cpu_slots: state.alloc.cpu_slots(),
-            free_cpu_slots: state.alloc.free_cpu_slots(),
-            sm_occupancy: if denom > 0.0 {
-                (state.busy_sm_s / denom).clamp(0.0, 1.0)
-            } else {
-                0.0
-            },
-        }
-    }
-}
-
-/// Outcome of a bounded lease attempt ([`DevicePool::lease_for`]).
-#[derive(Debug)]
-pub enum LeaseAttempt {
-    /// Resources carved out; the lease is live.
-    Leased(DeviceLease),
-    /// The timeout elapsed with the request still unplaceable.
-    TimedOut,
-    /// The pool closed while waiting.
-    Closed,
-}
-
-/// An exclusive slice of the shared platform, returned to the pool on
-/// drop. While held, no other tenant can touch its SMs or CPU slots.
-#[derive(Debug)]
-pub struct DeviceLease {
-    pool: Arc<PoolInner>,
-    partition: DevicePartition,
-    cpu_slots: u32,
-    taken: Instant,
-}
-
-impl DeviceLease {
-    /// The SM slice this lease owns.
-    pub fn partition(&self) -> DevicePartition {
-        self.partition
-    }
-
-    /// The CPU worker slots this lease owns.
-    pub fn cpu_slots(&self) -> u32 {
-        self.cpu_slots
-    }
-
-    /// The scheduler view of this lease: the pool's base platform
-    /// restricted to the leased slice. All launch paths (sharing,
-    /// stealing, TLS, profiling) consume the partition through this
-    /// config.
-    pub fn scheduler_config(&self) -> SchedulerConfig {
-        self.pool
-            .base
-            .clone()
-            .with_partition(self.partition, self.cpu_slots)
-    }
-}
-
-impl Drop for DeviceLease {
-    fn drop(&mut self) {
-        let mut state = self.pool.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.alloc.release(self.partition, self.cpu_slots);
-        state.busy_sm_s += self.taken.elapsed().as_secs_f64() * self.partition.sm_count as f64;
-        drop(state);
-        self.pool.freed.notify_all();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn pool() -> DevicePool {
-        DevicePool::new(SchedulerConfig::default(), 16)
-    }
 
     #[test]
     fn first_fit_is_deterministic_and_disjoint() {
@@ -391,99 +175,16 @@ mod tests {
     }
 
     #[test]
-    fn lease_returns_resources_on_drop() {
-        let pool = pool();
-        let lease = pool.try_lease(ResourceRequest::new(14, 16)).unwrap();
-        assert!(pool.try_lease(ResourceRequest::new(1, 1)).is_none());
-        let snap = pool.snapshot();
-        assert_eq!(snap.free_sms, 0);
-        assert_eq!(snap.free_cpu_slots, 0);
-        drop(lease);
-        let snap = pool.snapshot();
-        assert_eq!(snap.free_sms, 14);
-        assert_eq!(snap.free_cpu_slots, 16);
-        assert!(pool.try_lease(ResourceRequest::new(1, 1)).is_some());
-    }
-
-    #[test]
-    fn lease_config_matches_solo_partition_config() {
-        let pool = pool();
-        let lease = pool.try_lease(ResourceRequest::new(7, 8)).unwrap();
-        let leased = lease.scheduler_config();
-        let solo = SchedulerConfig::default().with_partition(lease.partition(), 8);
-        assert_eq!(leased.gpu.effective_sms(), solo.gpu.effective_sms());
-        assert_eq!(leased.cpu_threads, solo.cpu_threads);
-        assert_eq!(
-            leased.boundary_fraction().to_bits(),
-            solo.boundary_fraction().to_bits()
-        );
-    }
-
-    #[test]
     fn admissibility_screens_impossible_requests() {
-        let pool = pool();
-        assert!(pool.admissible(ResourceRequest::new(14, 16)).is_ok());
+        let a = PartitionAllocator::new(14, 16);
+        assert!(a.admissible(ResourceRequest::new(14, 16)).is_ok());
         assert!(matches!(
-            pool.admissible(ResourceRequest::new(15, 1)),
+            a.admissible(ResourceRequest::new(15, 1)),
             Err(Rejected::InvalidRequest(_))
         ));
         assert!(matches!(
-            pool.admissible(ResourceRequest::new(0, 1)),
+            a.admissible(ResourceRequest::new(0, 1)),
             Err(Rejected::InvalidRequest(_))
         ));
-    }
-
-    #[test]
-    fn blocking_lease_wakes_on_release() {
-        let pool = pool();
-        let first = pool.try_lease(ResourceRequest::new(14, 16)).unwrap();
-        let p2 = pool.clone();
-        let t = std::thread::spawn(move || p2.lease(ResourceRequest::new(14, 16)));
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        drop(first);
-        let second = t.join().expect("no panic");
-        assert!(second.is_some());
-    }
-
-    #[test]
-    fn timed_lease_times_out_and_recovers() {
-        let pool = pool();
-        let hold = pool.try_lease(ResourceRequest::new(14, 16)).unwrap();
-        let t0 = std::time::Instant::now();
-        assert!(matches!(
-            pool.lease_for(
-                ResourceRequest::new(1, 1),
-                std::time::Duration::from_millis(10)
-            ),
-            LeaseAttempt::TimedOut
-        ));
-        assert!(t0.elapsed() >= std::time::Duration::from_millis(10));
-        drop(hold);
-        assert!(matches!(
-            pool.lease_for(
-                ResourceRequest::new(1, 1),
-                std::time::Duration::from_millis(10)
-            ),
-            LeaseAttempt::Leased(_)
-        ));
-        pool.close();
-        assert!(matches!(
-            pool.lease_for(
-                ResourceRequest::new(1, 1),
-                std::time::Duration::from_millis(10)
-            ),
-            LeaseAttempt::Closed
-        ));
-    }
-
-    #[test]
-    fn close_unblocks_waiters() {
-        let pool = pool();
-        let _hold = pool.try_lease(ResourceRequest::new(14, 16)).unwrap();
-        let p2 = pool.clone();
-        let t = std::thread::spawn(move || p2.lease(ResourceRequest::new(1, 1)));
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        pool.close();
-        assert!(t.join().expect("no panic").is_none());
     }
 }

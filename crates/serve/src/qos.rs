@@ -2,10 +2,9 @@
 //!
 //! Replaces the service's head-of-line strict priority with deficit-weighted
 //! round-robin (DWRR) across tenant QoS tiers, plus an optional program-hash
-//! batching overlay. One deterministic core — [`DwrrCore`] — defines the
-//! *total dispatch order law* shared verbatim by the threaded
-//! [`crate::JobQueue`] and the virtual-clock `simulate_batch`, so the two
-//! stay in bit-exact lockstep by construction:
+//! batching overlay. One deterministic queue — [`DwrrCore`] — defines the
+//! *total dispatch order law*; the dispatch core
+//! ([`crate::DispatchCore`]) owns one and scans it:
 //!
 //! 1. **Batch preference.** If batching is enabled and the previous pop had
 //!    program hash `H`, every queued job with hash `H` whose tenant has not
@@ -135,9 +134,8 @@ struct QueuedItem<T> {
     item: T,
 }
 
-/// The deterministic DWRR + batching queue core. Not thread-safe — the
-/// threaded [`crate::JobQueue`] wraps it in a mutex; the virtual-clock
-/// simulator owns one outright.
+/// The deterministic DWRR + batching queue. Not thread-safe — it is part
+/// of the single-threaded dispatch core.
 #[derive(Debug)]
 pub(crate) struct DwrrCore<T> {
     qos: QosConfig,
@@ -224,9 +222,8 @@ impl<T> DwrrCore<T> {
     /// preference, then tenant virtual time, then priority/seq) until `f`
     /// takes one; that job is removed, its tenant charged, and the batching
     /// burst state advanced. Skipped jobs are left queued and uncharged —
-    /// this is the simulator's skip-over dispatch scan, and the exact same
-    /// order law the threaded queue's `pop` follows with an always-Take
-    /// visitor.
+    /// this is the dispatch core's skip-over scan; `pop` is the same order
+    /// law with an always-Take visitor.
     pub fn scan(
         &mut self,
         mut f: impl FnMut(&JobMeta, &mut T) -> ScanVerdict,
@@ -281,8 +278,8 @@ impl<T> DwrrCore<T> {
         }
     }
 
-    /// Visit every queued job (arbitrary order, read-only) — the
-    /// simulator's next-event scan over backoff ready-times.
+    /// Visit every queued job (arbitrary order, read-only) — the dispatch
+    /// core's search for the earliest backoff ready-time.
     pub fn for_each(&self, mut f: impl FnMut(&JobMeta, &T)) {
         for q in self.tenants.values() {
             for it in q.values() {
@@ -291,7 +288,7 @@ impl<T> DwrrCore<T> {
         }
     }
 
-    /// Drain every queued job in dispatch order (shutdown path).
+    /// Drain every queued job in dispatch order.
     pub fn drain(&mut self) -> Vec<(JobMeta, u64, T)> {
         let mut out = Vec::with_capacity(self.len);
         while let Some(entry) = self.pop() {

@@ -1,131 +1,55 @@
-//! The long-lived multi-tenant service: admission control in front of a
-//! bounded priority queue, worker threads that lease device slices from
-//! a fleet of shared pools, and exact per-job accounting.
+//! The threaded driver of the dispatch core: a long-lived multi-tenant
+//! service on the host clock.
+//!
+//! [`Serve`] is a [`DispatchCore`] behind a mutex plus a condition
+//! variable. `submit` is *admit* + notify; each worker loops *next* →
+//! execute the ticket outside the lock → *finish* → deliver the verdicts,
+//! and sleeps on the condition variable — until the earliest retry turns
+//! ready, or until an admit or a finish changes what `next` would say.
+//! Every decision is the core's; this file supplies only the clock, the
+//! threads and the result channels.
 //!
 //! Isolation argument: each admitted job owns its heap, executes on a
-//! disjoint [`DeviceLease`](crate::DeviceLease), and layers the PR-1
-//! retry/degrade ladder *inside its own scheduler run*; neighbors never
-//! observe a fault. Above that, the serve-layer failover ladder
-//! ([`crate::fleet`]) reacts to whole-attempt device faults: retry on the
-//! same device, resubmit on the healthiest other device, degrade to a
-//! CPU-only placement, and only then return a typed
-//! [`ServeError::Exhausted`] verdict. A worker that *panics* inside a job
-//! is contained too: the panic is caught, the lease returns, the job
-//! fails alone as [`ServeError::Panicked`], and the worker keeps serving.
+//! disjoint device slice, and layers the PR-1 retry/degrade ladder *inside
+//! its own scheduler run*; neighbors never observe a fault. Above that,
+//! the serve-layer failover ladder ([`crate::fleet`]) reacts to
+//! whole-attempt device faults: retry on the same device, resubmit on the
+//! healthiest other device, degrade to a CPU-only placement, and only then
+//! return a typed [`ServeError::Exhausted`] verdict. A worker that
+//! *panics* inside a job is contained too: the panic is caught, the slice
+//! returns, the job fails alone as [`ServeError::Panicked`], and the
+//! worker keeps serving.
 
-use crate::cache::{content_hash, ProgramCache};
-use crate::dedup::{dedup_key, DedupConfig, DedupRole, DedupTable, DoneEntry};
-use crate::error::{FaultVerdict, Rejected, ServeError};
-use crate::fleet::{attempt_salt, Fleet, FleetConfig, CPU_RUNG};
-use crate::job::{execute_attempt, JobHandle, JobId, JobRequest, JobResult};
-use crate::pool::{DevicePool, LeaseAttempt};
-use crate::qos::{BatchConfig, JobMeta, QosConfig};
-use crate::queue::JobQueue;
-use crate::stats::{LatencyHistogram, ServeStats};
-use japonica::RunReport;
-use japonica_faults::FaultStats;
-use japonica_ir::Heap;
-use japonica_scheduler::{SchedError, SchedulerConfig};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use crate::cache::ProgramCache;
+use crate::dispatch::{DispatchCore, KeyPolicy, Next, ServeConfig, Verdict};
+use crate::error::{Rejected, ServeError};
+use crate::job::{JobHandle, JobId, JobRequest, JobResult};
+use crate::pool::PoolSnapshot;
+use crate::stats::ServeStats;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Service tunables.
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// The shared platform every lease slices (device 0 when no explicit
-    /// fleet is configured).
-    pub base: SchedulerConfig,
-    /// Leasable CPU worker slots (the paper's 16 threads by default).
-    pub cpu_slots: u32,
-    /// Bounded queue capacity — the backpressure knob.
-    pub queue_capacity: usize,
-    /// Dispatcher threads. More workers than the fleet has SMs is never
-    /// useful; 4 covers a half-SM-each four-tenant mix.
-    pub workers: usize,
-    /// Explicit fleet layout (devices, fault templates, retry/health
-    /// policy). `None` builds a single-device fleet from `base` and
-    /// `cpu_slots` — the PR-1 service shape.
-    pub fleet: Option<FleetConfig>,
-    /// Per-tenant DWRR weights (weighted-fair QoS admission). Empty
-    /// (default) = every tenant weighs 1, no per-tenant queue shares —
-    /// which for a single tenant is exactly the old strict-priority order.
-    pub qos: QosConfig,
-    /// Execution dedup (off by default: every submission executes).
-    pub dedup: DedupConfig,
-    /// Program-hash batch dispatch (off by default).
-    pub batch: BatchConfig,
-}
-
-impl Default for ServeConfig {
-    fn default() -> ServeConfig {
-        ServeConfig {
-            base: SchedulerConfig::default(),
-            cpu_slots: 16,
-            queue_capacity: 64,
-            workers: 4,
-            fleet: None,
-            qos: QosConfig::default(),
-            dedup: DedupConfig::default(),
-            batch: BatchConfig::default(),
-        }
-    }
-}
-
-/// One queue entry: the request plus its delivery channel and flags.
-struct QueuedJob {
-    id: JobId,
-    req: JobRequest,
-    /// Program content hash (batching key and kernel-registry key),
-    /// computed once at admission.
-    phash: u64,
-    cancel: Arc<AtomicBool>,
-    submitted: Instant,
-    tx: mpsc::Sender<Result<JobResult, ServeError>>,
-}
-
-/// A duplicate parked on an in-flight leader: everything its own verdict,
-/// latency sample and accounting row need at fan-out time.
-struct Waiter {
-    id: JobId,
-    submitted: Instant,
-    deadline_s: Option<f64>,
-    tx: mpsc::Sender<Result<JobResult, ServeError>>,
-}
-
-#[derive(Default)]
-struct Counters {
-    submitted: AtomicU64,
-    admitted: AtomicU64,
-    rejected_full: AtomicU64,
-    rejected_shutdown: AtomicU64,
-    rejected_invalid: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    deadline_missed: AtomicU64,
-    cancelled: AtomicU64,
-    completed_late: AtomicU64,
-    // Ladder counters, flushed only when a job retires so the extended
-    // accounting identity holds at every snapshot.
-    attempts: AtomicU64,
-    retried: AtomicU64,
-    migrated: AtomicU64,
-    cpu_degraded: AtomicU64,
-    worker_panics: AtomicU64,
-    // Dedup accounting: completed + failed == executions + dedup_joins.
-    executions: AtomicU64,
-    dedup_joins: AtomicU64,
-    dedup_suppressed_attempts: AtomicU64,
-}
+/// Where a job's verdict goes.
+type Delivery = (JobId, mpsc::Sender<Result<JobResult, ServeError>>);
 
 struct Shared {
-    queue: JobQueue<QueuedJob>,
-    fleet: Fleet,
+    core: Mutex<DispatchCore<Delivery>>,
+    /// Signalled whenever `next` may answer differently: an admit, a
+    /// finish, the close.
+    changed: Condvar,
     cache: Arc<ProgramCache>,
-    dedup: DedupTable<Waiter>,
-    counters: Counters,
-    latency: Mutex<LatencyHistogram>,
-    faults: Mutex<FaultStats>,
+    keys: KeyPolicy,
+    started: Instant,
+}
+
+impl Shared {
+    /// The core, with the service's clock read *under* the lock so event
+    /// timestamps are ordered like the events.
+    fn lock(&self) -> (MutexGuard<'_, DispatchCore<Delivery>>, f64) {
+        let core = self.core.lock().unwrap_or_else(|e| e.into_inner());
+        (core, self.started.elapsed().as_secs_f64())
+    }
 }
 
 /// The running service. Dropping it drains the queue (every admitted job
@@ -139,17 +63,14 @@ pub struct Serve {
 impl Serve {
     /// Start the service with `cfg.workers` dispatcher threads.
     pub fn start(cfg: ServeConfig) -> Serve {
-        let fleet_cfg = cfg
-            .fleet
-            .unwrap_or_else(|| FleetConfig::single(cfg.base.clone(), cfg.cpu_slots));
+        let cache = Arc::new(ProgramCache::new());
+        let core = DispatchCore::new(&cfg, Arc::clone(&cache));
         let shared = Arc::new(Shared {
-            queue: JobQueue::with_qos(cfg.queue_capacity, cfg.qos, cfg.batch),
-            fleet: Fleet::new(fleet_cfg),
-            cache: Arc::new(ProgramCache::new()),
-            dedup: DedupTable::new(cfg.dedup),
-            counters: Counters::default(),
-            latency: Mutex::new(LatencyHistogram::new()),
-            faults: Mutex::new(FaultStats::default()),
+            keys: core.key_policy(),
+            core: Mutex::new(core),
+            changed: Condvar::new(),
+            cache,
+            started: Instant::now(),
         });
         let workers = (0..cfg.workers.max(1))
             .map(|_| {
@@ -167,111 +88,27 @@ impl Serve {
     /// Submit one job. `Ok` means admitted: a verdict will arrive on the
     /// handle. `Err` is the synchronous admission-control verdict.
     pub fn submit(&self, req: JobRequest) -> Result<JobHandle, Rejected> {
-        let c = &self.shared.counters;
-        c.submitted.fetch_add(1, Ordering::Relaxed);
-        if let Err(r) = self.shared.fleet.admissible(req.resources) {
-            c.rejected_invalid.fetch_add(1, Ordering::Relaxed);
-            return Err(r);
-        }
+        let job = self.shared.keys.key(req);
         let id = JobId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        let cancel = Arc::new(AtomicBool::new(false));
         let (tx, rx) = mpsc::channel();
-        let meta = JobMeta {
-            prio: req.priority,
-            tenant: req.tenant,
-            hash: content_hash(&req.source),
-        };
-        let job = QueuedJob {
-            id,
-            phash: meta.hash,
-            req,
-            cancel: Arc::clone(&cancel),
-            submitted: Instant::now(),
-            tx,
-        };
-        match self.shared.queue.push_meta(meta, job) {
-            Ok(()) => {
-                c.admitted.fetch_add(1, Ordering::Relaxed);
-                Ok(JobHandle { id, cancel, rx })
-            }
-            Err(r) => {
-                match r {
-                    Rejected::QueueFull { .. } => c.rejected_full.fetch_add(1, Ordering::Relaxed),
-                    Rejected::ShuttingDown => c.rejected_shutdown.fetch_add(1, Ordering::Relaxed),
-                    Rejected::InvalidRequest(_) => {
-                        c.rejected_invalid.fetch_add(1, Ordering::Relaxed)
-                    }
-                };
-                Err(r)
-            }
-        }
+        let (mut core, now) = self.shared.lock();
+        let cancel = core.admit(job, (id, tx), now)?;
+        drop(core);
+        self.shared.changed.notify_one();
+        Ok(JobHandle { id, cancel, rx })
     }
 
-    /// Point-in-time statistics; `accounts_for_every_job()` holds on every
-    /// snapshot.
+    /// Point-in-time statistics, read under the core's lock:
+    /// `accounts_for_every_job()` holds on every snapshot.
     pub fn stats(&self) -> ServeStats {
-        let c = &self.shared.counters;
-        let admitted = c.admitted.load(Ordering::Relaxed);
-        let completed = c.completed.load(Ordering::Relaxed);
-        let failed = c.failed.load(Ordering::Relaxed);
-        let deadline_missed = c.deadline_missed.load(Ordering::Relaxed);
-        let cancelled = c.cancelled.load(Ordering::Relaxed);
-        // Fleet-wide utilization: free SMs sum, occupancy averages.
-        let snaps: Vec<_> = (0..self.shared.fleet.len())
-            .map(|i| self.shared.fleet.pool(i).snapshot())
-            .collect();
-        let free_sms = snaps.iter().map(|s| s.free_sms).sum();
-        let sm_occupancy =
-            snaps.iter().map(|s| s.sm_occupancy).sum::<f64>() / snaps.len().max(1) as f64;
-        ServeStats {
-            submitted: c.submitted.load(Ordering::Relaxed),
-            admitted,
-            rejected_full: c.rejected_full.load(Ordering::Relaxed),
-            rejected_shutdown: c.rejected_shutdown.load(Ordering::Relaxed),
-            rejected_invalid: c.rejected_invalid.load(Ordering::Relaxed),
-            completed,
-            failed,
-            deadline_missed,
-            cancelled,
-            completed_late: c.completed_late.load(Ordering::Relaxed),
-            in_flight: admitted - completed - failed - deadline_missed - cancelled,
-            queue_depth: self.shared.queue.len(),
-            program_cache_hits: self.shared.cache.hits(),
-            program_cache_misses: self.shared.cache.misses(),
-            latency: self
-                .shared
-                .latency
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .clone(),
-            sm_occupancy,
-            free_sms,
-            attempts: c.attempts.load(Ordering::Relaxed),
-            retried: c.retried.load(Ordering::Relaxed),
-            migrated: c.migrated.load(Ordering::Relaxed),
-            cpu_degraded: c.cpu_degraded.load(Ordering::Relaxed),
-            worker_panics: c.worker_panics.load(Ordering::Relaxed),
-            cache_evictions: self.shared.cache.evictions(),
-            cache_invalidations: self.shared.cache.invalidations(),
-            faults: *self.shared.faults.lock().unwrap_or_else(|e| e.into_inner()),
-            devices: self.shared.fleet.device_stats(),
-            executions: c.executions.load(Ordering::Relaxed),
-            dedup_hits: self.shared.dedup.hits(),
-            dedup_joins: c.dedup_joins.load(Ordering::Relaxed),
-            dedup_suppressed_attempts: c.dedup_suppressed_attempts.load(Ordering::Relaxed),
-            device_kernels: self.shared.fleet.kernel_stats(),
-        }
+        let (core, now) = self.shared.lock();
+        core.stats(now)
     }
 
-    /// Device 0's pool (for monitoring; single-device services have only
-    /// this one).
-    pub fn pool(&self) -> &DevicePool {
-        self.shared.fleet.pool(0)
-    }
-
-    /// The fleet (for monitoring).
-    pub fn fleet(&self) -> &Fleet {
-        &self.shared.fleet
+    /// Per-device utilization (for monitoring and lease-leak oracles).
+    pub fn pool_snapshots(&self) -> Vec<PoolSnapshot> {
+        let (core, now) = self.shared.lock();
+        core.pool_snapshots(now)
     }
 
     /// The service's content-hash program cache. Sessions share it so a
@@ -282,365 +119,70 @@ impl Serve {
         Arc::clone(&self.shared.cache)
     }
 
-    /// Drain and stop: no new admissions, queued jobs still get verdicts,
-    /// workers join. Returns the final statistics.
-    pub fn shutdown(mut self) -> ServeStats {
-        self.shared.queue.close();
+    /// Stop admissions and join the workers, who first drain the queue.
+    fn drain(&mut self) {
+        self.shared.lock().0.close();
+        self.shared.changed.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        self.shared.fleet.close();
+    }
+
+    /// Drain and stop: no new admissions, queued jobs still get verdicts,
+    /// workers join. Returns the final statistics.
+    pub fn shutdown(mut self) -> ServeStats {
+        self.drain();
         self.stats()
     }
 }
 
 impl Drop for Serve {
     fn drop(&mut self) {
-        self.shared.queue.close();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        self.shared.fleet.close();
+        self.drain();
     }
 }
 
-/// How one pass through the serve-layer ladder ended.
-struct LadderOutcome {
-    verdict: Result<RunReport, ServeError>,
-    /// Rung of the final attempt; `None` when no attempt ever dispatched
-    /// (fleet closed mid-drain) so nothing is flushed into the ladder
-    /// counters.
-    final_rung: Option<u32>,
-    /// Fault/recovery accounting merged across every attempt.
-    acc: FaultStats,
-    panicked: bool,
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
-/// Walk the serve-layer failover ladder for one job: dispatch attempts at
-/// rungs 0..budget, deriving each attempt's fault plan from `(salt, rung)`
-/// alone so the fault schedule is placement-independent, restoring the
-/// heap from a pristine snapshot between attempts, and sleeping the
-/// bounded exponential backoff before every retry rung.
-fn run_ladder(shared: &Shared, req: &JobRequest, phash: u64, heap: &mut Heap) -> LadderOutcome {
-    let fleet = &shared.fleet;
-    let budget = fleet.retry().budget();
-    // A fail-fast abort can leave a half-written heap (CPU chunks write
-    // in place), so retries re-run from a snapshot. Only needed when
-    // faults are possible at all.
-    let pristine = fleet.any_template().then(|| heap.clone());
-    let mut acc = FaultStats::default();
-    let mut rung: u32 = 0;
-    loop {
-        if rung > 0 {
-            if let Some(p) = &pristine {
-                *heap = p.clone();
-            }
-            let backoff = fleet.retry().backoff_s(rung);
-            if backoff > 0.0 {
-                std::thread::sleep(Duration::from_secs_f64(backoff));
-            }
-        }
-        let (dev, _forced) = fleet.choose(rung, req.salt);
-        let cpu_only = rung >= CPU_RUNG;
-        // Poll the *chosen* device rather than committing this worker to
-        // one pool's wait queue: placement is a health decision.
-        let lease = loop {
-            match fleet
-                .pool(dev)
-                .lease_for(req.resources, Duration::from_millis(1))
-            {
-                LeaseAttempt::Leased(l) => break l,
-                LeaseAttempt::TimedOut => continue,
-                LeaseAttempt::Closed => {
-                    return LadderOutcome {
-                        verdict: Err(ServeError::Cancelled),
-                        final_rung: None,
-                        acc,
-                        panicked: false,
-                    }
-                }
-            }
-        };
-        let plan = if cpu_only {
-            None
-        } else {
-            fleet
-                .template(dev)
-                .map(|t| t.reseeded(attempt_salt(req.salt, rung)))
-        };
-        // The job's kernel cache: a session-owned cache when the request
-        // carries one (hot-reload state follows the session, not the
-        // device), otherwise the chosen device's program-scoped registry —
-        // batch dispatch lands same-program jobs there back to back, so
-        // the compiled bytecode and promoted native tiers stay warm.
-        let kernels = req
-            .kernels
-            .clone()
-            .unwrap_or_else(|| fleet.kernels(dev).for_program(phash));
-        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_attempt(
-                &shared.cache,
-                fleet.pool(dev).base_config(),
-                lease.partition(),
-                lease.cpu_slots(),
-                req,
-                heap,
-                plan,
-                cpu_only,
-                Some(kernels),
-            )
-        }));
-        drop(lease);
-        match attempt {
-            Err(payload) => {
-                // A panic is a job bug, not a device fault: contained,
-                // terminal, and not held against the device's health.
-                return LadderOutcome {
-                    verdict: Err(ServeError::Panicked(panic_message(payload))),
-                    final_rung: Some(rung),
-                    acc,
-                    panicked: true,
-                };
-            }
-            Ok(Ok(report)) => {
-                fleet.record_outcome(dev, false);
-                acc.merge(&report.fault_stats());
-                return LadderOutcome {
-                    verdict: Ok(report),
-                    final_rung: Some(rung),
-                    acc,
-                    panicked: false,
-                };
-            }
-            Ok(Err(ServeError::Sched(SchedError::Device { fault, stats }))) => {
-                // The only retryable failure class: a device fault that
-                // escaped the scheduler's fail-fast run.
-                fleet.record_outcome(dev, true);
-                acc.merge(&stats);
-                if rung + 1 >= budget {
-                    return LadderOutcome {
-                        verdict: Err(ServeError::Exhausted(FaultVerdict {
-                            fault,
-                            stats: acc,
-                            attempts: rung + 1,
-                        })),
-                        final_rung: Some(rung),
-                        acc,
-                        panicked: false,
-                    };
-                }
-                rung += 1;
-            }
-            Ok(Err(other)) => {
-                // Compile/exec/internal failures are the job's own fault:
-                // terminal, and the device served its attempt cleanly.
-                fleet.record_outcome(dev, false);
-                return LadderOutcome {
-                    verdict: Err(other),
-                    final_rung: Some(rung),
-                    acc,
-                    panicked: false,
-                };
-            }
-        }
-    }
-}
-
-/// Retire one coalesced duplicate from the leader's memoized verdict: its
-/// own latency sample, late flag, accounting row, and a cloned result.
-/// `queued_s == latency_s` for a join — it never dispatched; the fan-out
-/// instant is both its "start" and its completion.
-fn retire_join(
-    shared: &Shared,
-    id: JobId,
-    submitted: Instant,
-    deadline_s: Option<f64>,
-    tx: &mpsc::Sender<Result<JobResult, ServeError>>,
-    entry: &DoneEntry,
-) {
-    let c = &shared.counters;
-    let latency_s = submitted.elapsed().as_secs_f64();
-    c.dedup_joins.fetch_add(1, Ordering::Relaxed);
-    c.dedup_suppressed_attempts
-        .fetch_add(entry.attempts, Ordering::Relaxed);
-    match &entry.verdict {
-        Ok((report, heap)) => {
-            c.completed.fetch_add(1, Ordering::Relaxed);
-            if deadline_s.is_some_and(|dl| latency_s > dl) {
-                c.completed_late.fetch_add(1, Ordering::Relaxed);
-            }
-            shared
-                .latency
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .record(latency_s);
-            let _ = tx.send(Ok(JobResult {
-                id,
-                report: report.clone(),
-                heap: heap.clone(),
-                queued_s: latency_s,
-                latency_s,
-            }));
-        }
-        Err(e) => {
-            c.failed.fetch_add(1, Ordering::Relaxed);
-            let _ = tx.send(Err(e.clone()));
-        }
-    }
-}
-
-/// How the dedup table resolved one popped job.
-enum Claim {
-    /// Execute solo (dedup off or the job opted out).
-    Run,
-    /// Execute as the leader of `key`: memoize and fan out at retirement.
-    RunLead(crate::dedup::DedupKey),
+fn deliver((id, tx): Delivery, verdict: Verdict) {
+    let _ = tx.send(verdict.map(|done| JobResult {
+        id,
+        report: done.report,
+        heap: done.heap,
+        queued_s: done.queued_s,
+        latency_s: done.latency_s,
+    }));
 }
 
 fn worker_loop(shared: &Shared) {
-    let c = &shared.counters;
-    let chaos = shared.fleet.any_template();
-    while let Some(mut job) = shared.queue.pop() {
-        if job.cancel.load(Ordering::Relaxed) {
-            c.cancelled.fetch_add(1, Ordering::Relaxed);
-            let _ = job.tx.send(Err(ServeError::Cancelled));
-            continue;
-        }
-        let queued_s = job.submitted.elapsed().as_secs_f64();
-        let deadline_s = job.req.deadline.map(|d| d.as_secs_f64());
-        if let Some(dl) = deadline_s {
-            if queued_s > dl {
-                c.deadline_missed.fetch_add(1, Ordering::Relaxed);
-                let _ = job.tx.send(Err(ServeError::DeadlineMissed {
-                    queued_s,
-                    deadline_s: dl,
-                }));
-                continue;
-            }
-        }
-        // Execution dedup: become the key's leader, join an in-flight
-        // leader, or take a memoized verdict. `chaos_panic` probes never
-        // coalesce — a deliberate panic must happen every time.
-        let claim = if shared.dedup.enabled() && !job.req.chaos_panic {
-            let key = dedup_key(&job.req, chaos);
-            let waiter = Waiter {
-                id: job.id,
-                submitted: job.submitted,
-                deadline_s,
-                tx: job.tx.clone(),
-            };
-            match shared.dedup.resolve(key, true, waiter) {
-                DedupRole::Lead(_) => Claim::RunLead(key),
-                DedupRole::Solo(_) => Claim::Run,
-                DedupRole::Joined => continue,
-                DedupRole::Done(w, entry) => {
-                    retire_join(shared, w.id, w.submitted, w.deadline_s, &w.tx, &entry);
-                    continue;
+    let (mut core, mut now) = shared.lock();
+    loop {
+        match core.next(now) {
+            Next::Retired(to, verdict) => deliver(to, verdict),
+            Next::Dispatch(mut ticket) => {
+                drop(core);
+                let result = ticket.execute(&shared.cache);
+                (core, now) = shared.lock();
+                for (to, verdict) in core.finish(*ticket, result, now) {
+                    deliver(to, verdict);
                 }
+                shared.changed.notify_all();
             }
-        } else {
-            Claim::Run
-        };
-        let queued_s = job.submitted.elapsed().as_secs_f64();
-        let mut heap = std::mem::take(&mut job.req.heap);
-        let out = run_ladder(shared, &job.req, job.phash, &mut heap);
-        // Flush the job's ladder counters atomically at retirement: each
-        // retired job contributes one execution, final_rung+1 attempts,
-        // one terminal state, and one count per rung it walked past the
-        // first — which is exactly the extended accounting identity.
-        if let Some(final_rung) = out.final_rung {
-            c.executions.fetch_add(1, Ordering::Relaxed);
-            c.attempts
-                .fetch_add(final_rung as u64 + 1, Ordering::Relaxed);
-            if final_rung >= 1 {
-                c.retried.fetch_add(1, Ordering::Relaxed);
-            }
-            if final_rung >= 2 {
-                c.migrated.fetch_add(1, Ordering::Relaxed);
-            }
-            if final_rung >= CPU_RUNG {
-                c.cpu_degraded.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        if out.panicked {
-            c.worker_panics.fetch_add(1, Ordering::Relaxed);
-        }
-        if out.acc != FaultStats::default() {
-            shared
-                .faults
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .merge(&out.acc);
-        }
-        // A leader's verdict is memoized before it is delivered, so late
-        // duplicates can join; a leader that never executed (fleet closed
-        // mid-drain) memoizes nothing and its waiters are cancelled below.
-        let memo_entry = match (&claim, out.final_rung) {
-            (Claim::RunLead(_), Some(rung)) => Some(DoneEntry {
-                verdict: match &out.verdict {
-                    Ok(report) => Ok((report.clone(), heap.clone())),
-                    Err(e) => Err(e.clone()),
-                },
-                attempts: rung as u64 + 1,
-            }),
-            _ => None,
-        };
-        match out.verdict {
-            Ok(report) => {
-                let latency_s = job.submitted.elapsed().as_secs_f64();
-                c.completed.fetch_add(1, Ordering::Relaxed);
-                if deadline_s.is_some_and(|dl| latency_s > dl) {
-                    c.completed_late.fetch_add(1, Ordering::Relaxed);
-                }
-                shared
-                    .latency
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .record(latency_s);
-                let _ = job.tx.send(Ok(JobResult {
-                    id: job.id,
-                    report,
-                    heap,
-                    queued_s,
-                    latency_s,
-                }));
-            }
-            Err(ServeError::Cancelled) if out.final_rung.is_none() => {
-                // Fleet closed mid-drain before any attempt dispatched.
-                c.cancelled.fetch_add(1, Ordering::Relaxed);
-                let _ = job.tx.send(Err(ServeError::Cancelled));
-            }
-            Err(e) => {
-                c.failed.fetch_add(1, Ordering::Relaxed);
-                let _ = job.tx.send(Err(e));
-            }
-        }
-        if let Claim::RunLead(key) = claim {
-            let (waiters, memo) = shared.dedup.complete(key, memo_entry);
-            match memo {
-                Some(m) => {
-                    for w in waiters {
-                        retire_join(shared, w.id, w.submitted, w.deadline_s, &w.tx, &m);
+            Next::Idle { ready_at } => {
+                if ready_at.is_none() && core.is_closed() && core.running() == 0 {
+                    // Drained. Whatever is still queued can never be
+                    // placed; it gets its verdict rather than a hang.
+                    for (to, verdict) in core.abandon() {
+                        deliver(to, verdict);
                     }
+                    return;
                 }
-                None => {
-                    // The leader never executed: its duplicates get the
-                    // same terminal verdict it got.
-                    for w in waiters {
-                        c.cancelled.fetch_add(1, Ordering::Relaxed);
-                        let _ = w.tx.send(Err(ServeError::Cancelled));
-                    }
-                }
+                core = match ready_at {
+                    Some(t) => shared
+                        .changed
+                        .wait_timeout(core, Duration::from_secs_f64((t - now).max(0.0)))
+                        .map_or_else(|e| e.into_inner().0, |(guard, _)| guard),
+                    None => shared.changed.wait(core).unwrap_or_else(|e| e.into_inner()),
+                };
+                now = shared.started.elapsed().as_secs_f64();
             }
         }
     }

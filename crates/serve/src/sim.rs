@@ -1,94 +1,38 @@
-//! Deterministic virtual-clock batch simulation of the service.
+//! The virtual-clock driver of the dispatch core: deterministic batch
+//! simulation of the service.
 //!
-//! [`simulate_batch`] replays a timed submission trace against the same
-//! admission policy, queue order, first-fit placement, fleet failover
-//! ladder, and health circuit breaker as the threaded
-//! [`Serve`](crate::Serve) — but on a virtual clock, where a job's
-//! "run time" is its own simulated wall time (`RunReport::total_s`) and a
-//! retry's backoff is a virtual ready-time gap instead of a sleep.
-//! Every quantity is a pure function of the inputs: tests can assert
-//! exact schedules, exact placements, and exact latencies, and the
-//! loadgen's determinism oracle can diff two runs bit-for-bit.
+//! [`simulate_batch`] replays a timed submission trace through one
+//! [`DispatchCore`] — the same admission policy, queue order, first-fit
+//! placement, fleet failover ladder, health circuit breaker and dedup as
+//! the threaded [`Serve`](crate::Serve), because it is the same code — on
+//! a virtual clock, where a job's "run time" is its own simulated wall
+//! time (`RunReport::total_s`) and a retry's backoff is a gap between
+//! events instead of a sleep. Every quantity is a pure function of the
+//! inputs: tests can assert exact schedules, exact placements, and exact
+//! latencies, and the loadgen's determinism oracle can diff two runs
+//! bit-for-bit.
 //!
-//! Event order at equal timestamps is fixed: completions first (resources
-//! free before anything else happens), then arrivals (admission control),
-//! then dispatch. Dispatch is a skip-over scan in the [`DwrrCore`] total
-//! order (batch preference, tenant virtual time, then priority and
-//! admission order) — each round dispatches every queued job whose chosen
-//! device can place it right now, so one blocked wide job does not starve
-//! narrow jobs behind it (the same greedy order the threaded service's
-//! per-job workers converge to).
-//!
-//! Execution dedup runs in lockstep with the threaded service *by
-//! construction*: per dedup key the counts are always (1 execution, n−1
-//! joins) however timing interleaves, because a duplicate either finds its
-//! leader in flight (joins it), finds the memoized verdict (joins it), or
-//! becomes the leader itself — and same key ⇒ same salt ⇒ identical rung
-//! walk and result bits, so it does not matter *which* duplicate leads.
-//!
-//! Faulted attempts are zero-length on the virtual clock: the slice is
-//! carved and returned at the same instant (fail-fast aborts consume no
-//! simulated wall time of their own), the device's health records the
-//! fault, and the job re-enters the queue with its original admission
-//! order and a `ready` time one backoff in the future. Because each
-//! attempt's fault plan is derived from `(job salt, rung)` alone, the
-//! rung sequence and per-attempt reports are bit-identical to the
-//! threaded service's under the same fleet configuration.
+//! What this driver adds to the core is the clock. Event order at equal
+//! timestamps is fixed: completions first (resources free before anything
+//! else happens), then arrivals (admission control), then dispatch — the
+//! core's `next` asked again and again until it is idle, every ticket
+//! executed inline. A successful attempt holds its slice until `dispatch +
+//! total_s`; a faulted, failed or panicked one is zero-length (fail-fast
+//! aborts consume no simulated wall time of their own) and finishes at the
+//! instant it dispatched.
 
-use crate::cache::content_hash;
-use crate::dedup::{dedup_key, DedupConfig, DedupKey, DoneEntry};
-use crate::error::{FaultVerdict, ServeError};
-use crate::fleet::{
-    attempt_salt, select_device, DeviceHealthStats, FleetConfig, HealthTracker, ProgramKernels,
-    CPU_RUNG, DEFAULT_KERNELS_PER_DEVICE,
-};
-use crate::job::{execute_attempt, JobRequest};
-use crate::pool::PartitionAllocator;
-use crate::qos::{BatchConfig, DwrrCore, JobMeta, QosConfig, ScanVerdict};
-use crate::stats::{LatencyHistogram, ServeStats};
-use crate::ProgramCache;
+use crate::cache::ProgramCache;
+use crate::dispatch::{DispatchCore, Next, ServeConfig, Ticket, Verdict};
+use crate::error::{Rejected, ServeError};
+use crate::job::JobRequest;
+use crate::stats::ServeStats;
 use japonica::RunReport;
-use japonica_faults::{FaultPlan, FaultStats};
-use japonica_gpusim::DevicePartition;
 use japonica_ir::Heap;
-use japonica_scheduler::{SchedError, SchedulerConfig};
-use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-/// Virtual-clock batch parameters.
-#[derive(Debug, Clone)]
-pub struct SimServeConfig {
-    /// The shared platform every lease slices (device 0 when no explicit
-    /// fleet is configured).
-    pub base: SchedulerConfig,
-    /// Leasable CPU worker slots.
-    pub cpu_slots: u32,
-    /// Bounded queue capacity (admission control).
-    pub queue_capacity: usize,
-    /// Explicit fleet layout; `None` builds a single-device fleet from
-    /// `base` and `cpu_slots` (the PR-1 shape).
-    pub fleet: Option<FleetConfig>,
-    /// Tenant QoS weights (mirrors `ServeConfig::qos`).
-    pub qos: QosConfig,
-    /// Execution dedup (mirrors `ServeConfig::dedup`).
-    pub dedup: DedupConfig,
-    /// Program-hash batch dispatch (mirrors `ServeConfig::batch`).
-    pub batch: BatchConfig,
-}
-
-impl Default for SimServeConfig {
-    fn default() -> SimServeConfig {
-        SimServeConfig {
-            base: SchedulerConfig::default(),
-            cpu_slots: 16,
-            queue_capacity: 64,
-            fleet: None,
-            qos: QosConfig::default(),
-            dedup: DedupConfig::default(),
-            batch: BatchConfig::default(),
-        }
-    }
-}
+/// Virtual-clock batch parameters: the service's one configuration
+/// (`workers` is ignored — the virtual clock has no threads).
+pub type SimServeConfig = ServeConfig;
 
 /// Terminal state of one submitted job, in submission order.
 #[derive(Debug)]
@@ -110,7 +54,7 @@ pub enum SimJobOutcome {
     /// Turned away at arrival: the queue was at capacity.
     RejectedFull,
     /// Turned away at arrival: no device of the fleet could ever satisfy
-    /// the request (mirrors the threaded admission screen).
+    /// the request.
     RejectedInvalid,
     /// Cancelled at dispatch: its deadline had already passed in the
     /// virtual queue.
@@ -224,737 +168,211 @@ impl SimBatchReport {
     }
 }
 
-/// A job waiting in the virtual queue. The scan order is the shared
-/// [`DwrrCore`] dispatch-order law — a faulted job re-enters with its
-/// *original* admission sequence, exactly as a threaded worker keeps
-/// owning its popped job.
-struct Waiting {
-    job: usize,
-    arrived_s: f64,
-    req: JobRequest,
-    /// Next ladder rung to dispatch (0 = first attempt).
-    rung: u32,
-    /// Earliest virtual time the next attempt may dispatch (arrival time,
-    /// then `fault time + backoff` after each faulted attempt).
-    ready_s: f64,
-    /// Fault/recovery accounting merged across the job's attempts so far.
-    acc: FaultStats,
-    /// Heap snapshot taken before the first attempt, restored before each
-    /// retry (a fail-fast abort can leave a half-written heap).
-    pristine: Option<Heap>,
-    /// Queue time captured at the first dispatch.
-    queued0: Option<f64>,
-    /// Execution identity, when dedup applies to this job.
-    key: Option<DedupKey>,
-}
-
+/// A successful attempt holding its slice on the virtual clock.
 struct Running {
     finish_s: f64,
     dispatch_seq: usize,
-    job: usize,
-    device: usize,
-    partition: DevicePartition,
-    cpu_slots: u32,
-    started_s: f64,
-    arrived_s: f64,
-    rung: u32,
-    acc: FaultStats,
-    outcome: SimJobOutcome,
-    /// Set when this run leads a dedup key: joiners fan out at its finish.
-    key: Option<DedupKey>,
+    ticket: Box<Ticket<usize>>,
+    report: RunReport,
 }
 
-/// A duplicate parked on an in-flight leader, retired at the leader's
-/// finish with its own latency sample and accounting row.
-struct Joiner {
-    job: usize,
-    arrived_s: f64,
+/// Everything a batch produces besides the core's own counters.
+struct Ledger {
+    outcomes: Vec<Option<SimJobOutcome>>,
+    makespan_s: f64,
 }
 
-/// Flush one retired execution's ladder counters (the extended accounting
-/// identities: `completed + failed = executions + dedup_joins` and
-/// `attempts = executions + retried + migrated + cpu_degraded`, flushed
-/// only at retirement).
-fn flush_rungs(stats: &mut ServeStats, final_rung: u32) {
-    stats.executions += 1;
-    stats.attempts += final_rung as u64 + 1;
-    if final_rung >= 1 {
-        stats.retried += 1;
-    }
-    if final_rung >= 2 {
-        stats.migrated += 1;
-    }
-    if final_rung >= CPU_RUNG {
-        stats.cpu_degraded += 1;
-    }
-}
-
-/// Fan a leader's verdict out to its parked joiners: each joiner gets its
-/// own verdict, latency sample (`queued_s == latency_s` — a join never
-/// dispatches; the fan-out instant is both its start and its end) and
-/// accounting row.
-fn settle_joiners(
-    joiners: Vec<Joiner>,
-    entry: &DoneEntry,
-    at_s: f64,
-    stats: &mut ServeStats,
-    latency: &mut LatencyHistogram,
-    outcomes: &mut [Option<SimJobOutcome>],
-) {
-    for j in joiners {
-        let lat = at_s - j.arrived_s;
-        stats.dedup_joins += 1;
-        stats.dedup_suppressed_attempts += entry.attempts;
-        match &entry.verdict {
-            Ok((report, heap)) => {
-                stats.completed += 1;
-                latency.record(lat);
-                outcomes[j.job] = Some(SimJobOutcome::Completed {
-                    report: report.clone(),
-                    heap: heap.clone(),
-                    queued_s: lat,
-                    started_s: at_s,
+impl Ledger {
+    /// Record the verdicts the core handed out at virtual time `at_s`.
+    fn settle(&mut self, verdicts: impl IntoIterator<Item = (usize, Verdict)>, at_s: f64) {
+        for (job, verdict) in verdicts {
+            // A deadline miss never ran, so it does not extend the makespan.
+            if !matches!(verdict, Err(ServeError::DeadlineMissed { .. })) {
+                self.makespan_s = self.makespan_s.max(at_s);
+            }
+            self.outcomes[job] = Some(match verdict {
+                Ok(done) => SimJobOutcome::Completed {
+                    report: done.report,
+                    heap: done.heap,
+                    queued_s: done.queued_s,
+                    started_s: done.started_s,
                     finished_s: at_s,
-                });
-            }
-            Err(e) => {
-                stats.failed += 1;
-                outcomes[j.job] = Some(SimJobOutcome::Failed(e.clone()));
-            }
-        }
-    }
-}
-
-/// Retire a failed leader's dedup key: fan the error out to parked
-/// joiners and memoize it so late duplicates inherit the same verdict.
-#[allow(clippy::too_many_arguments)]
-fn settle_leader_failure(
-    key: Option<DedupKey>,
-    err: &ServeError,
-    attempts: u64,
-    now: f64,
-    inflight: &mut BTreeMap<DedupKey, Vec<Joiner>>,
-    done: &mut BTreeMap<DedupKey, Arc<DoneEntry>>,
-    done_order: &mut VecDeque<DedupKey>,
-    capacity: usize,
-    stats: &mut ServeStats,
-    latency: &mut LatencyHistogram,
-    outcomes: &mut [Option<SimJobOutcome>],
-) {
-    let Some(key) = key else { return };
-    let joiners = inflight.remove(&key).unwrap_or_default();
-    let entry = Arc::new(DoneEntry {
-        verdict: Err(err.clone()),
-        attempts,
-    });
-    settle_joiners(joiners, &entry, now, stats, latency, outcomes);
-    memoize(done, done_order, capacity, key, entry);
-}
-
-/// Bounded-FIFO memoization of a completed dedup key (the sim mirror of
-/// the threaded `DedupTable`'s recently-completed side).
-fn memoize(
-    done: &mut BTreeMap<DedupKey, Arc<DoneEntry>>,
-    order: &mut VecDeque<DedupKey>,
-    capacity: usize,
-    key: DedupKey,
-    entry: Arc<DoneEntry>,
-) {
-    if capacity == 0 {
-        return;
-    }
-    if done.len() >= capacity {
-        if let Some(old) = order.pop_front() {
-            done.remove(&old);
-        }
-    }
-    if done.insert(key, entry).is_none() {
-        order.push_back(key);
-    }
-}
-
-/// Replay `trace` — `(arrival_s, request)` pairs — through the service's
-/// policies on a virtual clock. Arrivals at equal times are processed in
-/// trace order. Returns every job's terminal state plus the exact
-/// schedule; the result is a pure function of `(cfg, trace)`.
-pub fn simulate_batch(cfg: &SimServeConfig, trace: Vec<(f64, JobRequest)>) -> SimBatchReport {
-    let fleet = cfg
-        .fleet
-        .clone()
-        .unwrap_or_else(|| FleetConfig::single(cfg.base.clone(), cfg.cpu_slots));
-    let devices = if fleet.devices.is_empty() {
-        FleetConfig::single(cfg.base.clone(), cfg.cpu_slots).devices
-    } else {
-        fleet.devices
-    };
-    let retry = fleet.retry;
-    let budget = retry.budget();
-    let cache = ProgramCache::new();
-    let mut allocs: Vec<PartitionAllocator> = devices
-        .iter()
-        .map(|d| PartitionAllocator::new(d.base.gpu.sm_count, d.cpu_slots.max(1)))
-        .collect();
-    let mut trackers: Vec<HealthTracker> = devices
-        .iter()
-        .enumerate()
-        .map(|(i, _)| HealthTracker::new(i, fleet.health.clone()))
-        .collect();
-    let templates: Vec<Option<FaultPlan>> =
-        devices.iter().map(|d| d.fault_template.clone()).collect();
-    let any_template = templates.iter().any(Option::is_some);
-    let capacity = cfg.queue_capacity.max(1);
-
-    let n = trace.len();
-    let mut arrivals: Vec<(f64, usize, Option<JobRequest>)> = trace
-        .into_iter()
-        .enumerate()
-        .map(|(i, (t, r))| (t.max(0.0), i, Some(r)))
-        .collect();
-    // Stable by arrival time; trace order breaks ties.
-    arrivals.sort_by(|a, b| {
-        a.0.partial_cmp(&b.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.1.cmp(&b.1))
-    });
-
-    let mut outcomes: Vec<Option<SimJobOutcome>> = (0..n).map(|_| None).collect();
-    let mut schedule: Vec<ScheduleEvent> = Vec::new();
-    let mut core: DwrrCore<Waiting> = DwrrCore::new(cfg.qos.clone(), cfg.batch.clone());
-    let mut running: Vec<Running> = Vec::new();
-    // Dedup state: keys with a leader dispatched but not yet retired (plus
-    // their parked joiners), and the bounded recently-completed memo.
-    let mut inflight: BTreeMap<DedupKey, Vec<Joiner>> = BTreeMap::new();
-    let mut done: BTreeMap<DedupKey, Arc<DoneEntry>> = BTreeMap::new();
-    let mut done_order: VecDeque<DedupKey> = VecDeque::new();
-    let dedup_on = cfg.dedup.enabled;
-    // Per-device program-scoped kernel caches (what batching keeps warm).
-    // Engine warmth never changes result bits, only host time, so the
-    // virtual clock and every fingerprint are unaffected.
-    let kernels: Vec<ProgramKernels> = devices
-        .iter()
-        .map(|_| ProgramKernels::new(DEFAULT_KERNELS_PER_DEVICE))
-        .collect();
-    let mut next_arrival = 0usize;
-    let mut now = 0.0f64;
-    let mut makespan = 0.0f64;
-    let mut busy_sm_s = 0.0f64;
-
-    let mut stats = ServeStats {
-        submitted: n as u64,
-        ..ServeStats::default()
-    };
-    let mut latency = LatencyHistogram::new();
-
-    // Mirror of `Fleet::admissible`: satisfiable by at least one device.
-    let shapes: Vec<(u32, u32)> = allocs
-        .iter()
-        .map(|a| (a.sm_count(), a.cpu_slots()))
-        .collect();
-    let admissible = move |req: &JobRequest| {
-        let r = req.resources;
-        r.sms > 0
-            && r.cpu_slots > 0
-            && shapes
-                .iter()
-                .any(|&(sms, cpus)| r.sms <= sms && r.cpu_slots <= cpus)
-    };
-
-    loop {
-        // 1. Retire every run finishing at or before `now`, in
-        //    deterministic order (finish time, then dispatch order). The
-        //    device's health sees the attempt outcome only now — when the
-        //    virtual run actually ends, as a threaded worker would report.
-        running.sort_by(|a, b| {
-            a.finish_s
-                .partial_cmp(&b.finish_s)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.dispatch_seq.cmp(&b.dispatch_seq))
-        });
-        while running.first().is_some_and(|r| r.finish_s <= now) {
-            let r = running.remove(0);
-            allocs[r.device].release(r.partition, r.cpu_slots);
-            trackers[r.device].record_outcome(false);
-            busy_sm_s += (r.finish_s - r.started_s) * r.partition.sm_count as f64;
-            makespan = makespan.max(r.finish_s);
-            if matches!(r.outcome, SimJobOutcome::Completed { .. }) {
-                stats.completed += 1;
-                latency.record(r.finish_s - r.arrived_s);
-            } else {
-                stats.failed += 1;
-            }
-            flush_rungs(&mut stats, r.rung);
-            stats.faults.merge(&r.acc);
-            // A retiring leader fans its verdict out to every parked
-            // joiner and memoizes it for late duplicates.
-            if let Some(key) = r.key {
-                let joiners = inflight.remove(&key).unwrap_or_default();
-                if let SimJobOutcome::Completed { report, heap, .. } = &r.outcome {
-                    let entry = Arc::new(DoneEntry {
-                        verdict: Ok((report.clone(), heap.clone())),
-                        attempts: r.rung as u64 + 1,
-                    });
-                    settle_joiners(
-                        joiners,
-                        &entry,
-                        r.finish_s,
-                        &mut stats,
-                        &mut latency,
-                        &mut outcomes,
-                    );
-                    memoize(&mut done, &mut done_order, cfg.dedup.capacity, key, entry);
-                }
-            }
-            outcomes[r.job] = Some(r.outcome);
-        }
-
-        // 2. Admit every job arriving at `now` (trace order on ties):
-        //    admission screen first, then queue capacity — exactly the
-        //    threaded `submit` order.
-        while next_arrival < arrivals.len() && arrivals[next_arrival].0 <= now {
-            let (t, idx) = (arrivals[next_arrival].0, arrivals[next_arrival].1);
-            let req = arrivals[next_arrival].2.take();
-            next_arrival += 1;
-            let Some(req) = req else { continue };
-            if !admissible(&req) {
-                stats.rejected_invalid += 1;
-                outcomes[idx] = Some(SimJobOutcome::RejectedInvalid);
-                continue;
-            }
-            let meta = JobMeta {
-                prio: req.priority,
-                tenant: req.tenant,
-                hash: content_hash(&req.source),
-            };
-            // Global capacity, then the tenant's weighted share — the
-            // exact threaded `push_meta` admission order.
-            let share = core.qos().tenant_cap(capacity, meta.tenant);
-            if core.len() >= capacity || core.tenant_len(meta.tenant) >= share {
-                stats.rejected_full += 1;
-                outcomes[idx] = Some(SimJobOutcome::RejectedFull);
-                continue;
-            }
-            stats.admitted += 1;
-            let key = if dedup_on && !req.chaos_panic {
-                Some(dedup_key(&req, any_template))
-            } else {
-                None
-            };
-            core.push(
-                meta,
-                Waiting {
-                    job: idx,
-                    arrived_s: t,
-                    req,
-                    rung: 0,
-                    ready_s: t,
-                    acc: FaultStats::default(),
-                    pristine: None,
-                    queued0: None,
-                    key,
                 },
-            );
-        }
-
-        // 3. Dispatch: skip-over scan in the shared DwrrCore total order
-        //    (batch preference, tenant virtual time, priority, admission
-        //    seq). Restart the scan after every take so freed or newly
-        //    taken resources — and new dedup state — are re-observed
-        //    deterministically.
-        'scan: loop {
-            enum Action {
-                /// Expired in the queue before its first dispatch.
-                Deadline { queued_s: f64, deadline_s: f64 },
-                /// Coalesce onto the key's in-flight leader (`memo`
-                /// `None`) or its memoized verdict (`memo` `Some`).
-                Join {
-                    key: DedupKey,
-                    memo: Option<Arc<DoneEntry>>,
-                },
-                /// Execute an attempt on `dev` (slice already carved).
-                Dispatch {
-                    dev: usize,
-                    partition: DevicePartition,
-                },
-            }
-            let mut action: Option<Action> = None;
-            let taken = core.scan(|_, w| {
-                // Deadline screening applies to jobs that have never
-                // started; a faulted job already consumed its dispatch.
-                if w.rung == 0 {
-                    if let Some(dl) = w.req.deadline.map(|d| d.as_secs_f64()) {
-                        let queued_s = now - w.arrived_s;
-                        if queued_s > dl {
-                            action = Some(Action::Deadline {
-                                queued_s,
-                                deadline_s: dl,
-                            });
-                            return ScanVerdict::Take;
-                        }
-                    }
-                }
-                if w.ready_s > now {
-                    return ScanVerdict::Skip;
-                }
-                // Dedup resolve at first dispatch (past rung 0 this job
-                // *is* its key's leader): join the in-flight leader or
-                // the memoized verdict, bypassing device allocation.
-                if w.rung == 0 {
-                    if let Some(key) = w.key {
-                        if inflight.contains_key(&key) {
-                            action = Some(Action::Join { key, memo: None });
-                            return ScanVerdict::Take;
-                        }
-                        if let Some(e) = done.get(&key) {
-                            action = Some(Action::Join {
-                                key,
-                                memo: Some(e.clone()),
-                            });
-                            return ScanVerdict::Take;
-                        }
-                    }
-                }
-                // Choose the rung's device on a scratch copy of the health
-                // state: selection must not leave probe/dispatch traces
-                // when the chosen device has no capacity right now.
-                let mut scratch = trackers.clone();
-                let (dev, _) = select_device(w.rung, w.req.salt, &mut scratch, &templates);
-                match allocs[dev].try_alloc(w.req.resources) {
-                    Some(partition) => {
-                        action = Some(Action::Dispatch { dev, partition });
-                        ScanVerdict::Take
-                    }
-                    // Chosen device busy: the job waits for it.
-                    None => ScanVerdict::Skip,
-                }
-            });
-            let Some((meta, seq, mut w)) = taken else {
-                break 'scan;
-            };
-            let (dev, partition) = match action {
-                Some(Action::Deadline {
+                Err(ServeError::DeadlineMissed {
                     queued_s,
                     deadline_s,
-                }) => {
-                    stats.deadline_missed += 1;
-                    outcomes[w.job] = Some(SimJobOutcome::DeadlineMissed {
-                        queued_s,
-                        deadline_s,
-                    });
-                    continue 'scan;
-                }
-                Some(Action::Join { key, memo: None }) => {
-                    // Park on the in-flight leader; retires at its finish.
-                    stats.dedup_hits += 1;
-                    if let Some(js) = inflight.get_mut(&key) {
-                        js.push(Joiner {
-                            job: w.job,
-                            arrived_s: w.arrived_s,
-                        });
-                    }
-                    continue 'scan;
-                }
-                Some(Action::Join {
-                    key: _,
-                    memo: Some(entry),
-                }) => {
-                    // Recently-completed hit: retire immediately.
-                    stats.dedup_hits += 1;
-                    settle_joiners(
-                        vec![Joiner {
-                            job: w.job,
-                            arrived_s: w.arrived_s,
-                        }],
-                        &entry,
-                        now,
-                        &mut stats,
-                        &mut latency,
-                        &mut outcomes,
-                    );
-                    makespan = makespan.max(now);
-                    continue 'scan;
-                }
-                Some(Action::Dispatch { dev, partition }) => (dev, partition),
-                None => break 'scan, // unreachable: Take always sets an action
-            };
-            {
-                let (rung, salt) = (w.rung, w.req.salt);
-                // Commit the (deterministic) selection on the real state.
-                let (dev2, forced) = select_device(rung, salt, &mut trackers, &templates);
-                debug_assert_eq!(dev, dev2);
-                let dispatch_seq = schedule.len();
-                schedule.push(ScheduleEvent {
-                    job: w.job,
-                    device: dev,
-                    sm_base: partition.sm_base,
-                    sm_count: partition.sm_count,
-                    started_s: now,
-                    attempt: rung,
-                    forced,
-                });
-                if rung == 0 {
-                    w.queued0 = Some(now - w.arrived_s);
-                    if any_template {
-                        w.pristine = Some(w.req.heap.clone());
-                    }
-                    // First dispatch makes this job its key's leader:
-                    // later duplicates join here instead of executing.
-                    if let Some(key) = w.key {
-                        inflight.entry(key).or_default();
-                    }
-                } else if let Some(p) = &w.pristine {
-                    w.req.heap = p.clone();
-                }
-                let cpu = w.req.resources.cpu_slots;
-                let cpu_only = rung >= CPU_RUNG;
-                let plan = if cpu_only {
-                    None
-                } else {
-                    templates[dev]
-                        .as_ref()
-                        .map(|t| t.reseeded(attempt_salt(salt, rung)))
-                };
-                // Session-owned kernel cache wins over the device registry
-                // (same rule as the threaded ladder, so both stay in
-                // lockstep for session-routed jobs).
-                let kcache = w
-                    .req
-                    .kernels
-                    .clone()
-                    .unwrap_or_else(|| kernels[dev].for_program(meta.hash));
-                let mut heap = std::mem::take(&mut w.req.heap);
-                let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    execute_attempt(
-                        &cache,
-                        &devices[dev].base,
-                        partition,
-                        cpu,
-                        &w.req,
-                        &mut heap,
-                        plan,
-                        cpu_only,
-                        Some(kcache),
-                    )
-                }));
-                match attempt {
-                    Ok(Ok(report)) => {
-                        let finish_s = now + report.total_s;
-                        let mut acc = w.acc;
-                        acc.merge(&report.fault_stats());
-                        running.push(Running {
-                            finish_s,
-                            dispatch_seq,
-                            job: w.job,
-                            device: dev,
-                            partition,
-                            cpu_slots: cpu,
-                            started_s: now,
-                            arrived_s: w.arrived_s,
-                            rung,
-                            acc,
-                            outcome: SimJobOutcome::Completed {
-                                report,
-                                heap,
-                                queued_s: w.queued0.unwrap_or(0.0),
-                                started_s: now,
-                                finished_s: finish_s,
-                            },
-                            key: w.key,
-                        });
-                        // A zero-length run frees its slice at `now`:
-                        // leave the scan so step 1 retires it first.
-                        if finish_s <= now {
-                            break 'scan;
-                        }
-                    }
-                    Ok(Err(ServeError::Sched(SchedError::Device { fault, stats: fs }))) => {
-                        // Faulted attempt: zero-length on the virtual
-                        // clock. The slice returns instantly, the health
-                        // window records the fault, and the job requeues
-                        // (original admission order) one backoff later.
-                        allocs[dev].release(partition, cpu);
-                        trackers[dev].record_outcome(true);
-                        w.acc.merge(&fs);
-                        if rung + 1 >= budget {
-                            stats.failed += 1;
-                            flush_rungs(&mut stats, rung);
-                            stats.faults.merge(&w.acc);
-                            makespan = makespan.max(now);
-                            let err = ServeError::Exhausted(FaultVerdict {
-                                fault,
-                                stats: w.acc,
-                                attempts: rung + 1,
-                            });
-                            settle_leader_failure(
-                                w.key,
-                                &err,
-                                rung as u64 + 1,
-                                now,
-                                &mut inflight,
-                                &mut done,
-                                &mut done_order,
-                                cfg.dedup.capacity,
-                                &mut stats,
-                                &mut latency,
-                                &mut outcomes,
-                            );
-                            outcomes[w.job] = Some(SimJobOutcome::Failed(err));
-                        } else {
-                            w.rung = rung + 1;
-                            w.ready_s = now + retry.backoff_s(w.rung);
-                            w.req.heap = heap; // restored before next attempt
-                            core.push_with_seq(meta, seq, w);
-                        }
-                    }
-                    Ok(Err(e)) => {
-                        // Terminal, non-device failure: the device served
-                        // its attempt cleanly; the job fails alone, now.
-                        allocs[dev].release(partition, cpu);
-                        trackers[dev].record_outcome(false);
-                        stats.failed += 1;
-                        flush_rungs(&mut stats, rung);
-                        stats.faults.merge(&w.acc);
-                        makespan = makespan.max(now);
-                        settle_leader_failure(
-                            w.key,
-                            &e,
-                            rung as u64 + 1,
-                            now,
-                            &mut inflight,
-                            &mut done,
-                            &mut done_order,
-                            cfg.dedup.capacity,
-                            &mut stats,
-                            &mut latency,
-                            &mut outcomes,
-                        );
-                        outcomes[w.job] = Some(SimJobOutcome::Failed(e));
-                    }
-                    Err(payload) => {
-                        // Contained worker panic: terminal, not held
-                        // against the device's health.
-                        allocs[dev].release(partition, cpu);
-                        let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                            (*s).to_string()
-                        } else if let Some(s) = payload.downcast_ref::<String>() {
-                            s.clone()
-                        } else {
-                            "opaque panic payload".to_string()
-                        };
-                        stats.worker_panics += 1;
-                        stats.failed += 1;
-                        flush_rungs(&mut stats, rung);
-                        stats.faults.merge(&w.acc);
-                        makespan = makespan.max(now);
-                        let err = ServeError::Panicked(msg);
-                        settle_leader_failure(
-                            w.key,
-                            &err,
-                            rung as u64 + 1,
-                            now,
-                            &mut inflight,
-                            &mut done,
-                            &mut done_order,
-                            cfg.dedup.capacity,
-                            &mut stats,
-                            &mut latency,
-                            &mut outcomes,
-                        );
-                        outcomes[w.job] = Some(SimJobOutcome::Failed(err));
-                    }
-                }
-            }
+                }) => SimJobOutcome::DeadlineMissed {
+                    queued_s,
+                    deadline_s,
+                },
+                Err(e) => SimJobOutcome::Failed(e),
+            });
         }
-        if running.iter().any(|r| r.finish_s <= now) {
-            continue;
-        }
+    }
+}
 
-        // 4. Advance the clock to the next event: a completion, an
-        //    arrival, or a backed-off retry becoming ready.
-        let next_completion = running
-            .iter()
-            .map(|r| r.finish_s)
-            .fold(f64::INFINITY, f64::min);
-        let next_arrival_t = arrivals
-            .get(next_arrival)
-            .map_or(f64::INFINITY, |(t, _, _)| *t);
-        let mut next_ready = f64::INFINITY;
-        core.for_each(|_, w| {
-            if w.ready_s > now && w.ready_s < next_ready {
-                next_ready = w.ready_s;
-            }
-        });
-        let next_t = next_completion.min(next_arrival_t).min(next_ready);
-        if next_t.is_infinite() {
-            // Nothing will ever free resources or arrive. Anything still
-            // queued can never be placed (defensive: the admission screen
-            // rejects unsatisfiable requests up front); fail it so the
-            // accounting identities hold.
-            for (_, _, w) in core.drain() {
-                if w.queued0.is_some() {
-                    // Dispatched at least once: a failed execution.
-                    stats.failed += 1;
-                    flush_rungs(&mut stats, w.rung.saturating_sub(1));
-                } else {
-                    // Never dispatched: no execution to account — mirror
-                    // the threaded shutdown verdict (cancelled).
-                    stats.cancelled += 1;
-                }
-                stats.faults.merge(&w.acc);
-                outcomes[w.job] = Some(SimJobOutcome::Failed(ServeError::Lost));
-            }
-            // Joiners whose leader was drained above lost their verdict.
-            let stranded: Vec<DedupKey> = inflight.keys().copied().collect();
-            for key in stranded {
-                for j in inflight.remove(&key).unwrap_or_default() {
-                    stats.cancelled += 1;
-                    outcomes[j.job] = Some(SimJobOutcome::Failed(ServeError::Lost));
-                }
-            }
-            break;
+/// The virtual-clock service as a value: a configuration plus the program
+/// cache its batches compile through. A session holds one so that every
+/// RUN it simulates hits the same cache its LOADs filled and invalidated —
+/// the role [`Serve::program_cache`](crate::Serve::program_cache) plays on
+/// the threaded side. Each batch still starts from a fresh dispatch core.
+pub struct SimServe {
+    cfg: ServeConfig,
+    cache: Arc<ProgramCache>,
+}
+
+impl SimServe {
+    /// A virtual service over `cfg` with an empty program cache.
+    pub fn new(cfg: ServeConfig) -> SimServe {
+        SimServe {
+            cfg,
+            cache: Arc::new(ProgramCache::new()),
         }
-        now = next_t.max(now);
     }
 
-    stats.latency = latency;
-    stats.program_cache_hits = cache.hits();
-    stats.program_cache_misses = cache.misses();
-    stats.cache_evictions = cache.evictions();
-    stats.cache_invalidations = cache.invalidations();
-    let sm_count: f64 = allocs.iter().map(|a| a.sm_count() as f64).sum();
-    stats.sm_occupancy = if makespan > 0.0 {
-        (busy_sm_s / (makespan * sm_count)).clamp(0.0, 1.0)
-    } else {
-        0.0
-    };
-    stats.free_sms = allocs.iter().map(|a| a.free_sms()).sum();
-    stats.devices = trackers
-        .iter()
-        .map(HealthTracker::snapshot)
-        .collect::<Vec<DeviceHealthStats>>();
-    stats.device_kernels = kernels
-        .iter()
-        .enumerate()
-        .map(|(i, k)| k.stats(i))
-        .collect();
+    /// The cache every batch of this service compiles through.
+    pub fn program_cache(&self) -> Arc<ProgramCache> {
+        Arc::clone(&self.cache)
+    }
 
-    SimBatchReport {
-        outcomes: outcomes
+    /// Replay `trace` — `(arrival_s, request)` pairs — through the
+    /// service's policies on a virtual clock. Arrivals at equal times are
+    /// processed in trace order. Returns every job's terminal state plus
+    /// the exact schedule; given the cache's contents the result is a pure
+    /// function of `(cfg, trace)`, and no result bit depends on the cache.
+    pub fn run(&self, trace: Vec<(f64, JobRequest)>) -> SimBatchReport {
+        let cache = &self.cache;
+        let mut core: DispatchCore<usize> = DispatchCore::new(&self.cfg, Arc::clone(cache));
+        let keys = core.key_policy();
+        let mut ledger = Ledger {
+            outcomes: trace.iter().map(|_| None).collect(),
+            makespan_s: 0.0,
+        };
+        let mut arrivals: Vec<(f64, usize, JobRequest)> = trace
             .into_iter()
-            .map(|o| o.unwrap_or(SimJobOutcome::Failed(ServeError::Lost)))
-            .collect(),
-        schedule,
-        stats,
-        makespan_s: makespan,
+            .enumerate()
+            .map(|(i, (t, r))| (t.max(0.0), i, r))
+            .collect();
+        // Stable by arrival time; trace order breaks ties. Reversed, so the
+        // next arrival pops off the end.
+        arrivals.sort_by(|a, b| {
+            b.0.partial_cmp(&a.0)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(b.1.cmp(&a.1))
+        });
+        let mut schedule: Vec<ScheduleEvent> = Vec::new();
+        let mut running: Vec<Running> = Vec::new();
+        let mut now = 0.0f64;
+
+        loop {
+            // 1. Finish every run ending at or before `now`, in
+            //    deterministic order (finish time, then dispatch order).
+            running.sort_by(|a, b| {
+                a.finish_s
+                    .partial_cmp(&b.finish_s)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.dispatch_seq.cmp(&b.dispatch_seq))
+            });
+            while running.first().is_some_and(|r| r.finish_s <= now) {
+                let r = running.remove(0);
+                ledger.settle(core.finish(*r.ticket, Ok(r.report), r.finish_s), r.finish_s);
+            }
+
+            // 2. Admit every job arriving at `now` (trace order on ties).
+            while let Some((t, job, req)) = arrivals.pop_if(|a| a.0 <= now) {
+                if let Err(rejected) = core.admit(keys.key(req), job, t) {
+                    ledger.outcomes[job] = Some(match rejected {
+                        Rejected::InvalidRequest(_) => SimJobOutcome::RejectedInvalid,
+                        _ => SimJobOutcome::RejectedFull,
+                    });
+                }
+            }
+
+            // 3. Dispatch until the core is idle.
+            let idle = loop {
+                match core.next(now) {
+                    Next::Idle { ready_at } => break Some(ready_at),
+                    Next::Retired(job, verdict) => ledger.settle([(job, verdict)], now),
+                    Next::Dispatch(mut ticket) => {
+                        let a = ticket.attempt();
+                        let dispatch_seq = schedule.len();
+                        schedule.push(ScheduleEvent {
+                            job: *ticket.tag(),
+                            device: a.device,
+                            sm_base: a.partition.sm_base,
+                            sm_count: a.partition.sm_count,
+                            started_s: now,
+                            attempt: a.rung,
+                            forced: a.forced,
+                        });
+                        match ticket.execute(cache) {
+                            Ok(report) => {
+                                let finish_s = now + report.total_s;
+                                running.push(Running {
+                                    finish_s,
+                                    dispatch_seq,
+                                    ticket,
+                                    report,
+                                });
+                                // A zero-length run frees its slice at
+                                // `now`: step 1 finishes it before anything
+                                // else is placed.
+                                if finish_s <= now {
+                                    break None;
+                                }
+                            }
+                            failed => ledger.settle(core.finish(*ticket, failed, now), now),
+                        }
+                    }
+                }
+            };
+            let Some(ready_at) = idle else { continue };
+
+            // 4. Advance the clock to the next event: a completion, an
+            //    arrival, or a backed-off retry becoming ready.
+            let next_t = running
+                .iter()
+                .map(|r| r.finish_s)
+                .chain(arrivals.last().map(|a| a.0))
+                .chain(ready_at)
+                .fold(f64::INFINITY, f64::min);
+            if next_t.is_infinite() {
+                // Nothing will ever free resources or arrive: whatever is
+                // still queued can never be placed.
+                ledger.settle(core.abandon(), now);
+                break;
+            }
+            now = next_t.max(now);
+        }
+
+        SimBatchReport {
+            outcomes: ledger
+                .outcomes
+                .into_iter()
+                .map(|o| o.unwrap_or(SimJobOutcome::Failed(ServeError::Lost)))
+                .collect(),
+            schedule,
+            stats: core.stats(ledger.makespan_s),
+            makespan_s: ledger.makespan_s,
+        }
     }
+}
+
+/// One batch on a fresh virtual service: [`SimServe::run`] with an empty
+/// program cache, so the result is a pure function of `(cfg, trace)`.
+pub fn simulate_batch(cfg: &SimServeConfig, trace: Vec<(f64, JobRequest)>) -> SimBatchReport {
+    SimServe::new(cfg.clone()).run(trace)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::RetryPolicy;
+    use crate::dedup::DedupConfig;
+    use crate::fleet::{FleetConfig, RetryPolicy};
     use crate::pool::ResourceRequest;
-    use japonica_faults::{FaultKind, FaultRule};
+    use japonica_faults::{FaultKind, FaultPlan, FaultRule};
     use japonica_ir::Value;
+    use japonica_scheduler::SchedulerConfig;
 
     const SRC: &str = "static void scale(double[] a, int n) {
         /* acc parallel */
@@ -1177,5 +595,44 @@ mod tests {
             "{}",
             rep.stats.summary()
         );
+    }
+
+    #[test]
+    fn a_joiner_fanned_out_past_its_deadline_is_completed_late() {
+        // Two identical jobs at t=0: the second parks on the first at
+        // once (inside its 1 ns deadline, so it is not missed) and gets
+        // its verdict when the leader finishes — a whole run later.
+        let cfg = SimServeConfig {
+            dedup: DedupConfig::enabled(),
+            ..SimServeConfig::default()
+        };
+        let trace = vec![
+            (0.0, request(4096, 7, 8)),
+            (
+                0.0,
+                request(4096, 7, 8).with_deadline(std::time::Duration::from_nanos(1)),
+            ),
+        ];
+        let rep = simulate_batch(&cfg, trace);
+        let SimJobOutcome::Completed {
+            queued_s,
+            finished_s,
+            ..
+        } = rep.outcomes[1]
+        else {
+            panic!("the joiner completes: {:?}", rep.outcomes[1]);
+        };
+        assert!(queued_s > 1e-9 && queued_s == finished_s);
+        assert_eq!(rep.schedule.len(), 1, "one execution");
+        assert_eq!(
+            (
+                rep.stats.completed,
+                rep.stats.dedup_joins,
+                rep.stats.completed_late,
+                rep.stats.deadline_missed
+            ),
+            (2, 1, 1, 0)
+        );
+        assert!(rep.stats.accounts_for_every_job());
     }
 }

@@ -276,3 +276,59 @@ fn virtual_clock_schedule_is_exact() {
     );
     assert_eq!(rep.fingerprint(), again.fingerprint());
 }
+
+#[test]
+fn every_stats_snapshot_is_consistent_while_jobs_flow() {
+    // 200 one-SM jobs through 4 workers while a reader hammers `stats()`:
+    // a snapshot is one read under the core's lock, so a job admitted and
+    // retired between two counter loads can no longer tear the identity
+    // or underflow `in_flight`.
+    const SRC: &str = "static void scale(double[] a, int n) {
+        /* acc parallel */
+        for (int i = 0; i < n; i++) { a[i] = a[i] * 2.0; }
+    }";
+    let serve = Serve::start(ServeConfig {
+        workers: 4,
+        queue_capacity: 256,
+        ..ServeConfig::default()
+    });
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let snapshots = std::thread::scope(|scope| {
+        let reader = scope.spawn(|| {
+            let mut snapshots = 0u64;
+            while !done.load(std::sync::atomic::Ordering::Acquire) {
+                let stats = serve.stats();
+                assert!(stats.accounts_for_every_job(), "{}", stats.summary());
+                snapshots += 1;
+            }
+            snapshots
+        });
+        let handles: Vec<_> = (0..200)
+            .map(|_| {
+                let mut heap = japonica_ir::Heap::new();
+                let a = heap.alloc_doubles(&[1.0; 64]);
+                let args = vec![japonica_ir::Value::Array(a), japonica_ir::Value::Int(64)];
+                serve
+                    .submit(JobRequest::new(
+                        SRC,
+                        "scale",
+                        args,
+                        heap,
+                        ResourceRequest::new(1, 1),
+                    ))
+                    .expect("queue sized for the whole burst")
+            })
+            .collect();
+        for h in handles {
+            h.wait().expect("job completes");
+        }
+        done.store(true, std::sync::atomic::Ordering::Release);
+        reader
+            .join()
+            .expect("a snapshot broke the accounting identity")
+    });
+    assert!(snapshots > 0);
+    let stats = serve.shutdown();
+    assert_eq!((stats.completed, stats.in_flight), (200, 0));
+    assert!(stats.accounts_for_every_job(), "{}", stats.summary());
+}

@@ -70,7 +70,7 @@ fn trace_backpressure() -> Vec<(f64, JobRequest)> {
             let prio = [1u8, 50, 100, 200][(next() % 4) as usize];
             let t = (next() % 400) as f64 * 1e-5;
             let mut req = workload_request(widx, sms, cpus, i).with_priority(prio);
-            if next() % 5 == 0 {
+            if next().is_multiple_of(5) {
                 req = req.with_deadline(std::time::Duration::from_nanos(1 + next() % 3));
             }
             (t, req)

@@ -5,15 +5,18 @@
 //! job lost), and threaded-vs-virtual-clock lockstep with all three
 //! mechanisms on under chaos.
 
+use japonica::RunReport;
 use japonica_faults::{FaultKind, FaultPlan, FaultRule};
 use japonica_scheduler::SchedulerConfig;
 use japonica_serve::{
-    simulate_batch, BatchConfig, DedupConfig, FleetConfig, JobQueue, JobRequest, QosConfig,
-    ResourceRequest, Serve, ServeConfig, SimJobOutcome, SimServeConfig,
+    simulate_batch, BatchConfig, DedupConfig, DispatchCore, FleetConfig, JobRequest, Next,
+    ProgramCache, QosConfig, ResourceRequest, Serve, ServeConfig, ServeError, SimJobOutcome,
+    SimServeConfig,
 };
 use japonica_workloads::Workload;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A salted Table II request on an `sms`-wide slice (scale 1).
 fn workload_request(widx: usize, sms: u32, cpus: u32, salt: u64) -> JobRequest {
@@ -279,12 +282,44 @@ fn threaded_and_sim_agree_with_all_three_mechanisms_on_under_chaos() {
     );
 }
 
+/// A request that is never executed: the queue-law proptests drive the
+/// dispatch core directly and finish every ticket with a canned report.
+fn token(tenant: u32, prio: u8) -> JobRequest {
+    JobRequest::new(
+        "",
+        "f",
+        vec![],
+        japonica_ir::Heap::default(),
+        ResourceRequest::new(1, 1),
+    )
+    .with_tenant(tenant)
+    .with_priority(prio)
+}
+
+/// One step of a drain: ask the core for the next job at `now`, finish a
+/// dispatched ticket on the spot (so the device is free again), and say
+/// which job left the queue and how. `None` once the core is idle.
+fn pop<T: Copy>(core: &mut DispatchCore<T>, now: f64) -> Option<(T, &'static str)> {
+    match core.next(now) {
+        Next::Idle { .. } => None,
+        Next::Retired(tag, Err(ServeError::Cancelled)) => Some((tag, "cancelled")),
+        Next::Retired(tag, Err(ServeError::DeadlineMissed { .. })) => Some((tag, "expired")),
+        Next::Retired(_, other) => panic!("unexpected verdict {other:?}"),
+        Next::Dispatch(ticket) => {
+            let tag = *ticket.tag();
+            let verdicts = core.finish(*ticket, Ok(RunReport::default()), now);
+            assert_eq!(verdicts.len(), 1, "one job, one verdict");
+            Some((tag, "ran"))
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
     /// DWRR fairness converges to the configured weight ratio (up to 10:1)
     /// while both tenants stay backlogged, and no admitted job is lost:
-    /// every push is matched by exactly one pop after close.
+    /// every admission is matched by exactly one dispatch.
     #[test]
     fn dwrr_service_converges_to_weights_and_loses_nothing(
         w0 in 1u32..=10,
@@ -292,26 +327,26 @@ proptest! {
     ) {
         // Capacity sized so the light tenant's weighted share — capacity
         // × 1/(w0+1) — holds its whole backlog.
-        let q = JobQueue::with_qos(
-            (w0 as usize + 1) * backlog,
-            QosConfig { weights: vec![w0, 1] },
-            BatchConfig::default(),
-        );
+        let cfg = ServeConfig {
+            queue_capacity: (w0 as usize + 1) * backlog,
+            qos: QosConfig { weights: vec![w0, 1] },
+            ..ServeConfig::default()
+        };
+        let mut core: DispatchCore<(u32, usize)> =
+            DispatchCore::new(&cfg, Arc::new(ProgramCache::new()));
+        let keys = core.key_policy();
         for i in 0..backlog {
             for tenant in 0..2u32 {
-                q.push_meta(
-                    japonica_serve::JobMeta { prio: 100, tenant, hash: 0 },
-                    (tenant, i),
-                ).expect("sized to fit");
+                core.admit(keys.key(token(tenant, 100)), (tenant, i), 0.0)
+                    .expect("sized to fit");
             }
         }
-        q.close();
         let mut counts = [0usize; 2];
         let mut popped = 0usize;
         let mut checked_window = false;
-        while let Some((meta, item)) = q.pop_meta() {
-            prop_assert_eq!(item.0, meta.tenant);
-            counts[meta.tenant as usize] += 1;
+        while let Some(((tenant, _), how)) = pop(&mut core, 0.0) {
+            prop_assert_eq!(how, "ran");
+            counts[tenant as usize] += 1;
             popped += 1;
             // While BOTH tenants stay backlogged, the heavy tenant's share
             // of any prefix tracks w0/(w0+1) to within one round of slack
@@ -329,91 +364,100 @@ proptest! {
             }
         }
         prop_assert!(checked_window, "mix never exercised a contended window");
-        // No admitted job lost: every push popped exactly once.
+        // No admitted job lost: every admission dispatched exactly once.
         prop_assert_eq!(popped, 2 * backlog);
         prop_assert_eq!(counts[0], backlog);
         prop_assert_eq!(counts[1], backlog);
+        let stats = core.stats(0.0);
+        prop_assert_eq!(stats.completed, 2 * backlog as u64);
+        prop_assert!(stats.accounts_for_every_job(), "{}", stats.summary());
     }
 
-    /// The queue's dispatch order is total and law-abiding under
-    /// interleaved submit / cancel / deadline-expiry: every pop takes the
-    /// popped tenant's best queued job — highest priority, then earliest
+    /// The core's dispatch order is total and law-abiding under
+    /// interleaved submit / cancel / deadline-expiry: every `next` takes
+    /// the taken tenant's best queued job — highest priority, then earliest
     /// admission — and every admitted job, including every cancelled or
-    /// expired one, surfaces in exactly one pop, so no verdict can be
-    /// dropped.
+    /// expired one, leaves through exactly one `next` with the verdict its
+    /// kind calls for, so no verdict can be dropped or doubled.
     #[test]
     fn queue_order_is_total_under_submit_cancel_and_expiry(
         ops in proptest::collection::vec((0u8..4, 0u8..3, 0u8..=250u8), 1..120),
     ) {
-        let q = JobQueue::with_qos(
-            256,
-            QosConfig { weights: vec![4, 2, 1] },
-            BatchConfig::default(),
-        );
-        // kind 0: plain job · 1: cancelled-after-admission · 2: deadline
-        // already expired · 3: pop now. Cancel and expiry are resolved at
-        // pop time (the server's contract), so both still occupy a slot in
-        // the dispatch order and must surface through it.
+        let cfg = ServeConfig {
+            queue_capacity: 256,
+            qos: QosConfig { weights: vec![4, 2, 1] },
+            ..ServeConfig::default()
+        };
+        let mut core: DispatchCore<(u32, u8, usize, &str)> =
+            DispatchCore::new(&cfg, Arc::new(ProgramCache::new()));
+        let keys = core.key_policy();
+        // kind 0: plain job · 1: cancelled after admission · 2: deadline
+        // expired by the next tick · 3: take one job now. Cancel and expiry
+        // are resolved when the scan reaches the job (the core's contract),
+        // so both still occupy a slot in the dispatch order and must
+        // surface through it. One op is one tick of the clock.
+        const KINDS: [&str; 3] = ["ran", "cancelled", "expired"];
         let mut admitted = 0usize;
-        let mut verdicts = 0usize;
         let mut seen: Vec<usize> = Vec::new();
         // Reference model: each tenant's queued jobs as (254 - prio, seq),
-        // so the set's minimum is the law's next pop for that tenant.
+        // so the set's minimum is the law's next take for that tenant.
         let mut model: Vec<std::collections::BTreeSet<(u8, usize)>> =
             vec![Default::default(); 3];
-        let mut cancelled: std::collections::BTreeSet<usize> = Default::default();
-        let check_pop = |meta: japonica_serve::JobMeta,
-                             item: usize,
-                             model: &mut Vec<std::collections::BTreeSet<(u8, usize)>>|
+        let check = |taken: ((u32, u8, usize, &str), &str),
+                         model: &mut Vec<std::collections::BTreeSet<(u8, usize)>>,
+                         seen: &mut Vec<usize>|
          -> Result<(), TestCaseError> {
-            let best = *model[meta.tenant as usize]
+            let ((tenant, prio, seq, kind), how) = taken;
+            let best = *model[tenant as usize]
                 .iter()
                 .next()
-                .expect("popped a job the model never admitted");
+                .expect("took a job the model never admitted");
             prop_assert_eq!(
-                (254 - meta.prio, item),
+                (254 - prio, seq),
                 best,
-                "tenant {}: pop violated the (prio desc, seq asc) law",
-                meta.tenant
+                "tenant {}: take violated the (prio desc, seq asc) law",
+                tenant
             );
-            model[meta.tenant as usize].remove(&best);
+            model[tenant as usize].remove(&best);
+            prop_assert_eq!(how, kind, "job {} got the wrong verdict", seq);
+            seen.push(seq);
             Ok(())
         };
-        let mut seq = 0usize;
-        for &(kind, tenant, prio) in &ops {
+        let mut now = 0.0f64;
+        for (seq, &(kind, tenant, prio)) in ops.iter().enumerate() {
+            now += 1.0;
             if kind == 3 {
-                if let Some((meta, item)) = q.try_pop_meta() {
-                    check_pop(meta, item, &mut model)?;
-                    verdicts += 1;
-                    seen.push(item);
+                if let Some(taken) = pop(&mut core, now) {
+                    check(taken, &mut model, &mut seen)?;
                 }
                 continue;
             }
-            let meta = japonica_serve::JobMeta { prio, tenant: tenant as u32, hash: 0 };
-            if q.push_meta(meta, seq).is_ok() {
+            let mut req = token(tenant as u32, prio);
+            if kind == 2 {
+                req = req.with_deadline(std::time::Duration::ZERO);
+            }
+            let tag = (tenant as u32, prio, seq, KINDS[kind as usize]);
+            if let Ok(cancel) = core.admit(keys.key(req), tag, now) {
                 admitted += 1;
                 model[tenant as usize].insert((254 - prio, seq));
-                if kind > 0 {
-                    // Cancelled / expired after admission — still queued.
-                    cancelled.insert(seq);
+                if kind == 1 {
+                    cancel.store(true, std::sync::atomic::Ordering::Relaxed);
                 }
             }
-            seq += 1;
         }
-        q.close();
-        while let Some((meta, item)) = q.pop_meta() {
-            check_pop(meta, item, &mut model)?;
-            verdicts += 1;
-            seen.push(item);
+        now += 1.0;
+        while let Some(taken) = pop(&mut core, now) {
+            check(taken, &mut model, &mut seen)?;
         }
-        // Exactly one pop per admitted job; cancelled and expired jobs all
-        // surfaced (their verdicts are assigned by the consumer, never
-        // dropped inside the queue).
-        prop_assert_eq!(verdicts, admitted);
+        // Exactly one verdict per admitted job, cancelled and expired ones
+        // included.
+        prop_assert_eq!(seen.len(), admitted);
         seen.sort_unstable();
         seen.dedup();
-        prop_assert_eq!(seen.len(), admitted, "a job was popped twice or lost");
-        prop_assert!(cancelled.iter().all(|s| seen.binary_search(s).is_ok()));
+        prop_assert_eq!(seen.len(), admitted, "a job was taken twice or lost");
         prop_assert!(model.iter().all(|m| m.is_empty()), "model retained jobs");
+        let stats = core.stats(now);
+        prop_assert_eq!(stats.in_flight, 0);
+        prop_assert!(stats.accounts_for_every_job(), "{}", stats.summary());
     }
 }

@@ -28,8 +28,8 @@ use crate::hash::{kernel_fingerprints, KernelFingerprint, KernelKey};
 use japonica::Compiled;
 use japonica_ir::{Heap, KernelCache, ParamTy, Ty, Value};
 use japonica_serve::{
-    content_hash, simulate_batch, JobHandle, JobRequest, ProgramCache, ResourceRequest, Serve,
-    ServeStats, SimJobOutcome, SimServeConfig,
+    content_hash, JobHandle, JobRequest, ProgramCache, ResourceRequest, Serve, ServeStats,
+    SimJobOutcome, SimServe, SimServeConfig,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
@@ -214,9 +214,10 @@ struct Session {
 enum Backend {
     /// Real threads over a running [`Serve`]; shares its program cache.
     Threaded(Serve),
-    /// Deterministic virtual clock: each run is a one-job
-    /// [`simulate_batch`]. Bit-identical outputs to the threaded path.
-    Virtual(Box<SimServeConfig>),
+    /// Deterministic virtual clock: each run is a one-job batch on a
+    /// [`SimServe`], which shares its program cache the same way.
+    /// Bit-identical outputs to the threaded path.
+    Virtual(Box<SimServe>),
 }
 
 #[derive(Default)]
@@ -282,9 +283,10 @@ impl SessionManager {
 
     /// Sessions over the deterministic virtual-clock simulator.
     pub fn virtual_clock(sim: SimServeConfig, cfg: SessionConfig) -> SessionManager {
+        let sim = SimServe::new(sim);
         SessionManager {
+            cache: sim.program_cache(),
             backend: Backend::Virtual(Box::new(sim)),
-            cache: Arc::new(ProgramCache::new()),
             cfg,
             state: Mutex::new(State {
                 sessions: BTreeMap::new(),
@@ -559,31 +561,22 @@ impl SessionManager {
                     .map_err(|e| SessionError::Run(e.to_string()))?;
                 SessionManager::finish(result.report.total_s, &result.heap, arr)?
             }
-            Backend::Virtual(sim) => {
-                // Mirror the threaded path's side effect: executing a job
-                // (re)memoizes its program in the shared cache. Without
-                // this, a hash invalidated by one session and re-warmed by
-                // another session's *run* would make `invalidated` counts
-                // diverge across backends.
-                let _ = self.cache.get_or_compile(&req.source);
-                let batch = simulate_batch(sim, vec![(0.0, req)]);
-                match batch.outcomes.into_iter().next() {
-                    Some(SimJobOutcome::Completed { report, heap, .. }) => {
-                        SessionManager::finish(report.total_s, &heap, arr)?
-                    }
-                    Some(SimJobOutcome::Failed(e)) => return Err(SessionError::Run(e.to_string())),
-                    Some(SimJobOutcome::RejectedFull) => {
-                        return Err(SessionError::Run("queue full".to_string()))
-                    }
-                    Some(SimJobOutcome::RejectedInvalid) => {
-                        return Err(SessionError::Run("invalid request".to_string()))
-                    }
-                    Some(SimJobOutcome::DeadlineMissed { .. }) => {
-                        return Err(SessionError::Run("deadline missed".to_string()))
-                    }
-                    None => return Err(SessionError::Run("no outcome".to_string())),
+            Backend::Virtual(sim) => match sim.run(vec![(0.0, req)]).outcomes.into_iter().next() {
+                Some(SimJobOutcome::Completed { report, heap, .. }) => {
+                    SessionManager::finish(report.total_s, &heap, arr)?
                 }
-            }
+                Some(SimJobOutcome::Failed(e)) => return Err(SessionError::Run(e.to_string())),
+                Some(SimJobOutcome::RejectedFull) => {
+                    return Err(SessionError::Run("queue full".to_string()))
+                }
+                Some(SimJobOutcome::RejectedInvalid) => {
+                    return Err(SessionError::Run("invalid request".to_string()))
+                }
+                Some(SimJobOutcome::DeadlineMissed { .. }) => {
+                    return Err(SessionError::Run("deadline missed".to_string()))
+                }
+                None => return Err(SessionError::Run("no outcome".to_string())),
+            },
         };
         self.record(sid, &output, now);
         Ok(output)
@@ -740,8 +733,8 @@ impl SessionManager {
         }
     }
 
-    /// The program cache this manager diffs and invalidates against (the
-    /// serving cache on the threaded backend; manager-owned on virtual).
+    /// The program cache this manager diffs and invalidates against — the
+    /// backend's own, on either backend.
     pub fn program_cache(&self) -> Arc<ProgramCache> {
         Arc::clone(&self.cache)
     }

@@ -82,7 +82,7 @@ fn churn(mgr: &SessionManager, ops: &[(u8, u8)], threaded: bool) {
             let _ = mgr.drain(sid, now);
         }
         let snap = mgr
-            .with_serve(|s| s.pool().snapshot())
+            .with_serve(|s| s.pool_snapshots()[0])
             .expect("threaded backend");
         assert_eq!(snap.free_sms, snap.sm_count, "leaked SM lease");
         assert_eq!(snap.free_cpu_slots, snap.cpu_slots, "leaked CPU slots");

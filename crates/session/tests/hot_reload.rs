@@ -202,7 +202,7 @@ fn detached_runs_complete_on_close_and_leak_nothing() {
     mgr.close(sid, 10.0).expect("close drains in-flight work");
     assert_eq!(mgr.stats().runs, 4, "all detached runs recorded");
     let snap = mgr
-        .with_serve(|s| s.pool().snapshot())
+        .with_serve(|s| s.pool_snapshots()[0])
         .expect("threaded backend");
     assert_eq!(snap.free_sms, snap.sm_count, "device leases all released");
     let (stats, serve_stats) = mgr.shutdown();
