@@ -4,7 +4,7 @@
 use crate::compile::Compiled;
 use crate::report::RunReport;
 use crate::runtime::RuntimeConfig;
-use japonica_ir::{Env, Heap, Value};
+use japonica_ir::{Heap, Value};
 use japonica_profiler::LoopProfile;
 use japonica_scheduler::sharing::{run_cpu_only, run_cpu_serial, run_fixed_split, run_gpu_only};
 use japonica_scheduler::{LoopTask, SchedError};
@@ -53,13 +53,14 @@ pub fn run_baseline(
     heap: &mut Heap,
     baseline: Baseline,
 ) -> Result<RunReport, SchedError> {
-    let rt = crate::runtime::Runtime::new(cfg.clone());
+    let rt = crate::runtime::Runtime::for_run(cfg);
+    let sched = &rt.cfg.sched;
     crate::exec::execute_function(
         compiled,
         function,
         args,
         heap,
-        &cfg.sched.cpu,
+        &sched.cpu,
         &mut |loops, env, heap, report| {
             for l in loops {
                 let analysis = &compiled.analyses[&l.id];
@@ -68,7 +69,7 @@ pub fn run_baseline(
                     if let Some(p) = report.profiles.get(&l.id) {
                         profiles.insert(l.id, p.clone());
                     } else {
-                        let p = rt_profile(&rt, compiled, l, analysis, env, heap)?;
+                        let p = rt.profile(compiled, l, analysis, env, heap)?;
                         profiles.insert(l.id, p);
                     }
                 }
@@ -78,17 +79,13 @@ pub fn run_baseline(
                     profile: profiles.get(&l.id),
                 };
                 let r = match baseline {
-                    Baseline::Serial => {
-                        run_cpu_serial(&compiled.program, &cfg.sched, &task, env, heap)?
-                    }
+                    Baseline::Serial => run_cpu_serial(&compiled.program, sched, &task, env, heap)?,
                     Baseline::CpuParallel(t) => {
-                        run_cpu_only(&compiled.program, &cfg.sched, &task, env, heap, t)?
+                        run_cpu_only(&compiled.program, sched, &task, env, heap, t)?
                     }
-                    Baseline::GpuOnly => {
-                        run_gpu_only(&compiled.program, &cfg.sched, &task, env, heap)?
-                    }
+                    Baseline::GpuOnly => run_gpu_only(&compiled.program, sched, &task, env, heap)?,
                     Baseline::FixedSplit(frac) => {
-                        run_fixed_split(&compiled.program, &cfg.sched, &task, env, heap, frac)?
+                        run_fixed_split(&compiled.program, sched, &task, env, heap, frac)?
                     }
                 };
                 report.loops.push(r);
@@ -97,38 +94,6 @@ pub fn run_baseline(
             Ok(())
         },
     )
-}
-
-fn rt_profile(
-    rt: &crate::runtime::Runtime,
-    compiled: &Compiled,
-    loop_: &japonica_ir::ForLoop,
-    analysis: &japonica_analysis::LoopAnalysis,
-    env: &Env,
-    heap: &mut Heap,
-) -> Result<LoopProfile, SchedError> {
-    use japonica_scheduler::sharing::{eval_bounds, stage_device};
-    let bounds = eval_bounds(&compiled.program, loop_, env, heap)?;
-    let plan = japonica_scheduler::DataPlan::derive(
-        &compiled.program,
-        loop_,
-        &analysis.classes,
-        env,
-        heap,
-    )?;
-    let mut dev = japonica_gpusim::DeviceMemory::new();
-    stage_device(&plan, heap, &mut dev, &rt.cfg.sched)?;
-    let limit = rt.cfg.profile_limit.unwrap_or(u64::MAX);
-    let p = japonica_profiler::profile_loop(
-        &compiled.program,
-        &rt.cfg.sched.gpu,
-        loop_,
-        &bounds,
-        0..bounds.trip().min(limit),
-        env,
-        &mut dev,
-    )?;
-    Ok(p)
 }
 
 #[cfg(test)]

@@ -4,8 +4,9 @@
 use crate::compile::Compiled;
 use crate::report::RunReport;
 use japonica_cpuexec::CpuConfig;
+use japonica_faults::FaultPlan;
 use japonica_ir::{Env, ExecError, ForLoop, Heap, Scheme, Value};
-use japonica_profiler::{profile_loop, LoopProfile};
+use japonica_profiler::{profile_loop_with, LoopProfile};
 use japonica_scheduler::{
     run_sharing, run_stealing, sharing::eval_bounds, sharing::run_cpu_only, sharing::stage_device,
     DataPlan, LoopTask, SchedError, SchedulerConfig,
@@ -60,16 +61,34 @@ impl Runtime {
             .function_by_name(function)
             .map(|(id, _)| id)
             .ok_or_else(|| ExecError::UnknownFunction(function.to_string()))?;
+        let rt = Runtime::for_run(&self.cfg);
         crate::exec::execute_function(
             compiled,
             function,
             args,
             heap,
-            &self.cfg.sched.cpu,
+            &rt.cfg.sched.cpu,
             &mut |loops, env, heap, report| {
-                self.schedule_run(compiled, fid, loops, env, heap, report)
+                rt.schedule_run(compiled, fid, loops, env, heap, report)
             },
         )
+    }
+
+    /// A runtime for the span of one call over one program: every loop
+    /// dispatch and profile of the call compiles into the caller's
+    /// program-scoped kernel cache or, without one, into a cache private to
+    /// the call (loop ids are only unique within a program) — not into a
+    /// fresh cache per dispatch. The fault plan stays the caller's own.
+    pub(crate) fn for_run(cfg: &RuntimeConfig) -> Runtime {
+        Runtime::new(RuntimeConfig {
+            sched: SchedulerConfig {
+                kernels: Some(cfg.sched.kernels.clone().unwrap_or_default()),
+                faults: cfg.sched.faults.as_ref().map(FaultPlan::share),
+                ..cfg.sched.clone()
+            },
+            scheme_override: cfg.scheme_override,
+            profile_limit: cfg.profile_limit,
+        })
     }
 
     /// Schedule one maximal run of consecutive annotated loops.
@@ -183,7 +202,7 @@ impl Runtime {
     /// Profile an uncertain loop on a scratch device (the data staged for
     /// profiling is discarded; execution happens afterwards through the
     /// scheduler with the measured densities in hand).
-    fn profile(
+    pub(crate) fn profile(
         &self,
         compiled: &Compiled,
         loop_: &ForLoop,
@@ -197,7 +216,7 @@ impl Runtime {
         stage_device(&plan, heap, &mut dev, &self.cfg.sched)?;
         let limit = self.cfg.profile_limit.unwrap_or(u64::MAX);
         let range = 0..bounds.trip().min(limit);
-        let p = profile_loop(
+        let p = profile_loop_with(
             &compiled.program,
             &self.cfg.sched.gpu,
             loop_,
@@ -205,6 +224,7 @@ impl Runtime {
             range,
             env,
             &mut dev,
+            self.cfg.sched.kernels.as_deref(),
         )?;
         Ok(p)
     }

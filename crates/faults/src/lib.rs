@@ -15,7 +15,7 @@
 //! unchanged — no plan, no branches taken, identical timing.
 
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use japonica_ir::LoopId;
 
@@ -240,7 +240,7 @@ struct PlanState {
 pub struct FaultPlan {
     seed: u64,
     rules: Vec<FaultRule>,
-    state: Mutex<PlanState>,
+    state: Arc<Mutex<PlanState>>,
 }
 
 impl Clone for FaultPlan {
@@ -257,11 +257,24 @@ impl FaultPlan {
         FaultPlan {
             seed,
             rules,
-            state: Mutex::new(PlanState {
+            state: Arc::new(Mutex::new(PlanState {
                 rng: seed ^ 0x6A09_E667_F3BC_C909,
                 seen: vec![0; n],
                 injected: 0,
-            }),
+            })),
+        }
+    }
+
+    /// A second handle onto *this* plan: same rules and the same injection
+    /// state, so an occurrence counted or a fault drawn through either
+    /// handle is counted or gone for both. What a configuration derived for
+    /// one run carries, so the run draws from its parent's plan where
+    /// [`Clone`] would start it over.
+    pub fn share(&self) -> FaultPlan {
+        FaultPlan {
+            seed: self.seed,
+            rules: self.rules.clone(),
+            state: Arc::clone(&self.state),
         }
     }
 
@@ -627,6 +640,15 @@ mod tests {
         assert!(p.on_kernel_launch(origin()).is_none());
         let q = p.clone();
         assert!(q.on_kernel_launch(origin()).is_some());
+    }
+
+    #[test]
+    fn share_keeps_drawing_from_the_same_state() {
+        let p = FaultPlan::new(1, vec![FaultRule::transient(FaultKind::KernelLaunch, 1)]);
+        let q = p.share();
+        assert!(q.on_kernel_launch(origin()).is_some());
+        assert!(p.on_kernel_launch(origin()).is_none());
+        assert_eq!(p.injected(), 1);
     }
 
     #[test]

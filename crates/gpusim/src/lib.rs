@@ -34,7 +34,10 @@ pub use kernel::{
     launch_loop, launch_loop_guarded, launch_loop_guarded_with, launch_loop_par,
     launch_loop_par_with, KernelReport,
 };
-pub use memory::{AccessCtx, DeviceMemory, LaneMemory, ParallelLaneMemory, ShadowView, Transfer};
+pub use memory::{
+    AccessCtx, DeviceMemory, JournaledMemory, LaneMemory, ParallelLaneMemory, ShadowView, Transfer,
+    WriteList,
+};
 pub use native::{compile_native_warp, NativeSimtVm, NativeWarpKernel};
 pub use simt::{SimtError, SimtExec};
 pub use stats::{GpuStats, WarpStats};

@@ -20,6 +20,14 @@ pub struct AccessCtx {
     pub iter: u64,
 }
 
+/// Coordinator-side stores (absorbing a warp's delta, undoing a journal)
+/// belong to no lane.
+const COORDINATOR_CTX: AccessCtx = AccessCtx {
+    lane: 0,
+    warp: 0,
+    iter: 0,
+};
+
 /// Per-lane memory interface of the SIMT interpreter.
 ///
 /// `DeviceMemory` implements it directly; the GPU-TLS engine and the
@@ -74,6 +82,10 @@ pub trait ParallelLaneMemory: LaneMemory {
     /// Apply one warp's effects; called in ascending warp order.
     fn absorb(&mut self, delta: Self::Delta) -> Result<(), ExecError>;
 }
+
+/// A flat list of `(location, value)` stores, as a launch's memory hands
+/// them back for mirroring onto the host heap.
+pub type WriteList = Vec<((ArrayId, i64), Value)>;
 
 /// A recorded host↔device transfer.
 #[derive(Debug, Clone, PartialEq)]
@@ -381,13 +393,123 @@ impl ParallelLaneMemory for DeviceMemory {
     }
 
     fn absorb(&mut self, delta: Self::Delta) -> Result<(), ExecError> {
-        let ctx = AccessCtx {
-            lane: 0,
-            warp: 0,
-            iter: 0,
-        };
         for ((arr, idx), v) in delta {
-            self.store(ctx, arr, idx, v)?;
+            self.store(COORDINATOR_CTX, arr, idx, v)?;
+        }
+        Ok(())
+    }
+}
+
+/// Write-through lane memory with an undo journal, for launches whose
+/// iterations are *proven* independent: no iteration reads or overwrites
+/// what another stores, so executing straight against device memory is
+/// indistinguishable from buffering every store and committing in
+/// iteration order. A store logs the value the element held before the
+/// launch first touched it, then writes through; a launch that dies is
+/// undone by [`roll_back`](JournaledMemory::roll_back), one that completes
+/// hands over what it wrote by [`into_writes`](JournaledMemory::into_writes).
+pub struct JournaledMemory<'d> {
+    dev: &'d mut DeviceMemory,
+    /// `(location, pre-launch value)`, one entry per location, in
+    /// first-store order.
+    undo: WriteList,
+    /// Per array (by `ArrayId.0`), one bit per element already in `undo`.
+    logged: Vec<Vec<u64>>,
+}
+
+impl<'d> JournaledMemory<'d> {
+    /// Journal the launch about to run against `dev`.
+    pub fn new(dev: &'d mut DeviceMemory) -> JournaledMemory<'d> {
+        JournaledMemory {
+            dev,
+            undo: Vec::new(),
+            logged: Vec::new(),
+        }
+    }
+
+    /// Undo every store, newest first: device memory is exactly what it
+    /// was when the journal was opened.
+    pub fn roll_back(self) {
+        for ((arr, idx), old) in self.undo.into_iter().rev() {
+            // `old` was read from this very element, so it fits.
+            let restored = self.dev.store(COORDINATOR_CTX, arr, idx, old);
+            debug_assert!(restored.is_ok(), "restoring a logged element cannot fail");
+        }
+    }
+
+    /// Keep the stores and list every location written with its final
+    /// value — once each, however often the launch stored to it.
+    pub fn into_writes(self) -> Result<WriteList, ExecError> {
+        let dev = &*self.dev;
+        self.undo
+            .into_iter()
+            .map(|((arr, idx), _)| Ok(((arr, idx), dev.peek(arr, idx)?)))
+            .collect()
+    }
+}
+
+impl LaneMemory for JournaledMemory<'_> {
+    #[inline]
+    fn load(&mut self, _ctx: AccessCtx, arr: ArrayId, idx: i64) -> Result<Value, ExecError> {
+        self.dev.peek(arr, idx)
+    }
+
+    fn store(
+        &mut self,
+        _ctx: AccessCtx,
+        arr: ArrayId,
+        idx: i64,
+        v: Value,
+    ) -> Result<(), ExecError> {
+        let a = self.dev.array_mut(arr)?;
+        let i = a.index_of(arr, idx)?;
+        let old = a.get(i);
+        a.set(i, v)?;
+        if self.logged.len() <= arr.0 as usize {
+            self.logged.resize_with(arr.0 as usize + 1, Vec::new);
+        }
+        let bits = &mut self.logged[arr.0 as usize];
+        if bits.is_empty() {
+            bits.resize(a.len().div_ceil(64), 0);
+        }
+        let (word, bit) = (i / 64, 1u64 << (i % 64));
+        if bits[word] & bit == 0 {
+            bits[word] |= bit;
+            self.undo.push(((arr, idx), old));
+        }
+        Ok(())
+    }
+
+    fn array_len(&self, arr: ArrayId) -> Result<usize, ExecError> {
+        self.dev.array_len(arr)
+    }
+
+    #[inline]
+    fn placement(&self, arr: ArrayId) -> Option<(u64, u64)> {
+        self.dev.placement(arr)
+    }
+}
+
+/// Warps fork the device's own [`ShadowView`]s; their stores are journaled
+/// as the coordinator absorbs them in warp order.
+impl ParallelLaneMemory for JournaledMemory<'_> {
+    type View<'v>
+        = ShadowView<'v>
+    where
+        Self: 'v;
+    type Delta = BTreeMap<(ArrayId, i64), Value>;
+
+    fn fork(&self) -> ShadowView<'_> {
+        self.dev.fork()
+    }
+
+    fn harvest(view: ShadowView<'_>) -> Self::Delta {
+        DeviceMemory::harvest(view)
+    }
+
+    fn absorb(&mut self, delta: Self::Delta) -> Result<(), ExecError> {
+        for ((arr, idx), v) in delta {
+            self.store(COORDINATOR_CTX, arr, idx, v)?;
         }
         Ok(())
     }
@@ -560,6 +682,43 @@ mod tests {
         assert_eq!(dev.load(ctx(), a, 1).unwrap(), Value::Int(2));
         dev.absorb(delta).unwrap();
         assert_eq!(dev.load(ctx(), a, 1).unwrap(), Value::Int(20));
+    }
+
+    #[test]
+    fn journal_writes_through_lists_each_location_once_and_rolls_back() {
+        let mut host = Heap::new();
+        let a = host.alloc_ints(&[1, 2, 3, 4]);
+        let mut dev = DeviceMemory::new();
+        dev.copy_in(&host, a, 0, 4, &DeviceConfig::default())
+            .unwrap();
+        let before = dev.array(a).unwrap().clone();
+
+        let mut j = JournaledMemory::new(&mut dev);
+        j.store(ctx(), a, 1, Value::Int(20)).unwrap();
+        // Write-through: the launch reads its own store straight back.
+        assert_eq!(j.load(ctx(), a, 1).unwrap(), Value::Int(20));
+        j.store(ctx(), a, 1, Value::Int(21)).unwrap();
+        // A warp's harvested stores are journaled as they are absorbed.
+        let mut view = j.fork();
+        view.store(ctx(), a, 3, Value::Int(40)).unwrap();
+        j.absorb(JournaledMemory::harvest(view)).unwrap();
+        assert!(matches!(
+            j.store(ctx(), a, 9, Value::Int(0)),
+            Err(ExecError::IndexOutOfBounds { .. })
+        ));
+        assert_eq!(
+            j.into_writes().unwrap(),
+            vec![((a, 1), Value::Int(21)), ((a, 3), Value::Int(40))]
+        );
+        assert_eq!(dev.peek(a, 1).unwrap(), Value::Int(21));
+
+        let mut j = JournaledMemory::new(&mut dev);
+        j.store(ctx(), a, 0, Value::Int(-1)).unwrap();
+        j.store(ctx(), a, 0, Value::Int(-2)).unwrap();
+        j.roll_back();
+        assert_eq!(dev.peek(a, 0).unwrap(), Value::Int(1));
+        assert_eq!(dev.peek(a, 1).unwrap(), Value::Int(21));
+        assert_ne!(dev.array(a).unwrap(), &before);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! matching the paper's design where the profiler "gathers the dynamic
 //! information by executing the loops ... on GPU in parallel".
 
-use japonica_gpusim::{launch_loop, DeviceConfig, DeviceMemory, SimtError};
-use japonica_ir::{Env, ForLoop, LoopBounds, LoopId, OpCounts, Program};
+use japonica_gpusim::{launch_loop_guarded_with, DeviceConfig, DeviceMemory, SimtError};
+use japonica_ir::{Env, ForLoop, KernelCache, LoopBounds, LoopId, OpCounts, Program};
 use japonica_tls::SpeculativeMemory;
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -134,9 +134,27 @@ pub fn profile_loop(
     base_env: &Env,
     dev: &mut DeviceMemory,
 ) -> Result<LoopProfile, SimtError> {
+    profile_loop_with(program, dcfg, loop_, bounds, range, base_env, dev, None)
+}
+
+/// [`profile_loop`] launching through a shared [`KernelCache`], so the run
+/// that follows the profile reuses its compilation of the loop.
+#[allow(clippy::too_many_arguments)] // mirrors the launch signature
+pub fn profile_loop_with(
+    program: &Program,
+    dcfg: &DeviceConfig,
+    loop_: &ForLoop,
+    bounds: &LoopBounds,
+    range: Range<u64>,
+    base_env: &Env,
+    dev: &mut DeviceMemory,
+    kernels: Option<&KernelCache>,
+) -> Result<LoopProfile, SimtError> {
     let iterations = range.end.saturating_sub(range.start);
     let mut spec = SpeculativeMemory::new(dev, PROFILING_OVERHEAD_CYCLES);
-    let kr = launch_loop(program, dcfg, loop_, bounds, range, base_env, &mut spec)?;
+    let kr = launch_loop_guarded_with(
+        program, dcfg, loop_, bounds, range, base_env, &mut spec, None, None, kernels,
+    )?;
     let entries = spec.entries();
     let stats = spec.dependence_stats();
 

@@ -49,8 +49,10 @@ pub struct SchedulerConfig {
     /// The serving layer's last ladder rung before giving up on a job.
     pub cpu_only: bool,
     /// Optional externally owned kernel/native-tier cache. When `None`
-    /// (default) each run compiles into a private per-run cache, exactly as
-    /// before. A serving layer may hand in a cache scoped to one *program*
+    /// (default) each scheduler entry point compiles into a cache of its
+    /// own; `Runtime::run` installs one per call, so a program's loops
+    /// compile once per run however often they are dispatched. A serving
+    /// layer may hand in a cache scoped to one *program*
     /// (loop ids are only unique within a program) so repeat executions of
     /// the same program on the same device keep their compiled bytecode and
     /// promoted native tiers warm. Engine choice never changes result bits
@@ -82,6 +84,12 @@ impl SchedulerConfig {
         self.cpu_threads = cpu_slots.max(1);
         self.cpu.cores = self.cpu.cores.min(cpu_slots.max(1));
         self
+    }
+
+    /// The cache this dispatch compiles into: the caller's, else a private
+    /// one.
+    pub(crate) fn kernel_cache(&self) -> Arc<KernelCache> {
+        self.kernels.clone().unwrap_or_default()
     }
 
     /// The task-sharing boundary `Cg·Fg / (Cg·Fg + Cc·Fc)` (paper §V-A):

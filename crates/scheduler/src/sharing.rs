@@ -17,14 +17,21 @@ use crate::plan::DataPlan;
 use crate::report::{LoopExecReport, SchedError};
 use japonica_analysis::LoopAnalysis;
 use japonica_cpuexec::{CpuConfig, CpuCtx, CpuExecError, Independence};
-use japonica_faults::{DegradationLevel, FaultOrigin, FaultStats, ResilienceConfig};
-use japonica_gpusim::{launch_loop_par_with, DeviceMemory, SimtError};
+use japonica_faults::{
+    DegradationLevel, DeviceFault, FaultOrigin, FaultPlan, FaultStats, ResilienceConfig,
+};
+use japonica_gpusim::{
+    launch_loop_par_with, DeviceMemory, JournaledMemory, KernelReport, SimtError,
+};
 use japonica_ir::{
-    compile_native, ArrayId, Env, ExecEngine, ExecError, ForLoop, Heap, HeapBackend, Interp,
-    KernelCache, LoopBounds, NativeKernel, NativeVm, Program, ScalarVm, Scheme, Value,
+    compile_native, Env, ExecEngine, ExecError, ForLoop, Heap, HeapBackend, Interp, KernelCache,
+    LoopBounds, NativeKernel, NativeVm, Program, ScalarVm, Scheme,
 };
 use japonica_profiler::LoopProfile;
-use japonica_tls::{run_privatized_with, run_tls_loop_guarded_with, SpeculativeMemory};
+use japonica_tls::{
+    run_privatized_with, run_tls_loop_guarded_with, SpecArena, SpeculativeMemory, WriteList,
+};
+use std::ops::Range;
 
 /// Everything the scheduler needs to know about one annotated loop.
 #[derive(Debug, Clone, Copy)]
@@ -120,34 +127,55 @@ pub fn stage_device(
     Ok(())
 }
 
-/// Run one guarded transfer, retrying transient injected faults with a
-/// linear backoff charged to `stats`. Persistent (or retry-exhausted)
-/// faults surface as [`SchedError::Device`] for the caller's fallback rung.
+/// What an attempt came to once transient faults were retried: its value,
+/// or the fault that outlived the retries, and the backoff charged.
+pub struct Retried<T> {
+    pub outcome: Result<T, DeviceFault>,
+    pub backoff_s: f64,
+}
+
+/// Run `attempt_fn`, retrying transient injected faults up to
+/// `res.max_retries` times with a linear backoff charged to `stats`.
+/// Errors that are not device faults propagate.
+pub(crate) fn retry_transient<T, E: Into<SchedError>>(
+    res: &ResilienceConfig,
+    stats: &mut FaultStats,
+    mut attempt_fn: impl FnMut() -> Result<T, E>,
+) -> Result<Retried<T>, SchedError> {
+    let mut attempt = 0u32;
+    let mut backoff_s = 0.0f64;
+    let outcome = loop {
+        let fault = match attempt_fn().map_err(Into::into) {
+            Ok(v) => break Ok(v),
+            Err(SchedError::Device { fault, .. }) => fault,
+            Err(e) => return Err(e),
+        };
+        stats.observe(&fault);
+        if !fault.transient || attempt >= res.max_retries {
+            break Err(fault);
+        }
+        attempt += 1;
+        stats.retries += 1;
+        let b = res.retry_backoff_us * 1e-6 * attempt as f64;
+        stats.backoff_s += b;
+        backoff_s += b;
+    };
+    Ok(Retried { outcome, backoff_s })
+}
+
+/// Run one guarded transfer under [`retry_transient`]. Persistent (or
+/// retry-exhausted) faults surface as [`SchedError::Device`] for the
+/// caller's fallback rung.
 pub(crate) fn transfer_with_retry<T>(
     res: &ResilienceConfig,
     stats: &mut FaultStats,
-    mut attempt_fn: impl FnMut() -> Result<T, SimtError>,
+    attempt_fn: impl FnMut() -> Result<T, SimtError>,
 ) -> Result<T, SchedError> {
-    let mut attempt = 0u32;
-    loop {
-        match attempt_fn() {
-            Ok(v) => return Ok(v),
-            Err(SimtError::Fault(f)) => {
-                stats.observe(&f);
-                if f.transient && attempt < res.max_retries {
-                    attempt += 1;
-                    stats.retries += 1;
-                    stats.backoff_s += res.retry_backoff_us * 1e-6 * attempt as f64;
-                    continue;
-                }
-                return Err(SchedError::Device {
-                    fault: f,
-                    stats: *stats,
-                });
-            }
-            Err(e) => return Err(e.into()),
-        }
-    }
+    let run = retry_transient(res, stats, attempt_fn)?;
+    run.outcome.map_err(|fault| SchedError::Device {
+        fault,
+        stats: *stats,
+    })
 }
 
 /// [`stage_device`] under an active fault plan: H2D staging transfers go
@@ -222,16 +250,126 @@ pub(crate) fn exec_chunk_buffered<'h>(
     Ok(be)
 }
 
-fn apply_writes_to_host(
+pub(crate) fn apply_writes_to_host(
     heap: &mut Heap,
-    writes: &[((ArrayId, i64), Value)],
+    writes: &WriteList,
 ) -> Result<usize, ExecError> {
     let mut bytes = 0usize;
-    for ((arr, idx), v) in writes {
-        heap.store(*arr, *idx, *v)?;
-        bytes += heap.array(*arr)?.ty().size_bytes();
+    // Writes arrive in runs over one array: resolve it once per run.
+    for run in writes.chunk_by(|a, b| a.0 .0 == b.0 .0) {
+        let arr = run[0].0 .0;
+        let dst = heap.array_mut(arr)?;
+        for &((_, idx), v) in run {
+            dst.set(dst.index_of(arr, idx)?, v)?;
+        }
+        bytes += run.len() * dst.ty().size_bytes();
     }
     Ok(bytes)
+}
+
+/// What one GPU chunk launch needs besides the task and its range; built
+/// once per loop (sharing, fixed split) or sub-task (stealing).
+pub struct ChunkCx<'a> {
+    pub program: &'a Program,
+    pub cfg: &'a SchedulerConfig,
+    pub bounds: &'a LoopBounds,
+    pub env: &'a Env,
+    pub kernels: &'a KernelCache,
+    /// The plan launches consult and retry under; `None` launches unguarded.
+    pub faults: Option<&'a FaultPlan>,
+    /// Issue cycles a buffering chunk memory charges per access.
+    pub se_overhead: f64,
+    pub dev: &'a mut DeviceMemory,
+    /// What every buffering chunk of the loop records into, reset per launch.
+    pub arena: SpecArena,
+    pub stats: &'a mut FaultStats,
+}
+
+/// A GPU fault outlived its retries: surface it under `fail_fast`, else
+/// count the fallback and step down the ladder. Returns whether the GPU
+/// stays in service.
+pub(crate) fn absorb_gpu_fault(
+    res: &ResilienceConfig,
+    stats: &mut FaultStats,
+    fault: DeviceFault,
+) -> Result<bool, SchedError> {
+    if res.fail_fast {
+        return Err(SchedError::Device {
+            fault,
+            stats: *stats,
+        });
+    }
+    stats.fallbacks += 1;
+    stats.escalate(DegradationLevel::GpuDegraded);
+    let device_faults = stats.gpu_faults + stats.transfer_faults + stats.deadline_overruns;
+    let alive = device_faults < res.device_fault_tolerance;
+    if !alive {
+        stats.escalate(DegradationLevel::CpuOnly);
+    }
+    Ok(alive)
+}
+
+/// Launch iterations `range` of `task`'s loop as one GPU chunk under
+/// [`retry_transient`]: the kernel's report and everything it wrote, or the
+/// fault that outlived its retries with device memory exactly as the chunk
+/// found it. The memory the chunk executes against is chosen here, from
+/// what is known about the loop; each choice keeps a faulted kernel's
+/// stores out of device memory and yields a sequentially equivalent list.
+pub fn launch_chunk(
+    task: &LoopTask,
+    range: Range<u64>,
+    cx: &mut ChunkCx,
+) -> Result<Retried<(KernelReport, WriteList)>, SchedError> {
+    let mode = task.try_mode(cx.cfg)?;
+    let proven = task.analysis.proven_independent();
+    let watchdog = cx.faults.and(cx.cfg.resilience.watchdog());
+    retry_transient(&cx.cfg.resilience, cx.stats, || {
+        if mode == ExecutionMode::A && proven {
+            // Proven DOALL: no iteration reads or overwrites another's
+            // stores, so write through and undo if the kernel dies.
+            let mut mem = JournaledMemory::new(cx.dev);
+            let launched = launch_loop_par_with(
+                cx.program,
+                &cx.cfg.gpu,
+                task.loop_,
+                cx.bounds,
+                range.clone(),
+                cx.env,
+                &mut mem,
+                cx.faults,
+                watchdog,
+                Some(cx.kernels),
+            );
+            return match launched {
+                Ok(kr) => Ok((kr, mem.into_writes()?)),
+                Err(e) => {
+                    mem.roll_back();
+                    Err(SchedError::from(e))
+                }
+            };
+        }
+        // Anything else buffers per iteration and commits in iteration
+        // order; the buffers die with a faulted kernel. Mode D (false
+        // dependences only) never checks, so it records no metadata.
+        let mut mem = if mode == ExecutionMode::D {
+            SpeculativeMemory::buffer_only(cx.dev, cx.se_overhead, &mut cx.arena)
+        } else {
+            SpeculativeMemory::with_arena(cx.dev, cx.se_overhead, &mut cx.arena)
+        };
+        let kr = launch_loop_par_with(
+            cx.program,
+            &cx.cfg.gpu,
+            task.loop_,
+            cx.bounds,
+            range.clone(),
+            cx.env,
+            &mut mem,
+            cx.faults,
+            watchdog,
+            Some(cx.kernels),
+        )?;
+        Ok((kr, mem.commit_all_collect()?))
+    })
 }
 
 /// Execute one loop under the task sharing scheme (or its degenerate
@@ -254,22 +392,11 @@ pub fn run_sharing(
         return Ok(report);
     }
     // One bytecode compilation per loop, shared by every chunk launch, TLS
-    // re-execution and fault-ladder retry below. Private to the run unless
-    // the caller hands in a program-scoped cache via `cfg.kernels`
-    // (`LoopId`s are only unique within one program, so a shared cache must
-    // never span programs).
-    let kernels = cfg
-        .kernels
-        .clone()
-        .unwrap_or_else(|| std::sync::Arc::new(KernelCache::new()));
+    // re-execution and fault-ladder retry below.
+    let kernels = cfg.kernel_cache();
     match mode {
-        ExecutionMode::A | ExecutionMode::DPrime => greedy_share(
-            program, cfg, task, env, heap, &bounds, &plan, report, /*cpu_seq=*/ false,
-            /*privatized=*/ false, &kernels,
-        ),
-        ExecutionMode::D => greedy_share(
-            program, cfg, task, env, heap, &bounds, &plan, report, /*cpu_seq=*/ true,
-            /*privatized=*/ true, &kernels,
+        ExecutionMode::A | ExecutionMode::D | ExecutionMode::DPrime => greedy_share(
+            program, cfg, task, env, heap, &bounds, &plan, report, mode, &kernels,
         ),
         ExecutionMode::B => run_mode_b(
             program, cfg, task, env, heap, &bounds, &plan, report, &kernels,
@@ -296,11 +423,12 @@ fn greedy_share(
     bounds: &LoopBounds,
     plan: &DataPlan,
     mut report: LoopExecReport,
-    cpu_seq: bool,
-    privatized: bool,
+    mode: ExecutionMode,
     kernels: &KernelCache,
 ) -> Result<LoopExecReport, SchedError> {
     let trip = bounds.trip();
+    // Mode D: privatized GPU chunks and a sequential deferred-write CPU share.
+    let privatized = mode == ExecutionMode::D;
     // `threads(n)` clause overrides the configured CPU thread count.
     let cpu_threads = task
         .loop_
@@ -318,11 +446,6 @@ fn greedy_share(
     let boundary_iter = (trip as f64 * cfg.boundary_fraction()) as u64;
     let faults = cfg.faults.as_ref();
     let res = &cfg.resilience;
-    let watchdog = if faults.is_some() {
-        res.watchdog()
-    } else {
-        None
-    };
     let loop_origin = FaultOrigin::for_loop(task.loop_.id);
     let cpu = task.cpu_ctx(program, cfg, kernels);
 
@@ -368,11 +491,22 @@ fn greedy_share(
     // Writes collected per chunk so they can be committed to the host heap
     // in iteration order — false-dependence loops (mode D) need the last
     // writer to win exactly as in sequential execution.
-    let mut ordered_writes: Vec<(u64, bool, japonica_tls::WriteList)> = Vec::new();
-    let se_overhead = if privatized {
-        cfg.tls.se_overhead_cycles / 2.0
-    } else {
-        0.0
+    let mut ordered_writes: Vec<(u64, bool, WriteList)> = Vec::new();
+    let mut cx = ChunkCx {
+        program,
+        cfg,
+        bounds,
+        env,
+        kernels,
+        faults,
+        se_overhead: if privatized {
+            cfg.tls.se_overhead_cycles / 2.0
+        } else {
+            0.0
+        },
+        dev: &mut dev,
+        arena: SpecArena::default(),
+        stats: &mut report.faults,
     };
 
     let mut gpu_started = false;
@@ -419,64 +553,11 @@ fn greedy_share(
                 // Stolen from the CPU side: synchronous transfer.
                 gpu_next + cfg.gpu.transfer_seconds(tbytes)
             };
-            // Launch with bounded retry; an unabsorbed fault resubmits the
-            // chunk on the CPU timeline. The speculative buffer dies with
-            // the kernel, so nothing partial ever reaches device memory.
-            let mut attempt = 0u32;
-            let mut chunk_backoff = 0.0f64;
-            let mut gpu_result = None;
-            loop {
-                let mut spec = SpeculativeMemory::new(&mut dev, se_overhead);
-                match launch_loop_par_with(
-                    program,
-                    &cfg.gpu,
-                    task.loop_,
-                    bounds,
-                    lo..hi,
-                    env,
-                    &mut spec,
-                    faults,
-                    watchdog,
-                    Some(kernels),
-                ) {
-                    Ok(kr) => {
-                        let writes = spec.commit_all_collect()?;
-                        gpu_result = Some((kr, writes));
-                        break;
-                    }
-                    Err(SimtError::Fault(f)) => {
-                        drop(spec);
-                        report.faults.observe(&f);
-                        if f.transient && attempt < res.max_retries {
-                            attempt += 1;
-                            report.faults.retries += 1;
-                            let b = res.retry_backoff_us * 1e-6 * attempt as f64;
-                            report.faults.backoff_s += b;
-                            chunk_backoff += b;
-                            continue;
-                        }
-                        if res.fail_fast {
-                            return Err(SchedError::Device {
-                                fault: f,
-                                stats: report.faults,
-                            });
-                        }
-                        report.faults.fallbacks += 1;
-                        report.faults.escalate(DegradationLevel::GpuDegraded);
-                        let device_faults = report.faults.gpu_faults
-                            + report.faults.transfer_faults
-                            + report.faults.deadline_overruns;
-                        if device_faults >= res.device_fault_tolerance {
-                            gpu_alive = false;
-                            report.faults.escalate(DegradationLevel::CpuOnly);
-                        }
-                        break;
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            }
-            match gpu_result {
-                Some((kr, writes)) => {
+            // An unabsorbed fault resubmits the chunk on the CPU timeline.
+            let run = launch_chunk(task, lo..hi, &mut cx)?;
+            let chunk_backoff = run.backoff_s;
+            match run.outcome {
+                Ok((kr, writes)) => {
                     let commit_s = if privatized {
                         cfg.gpu.cycles_to_seconds(
                             writes.len() as f64 * cfg.tls.commit_cycles_per_write,
@@ -505,11 +586,12 @@ fn greedy_share(
                     gpu_clock = sm_free.iter().copied().fold(0.0, f64::max);
                     report.gpu_iters += hi - lo;
                 }
-                None => {
+                Err(fault) => {
+                    gpu_alive = absorb_gpu_fault(res, cx.stats, fault)?;
                     // Chunk resubmission: the failed GPU chunk re-runs on
                     // the host. This rung is deliberately unguarded — the
                     // ladder must terminate.
-                    let batch_s = if cpu_seq {
+                    let batch_s = if privatized {
                         let be = exec_chunk_buffered(
                             program, &cfg.cpu, task.loop_, bounds, lo, hi, env, heap, kernels,
                         )?;
@@ -543,7 +625,7 @@ fn greedy_share(
             let idx = back;
             let lo = back * chunk;
             let hi = ((back + take) * chunk).min(trip);
-            let batch_s = if cpu_seq {
+            let batch_s = if privatized {
                 // Deferred-write sequential execution so commits can be
                 // ordered across devices (safe for FD-only loops: every
                 // cross-chunk read is killed by an own-iteration write).
@@ -574,25 +656,25 @@ fn greedy_share(
                     match pool.run_parallel(task.loop_, bounds, lo..hi, env, heap, cpu_threads) {
                         Ok(r) => break r.time_s,
                         Err(CpuExecError::Fault(f)) => {
-                            report.faults.observe(&f);
+                            cx.stats.observe(&f);
                             if f.transient && attempt < res.max_retries {
                                 attempt += 1;
-                                report.faults.retries += 1;
+                                cx.stats.retries += 1;
                                 let b = res.retry_backoff_us * 1e-6 * attempt as f64;
-                                report.faults.backoff_s += b;
+                                cx.stats.backoff_s += b;
                                 cpu_clock += b;
                                 continue;
                             }
                             if res.fail_fast {
                                 return Err(SchedError::Device {
                                     fault: f,
-                                    stats: report.faults,
+                                    stats: *cx.stats,
                                 });
                             }
-                            report.faults.fallbacks += 1;
-                            if report.faults.cpu_faults >= res.device_fault_tolerance {
+                            cx.stats.fallbacks += 1;
+                            if cx.stats.cpu_faults >= res.device_fault_tolerance {
                                 cpu_pool_alive = false;
-                                report.faults.escalate(DegradationLevel::Sequential);
+                                cx.stats.escalate(DegradationLevel::Sequential);
                             }
                             // One sequential shot for this batch either way.
                             let r = cpu.run_sequential(
@@ -616,7 +698,9 @@ fn greedy_share(
 
     // Commit all deferred writes in chunk (iteration) order; count the
     // GPU-written bytes for the device-to-host transfer model.
-    ordered_writes.sort_by_key(|(idx, _, _)| *idx);
+    if !ordered_writes.is_sorted_by_key(|(idx, _, _)| *idx) {
+        ordered_writes.sort_by_key(|(idx, _, _)| *idx);
+    }
     let mut bytes_out = 0usize;
     for (_, from_gpu, writes) in &ordered_writes {
         let b = apply_writes_to_host(heap, writes)?;
@@ -770,10 +854,7 @@ pub fn run_cpu_only(
     let mut report = LoopExecReport::new(task.loop_.id, mode, Scheme::Sharing);
     report.iterations = trip;
     report.cpu_iters = trip;
-    let kernels = cfg
-        .kernels
-        .clone()
-        .unwrap_or_else(|| std::sync::Arc::new(KernelCache::new()));
+    let kernels = cfg.kernel_cache();
     let cpu = task.cpu_ctx(program, cfg, &kernels);
     let r = match mode {
         ExecutionMode::B | ExecutionMode::C => {
@@ -801,10 +882,7 @@ pub fn run_cpu_serial(
     let mut report = LoopExecReport::new(task.loop_.id, task.try_mode(cfg)?, Scheme::Sharing);
     report.iterations = trip;
     report.cpu_iters = trip;
-    let kernels = cfg
-        .kernels
-        .clone()
-        .unwrap_or_else(|| std::sync::Arc::new(KernelCache::new()));
+    let kernels = cfg.kernel_cache();
     let cpu = task.cpu_ctx(program, cfg, &kernels);
     let r = cpu.run_sequential(task.loop_, &bounds, 0..trip, env, heap)?;
     report.cpu_busy_s = r.time_s;
@@ -836,10 +914,7 @@ pub fn run_gpu_only(
     stage_device(&plan, heap, &mut dev, cfg)?;
     let h2d = cfg.gpu.transfer_seconds(plan.bytes_in(heap));
     let mut tls_report = None;
-    let kernels = cfg
-        .kernels
-        .clone()
-        .unwrap_or_else(|| std::sync::Arc::new(KernelCache::new()));
+    let kernels = cfg.kernel_cache();
     let compute_s = match mode {
         ExecutionMode::A | ExecutionMode::DPrime => {
             let kr = launch_loop_par_with(
@@ -935,24 +1010,21 @@ pub fn run_fixed_split(
     stage_device(&plan, heap, &mut dev, cfg)?;
     let in_share = (plan.bytes_in(heap) as f64 * gpu_fraction) as usize;
     let h2d = cfg.gpu.transfer_seconds(in_share);
-    let kernels = cfg
-        .kernels
-        .clone()
-        .unwrap_or_else(|| std::sync::Arc::new(KernelCache::new()));
-    let mut spec = SpeculativeMemory::new(&mut dev, 0.0);
-    let kr = launch_loop_par_with(
+    let kernels = cfg.kernel_cache();
+    // One unguarded chunk: no plan, so no fault to come back.
+    let mut cx = ChunkCx {
         program,
-        &cfg.gpu,
-        task.loop_,
-        &bounds,
-        0..split,
+        cfg,
+        bounds: &bounds,
         env,
-        &mut spec,
-        None,
-        None,
-        Some(&kernels),
-    )?;
-    let writes = spec.commit_all_collect()?;
+        kernels: &kernels,
+        faults: None,
+        se_overhead: 0.0,
+        dev: &mut dev,
+        arena: SpecArena::default(),
+        stats: &mut report.faults,
+    };
+    let (kr, writes) = launch_chunk(task, 0..split, &mut cx)?.outcome?;
     let cpu = task.cpu_ctx(program, cfg, &kernels).run_parallel(
         task.loop_,
         &bounds,
@@ -979,7 +1051,7 @@ mod tests {
     use super::*;
     use japonica_analysis::analyze_loop;
     use japonica_frontend::compile_source;
-    use japonica_ir::ParamTy;
+    use japonica_ir::{ArrayId, ParamTy, Value};
 
     /// Compile + bind one double array of len n per array param; returns
     /// everything needed to schedule the first annotated loop.

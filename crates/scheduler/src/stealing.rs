@@ -19,13 +19,16 @@ use crate::config::SchedulerConfig;
 use crate::modes::ExecutionMode;
 use crate::plan::DataPlan;
 use crate::report::{LoopExecReport, SchedError};
-use crate::sharing::{eval_bounds, stage_device_guarded, transfer_with_retry, LoopTask};
+use crate::sharing::{
+    absorb_gpu_fault, apply_writes_to_host, eval_bounds, launch_chunk, retry_transient,
+    stage_device_guarded, transfer_with_retry, ChunkCx, LoopTask,
+};
 use japonica_analysis::Pdg;
-use japonica_cpuexec::{CpuCtx, CpuExecError};
+use japonica_cpuexec::CpuCtx;
 use japonica_faults::{DegradationLevel, FaultOrigin, FaultStats};
-use japonica_gpusim::{launch_loop_par_with, DeviceMemory, SimtError};
+use japonica_gpusim::{DeviceMemory, SimtError};
 use japonica_ir::{Env, Heap, KernelCache, LoopBounds, LoopId, Program, Scheme};
-use japonica_tls::SpeculativeMemory;
+use japonica_tls::SpecArena;
 use std::collections::VecDeque;
 
 /// Which device executed a task.
@@ -138,14 +141,8 @@ pub fn run_stealing(
 ) -> Result<StealingReport, SchedError> {
     let mut report = StealingReport::default();
     // One bytecode compilation per loop: sub-loops, steals, TLS re-launches
-    // and fault retries all hit the cache. Private to the run unless the
-    // caller hands in a program-scoped cache via `cfg.kernels` (`LoopId`s
-    // are only unique within one program, so a shared cache must never span
-    // programs).
-    let kernels = cfg
-        .kernels
-        .clone()
-        .unwrap_or_else(|| std::sync::Arc::new(KernelCache::new()));
+    // and fault retries all hit the cache.
+    let kernels = cfg.kernel_cache();
     let mut gpu_clock = 0.0f64;
     let mut cpu_clock = 0.0f64;
     // Degradation ladder state: once the device exhausts its fault
@@ -301,20 +298,8 @@ pub fn run_stealing(
                             // untouched: resubmit the task on the CPU
                             // timeline — unless the caller wants the fault
                             // surfaced instead of absorbed.
-                            if res.fail_fast {
-                                return Err(SchedError::Device {
-                                    fault,
-                                    stats: report.faults,
-                                });
-                            }
-                            report.faults.fallbacks += 1;
-                            report.faults.escalate(DegradationLevel::GpuDegraded);
-                            let device_faults = report.faults.gpu_faults
-                                + report.faults.transfer_faults
-                                + report.faults.deadline_overruns;
-                            if device_faults >= res.device_fault_tolerance {
-                                gpu_alive = false;
-                                report.faults.escalate(DegradationLevel::CpuOnly);
+                            gpu_alive = absorb_gpu_fault(res, &mut report.faults, fault)?;
+                            if !gpu_alive {
                                 while let Some(mut q) = gpu_q.pop_front() {
                                     q.queued_on = Device::Cpu;
                                     cpu_q.push_back(q);
@@ -326,7 +311,6 @@ pub fn run_stealing(
                                 &t,
                                 env,
                                 heap,
-                                res,
                                 &kernels,
                                 &mut report.faults,
                             )?;
@@ -339,16 +323,7 @@ pub fn run_stealing(
                     }
                 }
                 Device::Cpu => {
-                    let dur = exec_cpu(
-                        program,
-                        cfg,
-                        &t,
-                        env,
-                        heap,
-                        res,
-                        &kernels,
-                        &mut report.faults,
-                    )?;
+                    let dur = exec_cpu(program, cfg, &t, env, heap, &kernels, &mut report.faults)?;
                     let start = cpu_clock;
                     cpu_clock += dur;
                     (Device::Cpu, start, cpu_clock)
@@ -405,11 +380,6 @@ fn exec_gpu(
 ) -> Result<(f64, f64, f64), SchedError> {
     let faults = cfg.faults.as_ref();
     let res = &cfg.resilience;
-    let watchdog = if faults.is_some() {
-        res.watchdog()
-    } else {
-        None
-    };
     let origin = FaultOrigin::for_loop(t.task.loop_.id)
         .with_subloop(t.lo)
         .with_chunk(t.sub.0 as u64);
@@ -451,53 +421,29 @@ fn exec_gpu(
         }
         return Ok((h2d, r.time_s, cfg.gpu.stream_seconds(bytes_out)));
     }
-    let overhead = match t.mode {
-        ExecutionMode::D => cfg.tls.se_overhead_cycles / 2.0,
-        _ => 0.0,
+    // The host heap stays untouched until the launch succeeds AND the
+    // write-back below is cleared to proceed — a prerequisite for safe CPU
+    // resubmission by the caller.
+    let mut cx = ChunkCx {
+        program,
+        cfg,
+        bounds: &t.bounds,
+        env,
+        kernels,
+        faults,
+        se_overhead: match t.mode {
+            ExecutionMode::D => cfg.tls.se_overhead_cycles / 2.0,
+            _ => 0.0,
+        },
+        dev: &mut dev,
+        arena: SpecArena::default(),
+        stats,
     };
-    // Launch with bounded retry; the speculative buffer dies with a faulted
-    // kernel, so the host heap stays untouched until the launch succeeds
-    // AND the write-back below is cleared to proceed — a prerequisite for
-    // safe CPU resubmission by the caller.
-    let mut attempt = 0u32;
-    let mut backoff = 0.0f64;
-    let (kr, writes) = loop {
-        let mut spec = SpeculativeMemory::new(&mut dev, overhead);
-        match launch_loop_par_with(
-            program,
-            &cfg.gpu,
-            t.task.loop_,
-            &t.bounds,
-            t.lo..t.hi,
-            env,
-            &mut spec,
-            faults,
-            watchdog,
-            Some(kernels),
-        ) {
-            Ok(kr) => {
-                let writes = spec.commit_all_collect()?;
-                break (kr, writes);
-            }
-            Err(SimtError::Fault(f)) => {
-                drop(spec);
-                stats.observe(&f);
-                if f.transient && attempt < res.max_retries {
-                    attempt += 1;
-                    stats.retries += 1;
-                    let b = res.retry_backoff_us * 1e-6 * attempt as f64;
-                    stats.backoff_s += b;
-                    backoff += b;
-                    continue;
-                }
-                return Err(SchedError::Device {
-                    fault: f,
-                    stats: *stats,
-                });
-            }
-            Err(e) => return Err(e.into()),
-        }
-    };
+    let run = launch_chunk(t.task, t.lo..t.hi, &mut cx)?;
+    let (kr, writes) = run.outcome.map_err(|fault| SchedError::Device {
+        fault,
+        stats: *stats,
+    })?;
     // D2H gate: check (and retry) the return transfer before the first
     // element lands on the host, so a faulted write-back leaves the heap
     // untouched.
@@ -509,14 +455,9 @@ fn exec_gpu(
         }
         Ok(())
     })?;
-    let mut bytes_out = 0usize;
-    for ((arr, idx), v) in &writes {
-        heap.store(*arr, *idx, *v)?;
-        bytes_out += heap.array(*arr)?.ty().size_bytes();
-    }
-    let d2h = cfg.gpu.stream_seconds(bytes_out);
+    let d2h = cfg.gpu.stream_seconds(apply_writes_to_host(heap, &writes)?);
     // Launches pipeline on the open stream.
-    let kernel_s = (kr.time_s - cfg.gpu.kernel_launch_us * 1e-6).max(0.0) + 5e-6 + backoff;
+    let kernel_s = (kr.time_s - cfg.gpu.kernel_launch_us * 1e-6).max(0.0) + 5e-6 + run.backoff_s;
     Ok((h2d, kernel_s, d2h))
 }
 
@@ -524,17 +465,16 @@ fn exec_gpu(
 /// tasks, sequential otherwise. Injected worker-chunk faults are retried
 /// and then absorbed by dropping the batch to sequential execution — the
 /// CPU rung always completes.
-#[allow(clippy::too_many_arguments)] // mirrors exec_gpu plus the kernel cache
 fn exec_cpu(
     program: &Program,
     cfg: &SchedulerConfig,
     t: &SubTask,
     env: &Env,
     heap: &mut Heap,
-    res: &japonica_faults::ResilienceConfig,
     kernels: &KernelCache,
     stats: &mut FaultStats,
 ) -> Result<f64, SchedError> {
+    let res = &cfg.resilience;
     let origin = FaultOrigin::for_loop(t.task.loop_.id)
         .with_subloop(t.lo)
         .with_chunk(t.sub.0 as u64);
@@ -543,10 +483,11 @@ fn exec_cpu(
         origin,
         ..t.task.cpu_ctx(program, cfg, kernels)
     };
+    let sequential = |heap: &mut Heap| {
+        cpu.run_sequential(t.task.loop_, &t.bounds, t.lo..t.hi, &mut env.clone(), heap)
+    };
     let r = match t.mode {
-        ExecutionMode::B | ExecutionMode::C | ExecutionMode::D => {
-            cpu.run_sequential(t.task.loop_, &t.bounds, t.lo..t.hi, &mut env.clone(), heap)?
-        }
+        ExecutionMode::B | ExecutionMode::C | ExecutionMode::D => sequential(heap)?,
         _ => {
             let threads = t
                 .task
@@ -555,37 +496,23 @@ fn exec_cpu(
                 .as_ref()
                 .and_then(|a| a.threads)
                 .unwrap_or(cfg.cpu_threads);
-            let mut attempt = 0u32;
-            loop {
-                match cpu.run_parallel(t.task.loop_, &t.bounds, t.lo..t.hi, env, heap, threads) {
-                    Ok(r) => break r,
-                    Err(CpuExecError::Fault(f)) => {
-                        stats.observe(&f);
-                        if f.transient && attempt < res.max_retries {
-                            attempt += 1;
-                            stats.retries += 1;
-                            stats.backoff_s += res.retry_backoff_us * 1e-6 * attempt as f64;
-                            continue;
-                        }
-                        if res.fail_fast {
-                            return Err(SchedError::Device {
-                                fault: f,
-                                stats: *stats,
-                            });
-                        }
-                        stats.fallbacks += 1;
-                        if stats.cpu_faults >= res.device_fault_tolerance {
-                            stats.escalate(DegradationLevel::Sequential);
-                        }
-                        break cpu.run_sequential(
-                            t.task.loop_,
-                            &t.bounds,
-                            t.lo..t.hi,
-                            &mut env.clone(),
-                            heap,
-                        )?;
+            let run = retry_transient(res, stats, || {
+                cpu.run_parallel(t.task.loop_, &t.bounds, t.lo..t.hi, env, heap, threads)
+            })?;
+            match run.outcome {
+                Ok(r) => r,
+                Err(fault) => {
+                    if res.fail_fast {
+                        return Err(SchedError::Device {
+                            fault,
+                            stats: *stats,
+                        });
                     }
-                    Err(CpuExecError::Exec(e)) => return Err(e.into()),
+                    stats.fallbacks += 1;
+                    if stats.cpu_faults >= res.device_fault_tolerance {
+                        stats.escalate(DegradationLevel::Sequential);
+                    }
+                    sequential(heap)?
                 }
             }
         }

@@ -18,10 +18,15 @@
 //!   cross-iteration dependence;
 //! * fault-retry path: identical injected-fault surfacing and identical
 //!   post-retry results on both the GPU and CPU guarded executors.
+//!
+//! The same corpus pins the scheduler's chunk memories against each other:
+//! a proven-DOALL loop's write-through journaled chunks against fully
+//! tracked speculative ones (under sharing, stealing and the fixed split),
+//! and privatization's buffer-only memory against the tracked one.
 
-use japonica_analysis::analyze_program;
+use japonica_analysis::{analyze_program, build_pdg, LoopAnalysis};
 use japonica_cpuexec::{CpuConfig, CpuCtx, CpuExecError, CpuReport, Independence};
-use japonica_faults::{FaultKind, FaultPlan, FaultRule};
+use japonica_faults::{FaultKind, FaultPlan, FaultRule, ResilienceConfig};
 use japonica_frontend::compile_source;
 use japonica_gpusim::{
     launch_loop_guarded, launch_loop_par, launch_loop_par_with, DeviceConfig, DeviceMemory,
@@ -31,7 +36,14 @@ use japonica_ir::{
     compile_kernel, ArrayId, Env, ExecEngine, ForLoop, Heap, KernelCache, LoopBounds, Program,
     Value, VarId, NATIVE_PROMOTE_USES,
 };
-use japonica_tls::{run_tls_loop, TlsConfig, TlsReport};
+use japonica_scheduler::sharing::{
+    eval_bounds, launch_chunk, run_fixed_split, stage_device, ChunkCx,
+};
+use japonica_scheduler::{run_sharing, run_stealing, DataPlan, LoopTask, SchedulerConfig};
+use japonica_tls::{
+    run_privatized_with, run_tls_loop_guarded_with, SpecArena, SpeculativeMemory, TlsConfig,
+    TlsReport,
+};
 use proptest::prelude::*;
 
 /// The two compiled engines, each diffed against the tree walker.
@@ -467,10 +479,15 @@ fn run_tls(n: i64, dist: i64, subloop: u64, engine: ExecEngine) -> (TlsFingerpri
         subloop_iters: subloop,
         ..TlsConfig::default()
     };
-    let r = run_tls_loop(
+    // Recovery windows replay on the CPU model's engine, through the cache.
+    let ccfg = CpuConfig {
+        engine,
+        ..CpuConfig::default()
+    };
+    let r = run_tls_loop_guarded_with(
         &program,
         &dcfg,
-        &CpuConfig::default(),
+        &ccfg,
         &tls,
         &loop_,
         &bounds,
@@ -478,6 +495,9 @@ fn run_tls(n: i64, dist: i64, subloop: u64, engine: ExecEngine) -> (TlsFingerpri
         &env,
         &mut dev,
         None,
+        None,
+        &ResilienceConfig::default(),
+        Some(&KernelCache::new()),
     )
     .unwrap();
     let mem: Vec<i64> = {
@@ -487,6 +507,323 @@ fn run_tls(n: i64, dist: i64, subloop: u64, engine: ExecEngine) -> (TlsFingerpri
             .collect()
     };
     (TlsFingerprint::of(&r), mem)
+}
+
+// ---------------------------------------------------------------------------
+// Chunk memories (journaled ≡ tracked, buffer-only ≡ tracked)
+// ---------------------------------------------------------------------------
+
+/// Stores `a[i]` twice when the data says so: the journal must list the
+/// element once, as a per-iteration buffer does.
+const STORES_TWICE: &str = "static void k(double[] a, double[] b, int n) {
+    /* acc parallel */
+    for (int i = 0; i < n; i++) {
+        a[i] = b[i] * 2.0;
+        if (b[i] > 0.5) { a[i] = a[i] + 1.0; }
+    }
+}";
+
+/// Re-stores `a[i]` from an inner loop.
+const INNER_LOOP: &str = "static void k(double[] a, double[] b, int n) {
+    /* acc parallel */
+    for (int i = 0; i < n; i++) {
+        for (int j = 0; j < 5; j++) { a[i] = a[i] * 0.5 + b[i]; }
+    }
+}";
+
+const ENGINES: [ExecEngine; 3] = [
+    ExecEngine::TreeWalker,
+    ExecEngine::Bytecode,
+    ExecEngine::Native,
+];
+
+/// `analysis` with a scalar named live-out: still DOALL (mode A), no longer
+/// proven — the shape a trusted `private(..)` clause leaves — so the
+/// scheduler keeps the loop on its fully tracked chunk memory. The data
+/// plan only reads the array classes and does not move.
+fn unproven_twin(analysis: &LoopAnalysis) -> LoopAnalysis {
+    let mut twin = analysis.clone();
+    let scalar = twin
+        .classes
+        .uses
+        .iter()
+        .find(|(_, u)| !u.is_array)
+        .map(|(v, _)| *v)
+        .expect("the kernels read the scalar `n`");
+    twin.classes.live_out.push(scalar);
+    assert!(twin.determination.is_doall() && !twin.proven_independent());
+    twin
+}
+
+fn sched_cfg(engine: ExecEngine, threads: usize) -> SchedulerConfig {
+    let mut cfg = SchedulerConfig::default().with_host_threads(threads);
+    cfg.gpu.sim.engine = engine;
+    cfg.cpu.engine = engine;
+    // Several chunks and several sub-loops even at a few hundred iterations.
+    cfg.max_chunks = 8;
+    cfg
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    Sharing,
+    Stealing,
+    FixedSplit,
+}
+
+/// One scheduler run over `fx`'s loop: the whole report — `{:?}` prints an
+/// f64 as the shortest decimal that round-trips, so equal text is equal
+/// bits — and the heap bits of both arrays.
+fn run_scheduled(
+    fx: &Fx,
+    analysis: &LoopAnalysis,
+    entry: Entry,
+    cfg: &SchedulerConfig,
+) -> (String, Vec<u64>, Vec<u64>) {
+    let task = LoopTask {
+        loop_: &fx.loop_,
+        analysis,
+        profile: None,
+    };
+    let mut heap = fx.heap.clone();
+    let report = match entry {
+        Entry::Sharing => format!(
+            "{:?}",
+            run_sharing(&fx.program, cfg, &task, &mut fx.env.clone(), &mut heap).unwrap()
+        ),
+        Entry::Stealing => {
+            let (_, f) = fx.program.function_by_name("k").unwrap();
+            let pdg = build_pdg(f);
+            format!(
+                "{:?}",
+                run_stealing(&fx.program, cfg, &[task], &pdg, &fx.env, &mut heap).unwrap()
+            )
+        }
+        Entry::FixedSplit => format!(
+            "{:?}",
+            run_fixed_split(&fx.program, cfg, &task, &fx.env, &mut heap, 0.5).unwrap()
+        ),
+    };
+    (report, heap_bits(&heap, fx.a), heap_bits(&heap, fx.b))
+}
+
+/// One chunk through [`launch_chunk`]: the kernel report, the writes sorted
+/// by location (the journal lists them in store order, the buffers in
+/// iteration order) and the device bits of `a`.
+fn run_chunk(
+    fx: &Fx,
+    analysis: &LoopAnalysis,
+    cfg: &SchedulerConfig,
+) -> (KernelReport, Vec<(ArrayId, i64, u64)>, Vec<u64>) {
+    let task = LoopTask {
+        loop_: &fx.loop_,
+        analysis,
+        profile: None,
+    };
+    let mut heap = fx.heap.clone();
+    let plan = DataPlan::derive(
+        &fx.program,
+        &fx.loop_,
+        &analysis.classes,
+        &fx.env,
+        &mut heap,
+    )
+    .unwrap();
+    let mut dev = DeviceMemory::new();
+    stage_device(&plan, &heap, &mut dev, cfg).unwrap();
+    let kernels = KernelCache::new();
+    let mut cx = ChunkCx {
+        program: &fx.program,
+        cfg,
+        bounds: &fx.bounds,
+        env: &fx.env,
+        kernels: &kernels,
+        faults: None,
+        se_overhead: 0.0,
+        dev: &mut dev,
+        arena: SpecArena::default(),
+        stats: &mut Default::default(),
+    };
+    let (kr, writes) = launch_chunk(&task, 0..fx.n as u64, &mut cx)
+        .unwrap()
+        .outcome
+        .unwrap();
+    let mut writes: Vec<_> = writes
+        .into_iter()
+        .map(|((arr, idx), v)| (arr, idx, v.as_f64().unwrap().to_bits()))
+        .collect();
+    writes.sort();
+    (kr, writes, mem_bits(&dev, fx.a))
+}
+
+/// Journaled ≡ tracked on `src` at `n` iterations, everywhere a GPU chunk
+/// is launched from.
+fn assert_journaled_equals_tracked(src: &str, n: usize) -> Result<(), TestCaseError> {
+    let fx = fx(src, n);
+    let proven = analyze_program(&fx.program)[&fx.loop_.id].clone();
+    prop_assert!(
+        proven.proven_independent(),
+        "the DOALL contract must be provable:\n{}",
+        src
+    );
+    let tracked = unproven_twin(&proven);
+    for engine in ENGINES {
+        for threads in [1usize, 2] {
+            let cfg = sched_cfg(engine, threads);
+            prop_assert_eq!(
+                run_chunk(&fx, &proven, &cfg),
+                run_chunk(&fx, &tracked, &cfg),
+                "{:?} chunk diverged at {} threads:\n{}",
+                engine,
+                threads,
+                src
+            );
+            for entry in [Entry::Sharing, Entry::Stealing, Entry::FixedSplit] {
+                prop_assert_eq!(
+                    run_scheduled(&fx, &proven, entry, &cfg),
+                    run_scheduled(&fx, &tracked, entry, &cfg),
+                    "{:?} {:?} diverged at {} threads:\n{}",
+                    engine,
+                    entry,
+                    threads,
+                    src
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A staged privatization fixture: some loop with false dependences only.
+struct Privatized {
+    program: Program,
+    loop_: ForLoop,
+    env: Env,
+    bounds: LoopBounds,
+    dev: DeviceMemory,
+}
+
+impl Privatized {
+    /// `function`'s first annotated loop over `heap`, parameters bound to
+    /// `args`, its data plan staged.
+    fn stage(program: &Program, function: &str, args: &[Value], heap: &mut Heap) -> Privatized {
+        let (_, f) = program.function_by_name(function).unwrap();
+        let loop_ = f
+            .all_loops()
+            .into_iter()
+            .find(|l| l.is_annotated())
+            .unwrap()
+            .clone();
+        let mut env = Env::with_slots(f.num_vars);
+        for (p, a) in f.params.iter().zip(args) {
+            env.set(p.var, *a);
+        }
+        let analysis = &analyze_program(program)[&loop_.id];
+        let bounds = eval_bounds(program, &loop_, &env, heap).unwrap();
+        let plan = DataPlan::derive(program, &loop_, &analysis.classes, &env, heap).unwrap();
+        let mut dev = DeviceMemory::new();
+        stage_device(&plan, heap, &mut dev, &SchedulerConfig::default()).unwrap();
+        Privatized {
+            program: program.clone(),
+            loop_,
+            env,
+            bounds,
+            dev,
+        }
+    }
+
+    /// `run_privatized_with` (buffer-only) against the same launch over a
+    /// fully tracked memory: same write list, same report, same device.
+    fn assert_buffer_only_equals_tracked(&self) -> Result<(), TestCaseError> {
+        let tls = TlsConfig::default();
+        let range = 0..self.bounds.trip();
+        for engine in ENGINES {
+            for threads in [1usize, 2] {
+                let mut dcfg = DeviceConfig::default();
+                dcfg.sim.engine = engine;
+                dcfg.sim.host_threads = threads;
+                let kernels = KernelCache::new();
+                let mut dev = self.dev.clone();
+                let r = run_privatized_with(
+                    &self.program,
+                    &dcfg,
+                    &tls,
+                    &self.loop_,
+                    &self.bounds,
+                    range.clone(),
+                    &self.env,
+                    &mut dev,
+                    Some(&kernels),
+                )
+                .unwrap();
+
+                let mut tracked_dev = self.dev.clone();
+                let mut spec =
+                    SpeculativeMemory::new(&mut tracked_dev, tls.se_overhead_cycles / 2.0);
+                let kr = launch_loop_par_with(
+                    &self.program,
+                    &dcfg,
+                    &self.loop_,
+                    &self.bounds,
+                    range.clone(),
+                    &self.env,
+                    &mut spec,
+                    None,
+                    None,
+                    Some(&kernels),
+                )
+                .unwrap();
+                prop_assert!(spec.entries() > 0, "the tracked memory did track");
+                let writes = spec.commit_all_collect().unwrap();
+                let gpu_time_s = kr.time_s
+                    + dcfg.cycles_to_seconds(writes.len() as f64 * tls.commit_cycles_per_write);
+
+                prop_assert!(!writes.is_empty());
+                prop_assert_eq!(&r.writes, &writes, "{:?}/{} write list", engine, threads);
+                prop_assert_eq!(
+                    (
+                        r.gpu_time_s.to_bits(),
+                        r.time_s.to_bits(),
+                        r.cpu_time_s.to_bits()
+                    ),
+                    (gpu_time_s.to_bits(), gpu_time_s.to_bits(), 0f64.to_bits()),
+                    "{:?}/{} time",
+                    engine,
+                    threads
+                );
+                prop_assert_eq!(
+                    (r.kernels, r.clean_subloops, r.violations, r.recovered_iters),
+                    (1, 1, 0, 0)
+                );
+                for slot in 0..8 {
+                    let arr = ArrayId(slot);
+                    prop_assert_eq!(dev.array(arr).ok(), tracked_dev.array(arr).ok());
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+#[test]
+fn journaled_chunks_equal_tracked_on_the_repeated_store_kernels() {
+    for src in [STORES_TWICE, INNER_LOOP] {
+        for n in [33usize, 96, 500] {
+            assert_journaled_equals_tracked(src, n).unwrap();
+        }
+    }
+}
+
+#[test]
+fn buffer_only_privatization_equals_tracked_on_cfd_and_sepia() {
+    for name in ["CFD", "Sepia"] {
+        let w = japonica_workloads::Workload::by_name(name).unwrap();
+        let mut inst = w.instantiate(1);
+        let program = w.compile().program;
+        Privatized::stage(&program, w.entry, &inst.args, &mut inst.heap)
+            .assert_buffer_only_equals_tracked()
+            .unwrap();
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -701,5 +1038,44 @@ proptest! {
             prop_assert_eq!(&cpu_runs[0].1, &run.1, "{:?} post-retry report diverged:\n{}", engine, &src);
             prop_assert_eq!(&cpu_runs[0].2, &run.2, "{:?} post-retry memory diverged:\n{}", engine, &src);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+
+    /// Chunk memories, proven loops: on every generated kernel the
+    /// write-through journaled launch is indistinguishable from the fully
+    /// tracked speculative one — kernel report, write list and device bits
+    /// of one chunk; report and heap bits under sharing, stealing and the
+    /// fixed split — for every engine at `host_threads ∈ {1, 2}`.
+    #[test]
+    fn journaled_chunks_equal_tracked(
+        genes in proptest::collection::vec(any::<u8>(), 8..64),
+        n in 33usize..400,
+    ) {
+        assert_journaled_equals_tracked(&gen_kernel(&genes), n)?;
+    }
+
+    /// Chunk memories, false dependences only: every iteration overwrites
+    /// one of `k` shared cells (WAW, and WAR against the read that follows),
+    /// so only iteration-ordered commits are sequentially equivalent.
+    #[test]
+    fn buffer_only_privatization_equals_tracked(k in 2i64..70, n in 40i32..600) {
+        let src = format!(
+            "static void f(long[] a, long[] o, int n) {{
+                /* acc parallel */
+                for (int i = 0; i < n; i++) {{
+                    a[i % {k}] = i;
+                    o[i] = a[i % {k}] * 2;
+                }}
+            }}"
+        );
+        let program = compile_source(&src).unwrap();
+        let mut heap = Heap::new();
+        let a = heap.alloc_longs(&vec![0; 70]);
+        let o = heap.alloc_longs(&vec![0; n as usize]);
+        let args = [Value::Array(a), Value::Array(o), Value::Int(n)];
+        Privatized::stage(&program, "f", &args, &mut heap).assert_buffer_only_equals_tracked()?;
     }
 }

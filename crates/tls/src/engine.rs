@@ -9,8 +9,8 @@ use japonica_gpusim::{
     launch_loop_par_with, AccessCtx, DeviceConfig, DeviceMemory, LaneMemory, SimtError,
 };
 use japonica_ir::{
-    ArrayData, ArrayId, Backend, Env, ExecError, ForLoop, Interp, KernelCache, LoopBounds, OpClass,
-    Program, Ty, Value,
+    ArrayData, ArrayId, Backend, Env, ExecEngine, ExecError, ForLoop, Interp, KernelCache,
+    LoopBounds, OpClass, Program, ScalarVm, Ty, Value,
 };
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -235,9 +235,8 @@ pub fn run_tls_loop_guarded(
 
 /// [`run_tls_loop_guarded`] with an optional shared [`KernelCache`]: the
 /// speculative re-launch after every sub-loop, recovery window and fault
-/// retry reuses one bytecode compilation of the loop body. Sequential
-/// recovery replays stay on the reference tree walker (they run against
-/// live device memory with sequential semantics either way).
+/// retry reuses one bytecode compilation of the loop body, and so do the
+/// sequential recovery replays when `ccfg` selects a compiled engine.
 #[allow(clippy::too_many_arguments)]
 pub fn run_tls_loop_guarded_with(
     program: &Program,
@@ -263,6 +262,28 @@ pub fn run_tls_loop_guarded_with(
         res.watchdog()
     } else {
         None
+    };
+    // Sequential replay of `lo..hi` against the coherent device data — a
+    // recovery window, or a sub-loop whose launch keeps faulting — on the
+    // CPU model's engine (the walker for what bytecode declines; op counts
+    // are engine-invariant). Returns the simulated CPU seconds.
+    let compiled = kernels
+        .filter(|_| ccfg.engine != ExecEngine::TreeWalker)
+        .and_then(|cache| cache.get_or_compile(program, loop_));
+    let replay_on_cpu = |dev: &mut DeviceMemory, lo: u64, hi: u64| -> Result<f64, TlsError> {
+        let mut be = DeviceBackend::new(dev);
+        let mut env = base_env.clone();
+        match &compiled {
+            Some(k) => {
+                ScalarVm::new().exec_range(k, loop_.var, bounds, lo, hi, &mut env, &mut be)?;
+            }
+            None => {
+                Interp::new(program).exec_range(loop_, bounds, lo, hi, &mut env, &mut be)?;
+            }
+        }
+        Ok(ccfg.cycles_to_seconds(ccfg.cost.total(&be.counts))
+            // control transfer + coherence hop across PCIe
+            + 2.0 * dcfg.pcie_latency_us * 1e-6)
     };
     // One metadata arena for every round: each SE phase resets it (cost
     // proportional to what the previous round touched) instead of
@@ -310,13 +331,7 @@ pub fn run_tls_loop_guarded_with(
                     }
                     // Persistent (or retry-exhausted): replay the sub-loop
                     // sequentially, exactly like a misspeculation window.
-                    let mut be = DeviceBackend::new(dev);
-                    let mut env = base_env.clone();
-                    Interp::new(program)
-                        .exec_range(loop_, bounds, k, sub_end, &mut env, &mut be)?;
-                    let cpu_s = ccfg.cycles_to_seconds(ccfg.cost.total(&be.counts))
-                        + 2.0 * dcfg.pcie_latency_us * 1e-6;
-                    report.cpu_time_s += cpu_s;
+                    report.cpu_time_s += replay_on_cpu(dev, k, sub_end)?;
                     report.recovered_iters += sub_end - k;
                     k = sub_end;
                     break;
@@ -367,15 +382,7 @@ pub fn run_tls_loop_guarded_with(
                             rec_end = (rec_end + tls.recovery_window).min(range.end);
                         }
                     }
-                    let mut be = DeviceBackend::new(dev);
-                    let mut env = base_env.clone();
-                    Interp::new(program)
-                        .exec_range(loop_, bounds, v, rec_end, &mut env, &mut be)?;
-                    let cpu_cycles = ccfg.cost.total(&be.counts);
-                    let cpu_s = ccfg.cycles_to_seconds(cpu_cycles)
-                        // control transfer + coherence hop across PCIe
-                        + 2.0 * dcfg.pcie_latency_us * 1e-6;
-                    report.cpu_time_s += cpu_s;
+                    report.cpu_time_s += replay_on_cpu(dev, v, rec_end)?;
                     report.recovered_iters += rec_end - v;
                     k = rec_end;
                 }
@@ -420,7 +427,8 @@ pub fn run_privatized_with(
     kernels: Option<&KernelCache>,
 ) -> Result<TlsReport, TlsError> {
     let mut report = TlsReport::default();
-    let mut spec = SpeculativeMemory::new(dev, tls.se_overhead_cycles / 2.0);
+    let mut arena = SpecArena::default();
+    let mut spec = SpeculativeMemory::buffer_only(dev, tls.se_overhead_cycles / 2.0, &mut arena);
     let kr = launch_loop_par_with(
         program, dcfg, loop_, bounds, range, base_env, &mut spec, None, None, kernels,
     )?;

@@ -17,13 +17,11 @@
 //! (reset walks the touched bitsets, not the arrays). Semantics are pinned
 //! bit-identical to the map-based reference (see `MapModel` in the tests).
 
+pub use japonica_gpusim::WriteList;
 use japonica_gpusim::{AccessCtx, DeviceMemory, LaneMemory, ParallelLaneMemory};
 use japonica_ir::{ArrayId, ExecError, Value};
 use std::collections::BTreeSet;
 use std::ops::{Deref, DerefMut};
-
-/// A flattened, iteration-ordered list of `(location, value)` writes.
-pub type WriteList = Vec<((ArrayId, i64), Value)>;
 
 /// Result of the dependency-checking phase.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -397,6 +395,12 @@ impl SpecArena {
     fn dependence_stats(&self) -> DepStats {
         let mut st = DepStats::default();
         let mut ws = Vec::new();
+        // FD carriers are writers, and every writer owns a write buffer:
+        // mark them by buffer offset (most are marked many times over) and
+        // build the set once, in order, at the end.
+        let lo = self.writes.lo;
+        let mut fd = BitSet::default();
+        fd.resize(self.writes.used);
         for (a, m) in self.meta.iter().enumerate() {
             let arr = ArrayId(a as u32);
             for i in m.touched_r.iter_ones() {
@@ -423,7 +427,7 @@ impl SpecArena {
                         let (w_iter, _) = ws[q];
                         debug_assert!(w_iter > r.iter);
                         st.war_pairs += 1;
-                        st.fd_iters.insert(w_iter);
+                        fd.set((w_iter - lo) as usize);
                     }
                 }
             }
@@ -432,11 +436,12 @@ impl SpecArena {
                 if ws.len() > 1 {
                     st.waw_pairs += ws.len() as u64 - 1;
                     for &(w, _) in ws.iter().skip(1) {
-                        st.fd_iters.insert(w);
+                        fd.set((w - lo) as usize);
                     }
                 }
             }
         }
+        st.fd_iters = fd.iter_ones().map(|off| lo + off as u64).collect();
         st
     }
 }
@@ -472,6 +477,8 @@ pub struct SpeculativeMemory<'d> {
     base: &'d mut DeviceMemory,
     core: ArenaRef<'d>,
     overhead_cycles: f64,
+    /// Record reader/writer metadata for the DC phase?
+    tracked: bool,
 }
 
 impl<'d> SpeculativeMemory<'d> {
@@ -481,6 +488,7 @@ impl<'d> SpeculativeMemory<'d> {
             base,
             core: ArenaRef::Owned(SpecArena::default()),
             overhead_cycles,
+            tracked: true,
         }
     }
 
@@ -498,6 +506,23 @@ impl<'d> SpeculativeMemory<'d> {
             base,
             core: ArenaRef::Lent(arena),
             overhead_cycles,
+            tracked: true,
+        }
+    }
+
+    /// [`SpeculativeMemory::with_arena`] for privatized execution (PE(V)):
+    /// write buffers and read-your-own-write as ever, but no access
+    /// metadata — no DC phase will run, and `check`/`dependence_stats` see
+    /// no accesses. Buffered writes, commit order and every simulated
+    /// cycle equal the tracked memory's.
+    pub fn buffer_only(
+        base: &'d mut DeviceMemory,
+        overhead_cycles: f64,
+        arena: &'d mut SpecArena,
+    ) -> SpeculativeMemory<'d> {
+        SpeculativeMemory {
+            tracked: false,
+            ..SpeculativeMemory::with_arena(base, overhead_cycles, arena)
         }
     }
 
@@ -596,6 +621,7 @@ pub struct SpecView<'v> {
     writes: IterBufs,
     log: Vec<Access>,
     overhead_cycles: f64,
+    tracked: bool,
 }
 
 /// One warp's harvested speculative effects: buffered writes plus the
@@ -614,25 +640,29 @@ impl LaneMemory for SpecView<'_> {
         }
         let data = self.base.array(arr)?;
         let i = data.index_of(arr, idx)?;
-        self.log.push(Access {
-            arr,
-            idx: i,
-            iter: ctx.iter,
-            warp: ctx.warp,
-            write: false,
-        });
+        if self.tracked {
+            self.log.push(Access {
+                arr,
+                idx: i,
+                iter: ctx.iter,
+                warp: ctx.warp,
+                write: false,
+            });
+        }
         Ok(data.get(i))
     }
 
     fn store(&mut self, ctx: AccessCtx, arr: ArrayId, idx: i64, v: Value) -> Result<(), ExecError> {
         let i = self.base.array(arr)?.index_of(arr, idx)?;
-        self.log.push(Access {
-            arr,
-            idx: i,
-            iter: ctx.iter,
-            warp: ctx.warp,
-            write: true,
-        });
+        if self.tracked {
+            self.log.push(Access {
+                arr,
+                idx: i,
+                iter: ctx.iter,
+                warp: ctx.warp,
+                write: true,
+            });
+        }
         self.writes.write(ctx.iter, (arr, idx), v);
         Ok(())
     }
@@ -663,6 +693,7 @@ impl ParallelLaneMemory for SpeculativeMemory<'_> {
             writes: IterBufs::default(),
             log: Vec::new(),
             overhead_cycles: self.overhead_cycles,
+            tracked: self.tracked,
         }
     }
 
@@ -698,8 +729,10 @@ impl LaneMemory for SpeculativeMemory<'_> {
         // Global read: record metadata, then read the (stale) global value.
         let data = self.base.array(arr)?;
         let i = data.index_of(arr, idx)?;
-        self.core
-            .record_read(arr, i, data.len(), ctx.iter, ctx.warp);
+        if self.tracked {
+            self.core
+                .record_read(arr, i, data.len(), ctx.iter, ctx.warp);
+        }
         Ok(data.get(i))
     }
 
@@ -707,7 +740,9 @@ impl LaneMemory for SpeculativeMemory<'_> {
         // Validate against the real array so OOB faults surface during SE.
         let data = self.base.array(arr)?;
         let i = data.index_of(arr, idx)?;
-        self.core.note_write(arr, i, data.len(), ctx.iter, ctx.warp);
+        if self.tracked {
+            self.core.note_write(arr, i, data.len(), ctx.iter, ctx.warp);
+        }
         self.core.writes.write(ctx.iter, (arr, idx), v);
         Ok(())
     }
@@ -1180,6 +1215,41 @@ mod tests {
             let copied = check_and_commit(par, &model, upto)?;
             assert_committed(&dev, &model, (&arrs, 10), upto, copied)?;
         }
+    }
+
+    #[test]
+    fn buffer_only_buffers_and_commits_like_tracked_but_records_nothing() {
+        let ops = access_stream(3000, 3, 32);
+        let mut arena = SpecArena::default();
+        let mut collected = Vec::new();
+        for tracked in [true, false] {
+            let (mut dev, arrs) = device_with_arrays(3, 32);
+            let mut sm = if tracked {
+                SpeculativeMemory::with_arena(&mut dev, 4.0, &mut arena)
+            } else {
+                SpeculativeMemory::buffer_only(&mut dev, 4.0, &mut arena)
+            };
+            // Half the stream directly, half through a forked warp view.
+            let (direct, forked) = ops.split_at(ops.len() / 2);
+            replay(&mut sm, &arrs, direct);
+            let mut view = sm.fork();
+            replay(&mut view, &arrs, forked);
+            let delta = SpeculativeMemory::harvest(view);
+            sm.absorb(delta).unwrap();
+            assert_eq!(sm.overhead_cycles(), 4.0);
+            if !tracked {
+                assert_eq!(sm.entries(), 0);
+                assert!(sm.check().success());
+                assert_eq!(sm.dependence_stats(), DepStats::default());
+            }
+            let writes = sm.commit_all_collect().unwrap();
+            let mem: Vec<_> = arrs
+                .iter()
+                .map(|a| dev.array(*a).unwrap().clone())
+                .collect();
+            collected.push((writes, mem));
+        }
+        assert_eq!(collected[0], collected[1]);
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //!
 //! * unit tests per fault kind (kernel launch, SIMT, H2D, D2H, watchdog
 //!   deadline, CPU chunk) and per degradation-ladder rung;
+//! * chunk atomicity: a GPU chunk killed at launch, between warps or by the
+//!   watchdog leaves device memory exactly as it found it;
 //! * an acceptance run over Table II workloads (the Fig. 3 sharing and
 //!   Fig. 4 stealing benchmarks) with a mixed seeded plan;
 //! * a property test over arbitrary generated loops × arbitrary seeded
@@ -15,7 +17,11 @@
 use japonica::faults::{
     DegradationLevel, FaultKind, FaultPlan, FaultRule, FaultStats, ResilienceConfig,
 };
-use japonica::ir::{Heap, HeapBackend, Interp, Scheme, Value};
+use japonica::gpusim::DeviceMemory;
+use japonica::ir::{Heap, HeapBackend, Interp, KernelCache, Scheme, Value};
+use japonica::scheduler::sharing::{eval_bounds, launch_chunk, stage_device, ChunkCx};
+use japonica::scheduler::{DataPlan, LoopTask, SchedulerConfig};
+use japonica::tls::SpecArena;
 use japonica::{compile, RunReport, Runtime, RuntimeConfig};
 use japonica_workloads::{outputs_match, Workload};
 use proptest::prelude::*;
@@ -227,6 +233,169 @@ fn ladder_transitions_under_stealing_too() {
     assert_eq!(r.stealing.len(), 1);
     assert!(s.level >= DegradationLevel::CpuOnly, "{s:?}");
     assert!(s.fallbacks >= 1, "{s:?}");
+}
+
+// ---------------------------------------------------------------------------
+// Chunk atomicity: a faulted GPU chunk leaves nothing behind.
+// ---------------------------------------------------------------------------
+
+/// Launch [`SCALE_SRC`] — statically proven DOALL, so its chunks write
+/// through to device memory behind an undo journal — as one 3-warp chunk
+/// under `rules`. Returns the fault stats, whether the chunk completed,
+/// and the device's `b` before and after.
+fn launch_one_chunk(
+    rules: Vec<FaultRule>,
+    host_threads: usize,
+) -> (FaultStats, bool, Vec<f64>, Vec<f64>) {
+    const WARPS: usize = 3;
+    let n = 32 * WARPS;
+    let compiled = compile(SCALE_SRC).expect("scale source compiles");
+    let (_, f) = compiled.program.function_by_name("scale").expect("entry");
+    let loop_ = f.all_loops()[0];
+    let analysis = &compiled.analyses[&loop_.id];
+    assert!(analysis.proven_independent());
+    let mut heap = Heap::new();
+    let a = heap.alloc_doubles(&(0..n).map(|i| i as f64).collect::<Vec<_>>());
+    let b = heap.alloc_doubles(&vec![-1.0; n]);
+    let mut env = japonica::ir::Env::with_slots(f.num_vars);
+    for (p, v) in f
+        .params
+        .iter()
+        .zip([Value::Array(a), Value::Array(b), Value::Int(n as i32)])
+    {
+        env.set(p.var, v);
+    }
+    let mut cfg = SchedulerConfig::default().with_host_threads(host_threads);
+    cfg.faults = Some(FaultPlan::new(31, rules));
+    let bounds = eval_bounds(&compiled.program, loop_, &env, &mut heap).expect("bounds");
+    let plan = DataPlan::derive(&compiled.program, loop_, &analysis.classes, &env, &mut heap)
+        .expect("data plan");
+    let mut dev = DeviceMemory::new();
+    stage_device(&plan, &heap, &mut dev, &cfg).expect("staging");
+    let device_b = |dev: &DeviceMemory| -> Vec<f64> {
+        let arr = dev.array(b).expect("b is resident");
+        (0..n)
+            .map(|i| arr.get(i).as_f64().expect("double"))
+            .collect()
+    };
+    let before = device_b(&dev);
+    let mut stats = FaultStats::default();
+    let task = LoopTask {
+        loop_,
+        analysis,
+        profile: None,
+    };
+    let mut cx = ChunkCx {
+        program: &compiled.program,
+        cfg: &cfg,
+        bounds: &bounds,
+        env: &env,
+        kernels: &KernelCache::new(),
+        faults: cfg.faults.as_ref(),
+        se_overhead: 0.0,
+        dev: &mut dev,
+        arena: SpecArena::default(),
+        stats: &mut stats,
+    };
+    let run = launch_chunk(&task, 0..n as u64, &mut cx).expect("faults are not errors");
+    if let Ok((kr, writes)) = &run.outcome {
+        assert_eq!(kr.warps as usize, WARPS);
+        assert_eq!(writes.len(), n, "every element of b, once");
+    }
+    (stats, run.outcome.is_ok(), before, device_b(&dev))
+}
+
+#[test]
+fn a_faulted_chunk_leaves_device_memory_as_it_found_it() {
+    let scenarios = [
+        ("at launch", FaultRule::persistent(FaultKind::KernelLaunch)),
+        // Warp 0 has executed and stored by the time warp 1 is refused.
+        (
+            "at warp 1",
+            FaultRule::persistent(FaultKind::Simt).on_warp(1),
+        ),
+        // The watchdog fires only once the whole chunk has executed.
+        (
+            "by the watchdog",
+            FaultRule::persistent(FaultKind::DeadlineOverrun).stalling(1e12),
+        ),
+    ];
+    for (what, rule) in scenarios {
+        for host_threads in [1, 2] {
+            let (stats, completed, before, after) =
+                launch_one_chunk(vec![rule.clone()], host_threads);
+            assert!(!completed, "{what}: a persistent fault is not absorbed");
+            assert_eq!(stats.gpu_faults, 1, "{what}: {stats:?}");
+            assert_eq!(stats.retries, 0, "{what}: {stats:?}");
+            assert_eq!(
+                before, after,
+                "{what}, {host_threads} host threads: partial stores survived"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_chunk_that_rides_out_two_transient_faults_commits_whole() {
+    for host_threads in [1, 2] {
+        let rule = FaultRule::transient(FaultKind::Simt, 2).on_warp(2);
+        let (stats, completed, before, after) = launch_one_chunk(vec![rule], host_threads);
+        assert!(completed, "two transient faults fit the retry budget");
+        assert_eq!((stats.retries, stats.gpu_faults), (2, 2), "{stats:?}");
+        assert!(before.iter().all(|&v| v == -1.0));
+        let expect: Vec<f64> = (0..before.len()).map(|i| i as f64 * 3.0 + 1.0).collect();
+        assert_eq!(after, expect, "the third attempt's stores, all of them");
+    }
+}
+
+/// Whole runs under the same four fault shapes: the resubmitted CPU batch
+/// (or the retried chunk) yields the reference result — [`run_scale`]
+/// checks every element — with the ladder's bookkeeping exactly what the
+/// fully buffered chunks recorded for these plans.
+#[test]
+fn faulted_chunks_resubmit_with_unchanged_fault_stats() {
+    let gave_up_once = FaultStats {
+        retries: 2,
+        fallbacks: 1,
+        degradations: 2,
+        gpu_faults: 3,
+        backoff_s: 0.00015,
+        level: DegradationLevel::CpuOnly,
+        ..FaultStats::default()
+    };
+    let scenarios = [
+        (
+            FaultRule::transient(FaultKind::KernelLaunch, 3),
+            gave_up_once,
+        ),
+        (
+            FaultRule::transient(FaultKind::Simt, 3).on_warp(1),
+            gave_up_once,
+        ),
+        (
+            FaultRule::transient(FaultKind::DeadlineOverrun, 3).stalling(1e12),
+            FaultStats {
+                deadline_overruns: 3,
+                ..gave_up_once
+            },
+        ),
+        (
+            FaultRule::transient(FaultKind::KernelLaunch, 2),
+            FaultStats {
+                retries: 2,
+                gpu_faults: 2,
+                backoff_s: 0.00015,
+                ..FaultStats::default()
+            },
+        ),
+    ];
+    for (rule, expect) in scenarios {
+        for scheme in [Scheme::Sharing, Scheme::Stealing] {
+            let plan = FaultPlan::new(31, vec![rule.clone()]);
+            let (_, stats) = run_scale(Some(plan), default_res(), Some(scheme));
+            assert_eq!(stats, expect, "{rule:?} under {scheme:?}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
