@@ -19,14 +19,16 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use japonica::cpuexec::{CpuConfig, CpuCtx, Independence};
 use japonica::gpusim::{AccessCtx, DeviceConfig, DeviceMemory, LaneMemory};
 use japonica::ir::{
-    compile_kernel, compile_native, ArrayId, Env, ExecEngine, ForLoop, Heap, KernelCache,
-    LoopBounds, Program, Value, NATIVE_PROMOTE_USES,
+    compile_kernel, compile_native, ArrayId, CountingBackend, Env, ExecEngine, ForLoop, Heap,
+    HeapBackend, Interp, KernelCache, LoopBounds, NativeKernel, NativeVm, Program, ScalarVm, Value,
+    NATIVE_PROMOTE_USES,
 };
 use japonica::tls::SpeculativeMemory;
 use japonica::{run_baseline, Baseline, Runtime, RuntimeConfig};
 use japonica_bench::{run_variant, Variant};
 use japonica_workloads::Workload;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn wall_with(w: &Workload, n: u64, tweak: impl FnOnce(&mut RuntimeConfig)) -> f64 {
@@ -214,23 +216,42 @@ fn warmed_cache(fx: &EngineFx) -> KernelCache {
     cache
 }
 
+/// One sequential pass over the kernel on `engine`'s *scalar* executor,
+/// one iteration at a time — driven directly, because the CPU executor
+/// itself batches every range the lane VM accepts.
 fn engine_run(fx: &EngineFx, engine: ExecEngine, kernels: Option<&KernelCache>) {
-    cpu_run(fx, engine, kernels, Independence::Unproven)
+    let mut heap = fx.heap.clone();
+    let mut be = CountingBackend::new(HeapBackend::new(&mut heap));
+    let (var, env) = (fx.loop_.var, &mut fx.env.clone());
+    let kernel = || match kernels {
+        Some(cache) => cache.get_or_compile(&fx.program, &fx.loop_).unwrap(),
+        None => Arc::new(compile_kernel(&fx.program, &fx.loop_).unwrap()),
+    };
+    match engine {
+        ExecEngine::TreeWalker => {
+            Interp::new(&fx.program).exec_range(&fx.loop_, &fx.bounds, 0, fx.n, env, &mut be)
+        }
+        ExecEngine::Bytecode => {
+            ScalarVm::new().exec_range(&kernel(), var, &fx.bounds, 0, fx.n, env, &mut be)
+        }
+        ExecEngine::Native => {
+            let k = kernel();
+            let native = kernels
+                .and_then(|c| c.native_tier::<NativeKernel, _>(fx.loop_.id.0, compile_native))
+                .unwrap_or_else(|| Arc::new(compile_native(&k)));
+            NativeVm::new().exec_range(&native, var, &fx.bounds, 0, fx.n, env, &mut be)
+        }
+    }
+    .unwrap();
 }
 
-/// One sequential pass over the kernel; [`Independence::Proven`] (every
-/// engine kernel is DOALL) takes the lane-batched path.
-fn cpu_run(
-    fx: &EngineFx,
-    engine: ExecEngine,
-    kernels: Option<&KernelCache>,
-    independence: Independence,
-) {
-    let mut cfg = CpuConfig::default();
-    cfg.engine = engine;
+/// One sequential pass through the CPU executor: lane batches of 32 over
+/// the bytecode kernel, unchecked under [`Independence::Proven`] (every
+/// engine kernel is DOALL), conflict-checked otherwise.
+fn cpu_run(fx: &EngineFx, independence: Independence) {
+    let cfg = CpuConfig::default();
     let mut heap = fx.heap.clone();
     let ctx = CpuCtx {
-        kernels,
         independence,
         ..CpuCtx::new(&fx.program, &cfg)
     };
@@ -474,9 +495,13 @@ fn bench(c: &mut Criterion) {
         g.bench_function(&format!("{name}_native"), |b| {
             b.iter(|| engine_run(&fx, ExecEngine::Native, Some(&cache)));
         });
-        // The same bytecode kernel, 32 iterations at a time.
+        // The same bytecode kernel, 32 iterations at a time: on the proof,
+        // and on the run-time conflict check instead.
         g.bench_function(&format!("{name}_cpu_lanes"), |b| {
-            b.iter(|| cpu_run(&fx, ExecEngine::Bytecode, None, Independence::Proven));
+            b.iter(|| cpu_run(&fx, Independence::Proven));
+        });
+        g.bench_function(&format!("{name}_cpu_lanes_checked"), |b| {
+            b.iter(|| cpu_run(&fx, Independence::Unproven));
         });
         g.bench_function(&format!("{name}_compile"), |b| {
             b.iter(|| compile_kernel(&fx.program, &fx.loop_).unwrap());

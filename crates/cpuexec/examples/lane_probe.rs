@@ -1,7 +1,11 @@
-//! Micro-probe for the CPU executor's two ways through a DOALL range: the
-//! scalar VM one iteration at a time (threaded for `run_parallel`) against
-//! lane batches of 32 on the calling thread. Host wall time only — every
-//! simulated number is identical by construction, which the probe checks.
+//! Micro-probe for the ways through a range on the CPU side: the scalar VM
+//! one iteration at a time (driven directly — the executor batches
+//! whatever the lane VM accepts) against the executor's lane batches of 32
+//! on the calling thread, conflict-checked (nothing proven) and unchecked
+//! (proven). Two DOALL kernels and a BlackScholes-shaped one, whose sparse
+//! dependence reaches 41 iterations back and so never into its own batch.
+//! Host wall time only — every simulated number is identical by
+//! construction, which the probe checks.
 //!
 //! ```sh
 //! cargo run --release -p japonica-cpuexec --example lane_probe -- 128 5
@@ -9,15 +13,36 @@
 
 use japonica_cpuexec::{CpuConfig, CpuCtx, Independence};
 use japonica_frontend::compile_source;
-use japonica_ir::{Env, Heap, LoopBounds, Value};
+use japonica_ir::{
+    compile_kernel, CountingBackend, Env, Heap, HeapBackend, LoopBounds, ScalarVm, Value,
+};
 use std::time::Instant;
 
-const KERNELS: [(&str, &str); 2] = [
+const KERNELS: [(&str, &str); 3] = [
     (
         "saxpy",
         "static void k(double[] x, double[] y, int n) {
             /* acc parallel */
             for (int i = 0; i < n * n; i++) { y[i] = 2.5 * x[i] + y[i]; }
+        }",
+    ),
+    (
+        "pricing",
+        "static double cnd(double v) {
+            double l = Math.abs(v);
+            double k = 1.0 / (1.0 + 0.2316419 * l);
+            double w = 1.0 - 0.39894228 * Math.exp(0.0 - l * l * 0.5) * k;
+            if (v < 0.0) { return 1.0 - w; }
+            return w;
+        }
+        static void k(double[] x, double[] y, int n) {
+            /* acc parallel */
+            for (int i = 0; i < n * n; i++) {
+                double s = x[i] + 20.0;
+                double d = Math.log(s / 25.0) / Math.sqrt(s);
+                y[i] = s * cnd(d) - 25.0 * cnd(d - 0.3);
+                if (i % 83 == 82) { y[i] = (y[i] + y[i - 41]) * 0.5; }
+            }
         }",
     ),
     (
@@ -54,7 +79,7 @@ fn main() {
         env.set(f.params[0].var, Value::Array(x));
         env.set(f.params[1].var, Value::Array(y));
         env.set(f.params[2].var, Value::Int(n as i32));
-        let trip = if name == "saxpy" { n * n } else { n } as u64;
+        let trip = if name == "gemm_row" { n } else { n * n } as u64;
         let bounds = LoopBounds {
             start: 0,
             end: trip as i64,
@@ -85,16 +110,32 @@ fn main() {
             }
             (best, sim)
         };
+        // The scalar VM over the same bytecode kernel, for reference.
+        let kernel = compile_kernel(&p, &l).expect("probe kernel compiles to bytecode");
+        let scalar = (0..reps)
+            .map(|_| {
+                let mut h = heap.clone();
+                let mut be = CountingBackend::new(HeapBackend::new(&mut h));
+                let t0 = Instant::now();
+                ScalarVm::new()
+                    .exec_range(&kernel, l.var, &bounds, 0, trip, &mut env.clone(), &mut be)
+                    .expect("scalar run");
+                t0.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min);
         for (label, threads) in [("serial", None), ("cpu16 ", Some(16))] {
-            let (scalar, sim_s) = time(Independence::Unproven, threads);
+            let (checked, sim_c) = time(Independence::Unproven, threads);
             let (lanes, sim_l) = time(Independence::Proven, threads);
-            assert_eq!(sim_s.to_bits(), sim_l.to_bits(), "simulated time moved");
+            assert_eq!(sim_c.to_bits(), sim_l.to_bits(), "simulated time moved");
             println!(
-                "{name:<9} {label}  scalar {:>8.2} ms | lanes {:>8.2} ms | {:.2}x | {:.1} ns/iter",
+                "{name:<9} {label}  scalar vm {:>8.2} ms | checked lanes {:>8.2} ms | lanes {:>8.2} ms \
+                 | check {:+.1} % | {:.2}x over scalar | {:.1} ns/iter",
                 scalar * 1e3,
+                checked * 1e3,
                 lanes * 1e3,
-                scalar / lanes,
-                lanes / trip as f64 * 1e9,
+                (checked / lanes - 1.0) * 100.0,
+                scalar / checked,
+                checked / trip as f64 * 1e9,
             );
         }
     }

@@ -7,6 +7,8 @@
 //! coordinating thread). For DOALL loops the chunks write disjoint
 //! locations, so the committed result is exactly the sequential one.
 
+use crate::lanes::UndoLanes;
+use japonica_gpusim::{AccessCtx, LaneMemory};
 use japonica_ir::{ArrayData, ArrayId, Backend, ExecError, Heap, OpClass, OpCounts, Ty, Value};
 use std::collections::BTreeMap;
 
@@ -65,6 +67,81 @@ impl<'h> BufferedBackend<'h> {
     pub fn writes(&self) -> impl Iterator<Item = (&(ArrayId, i64), &Value)> {
         self.writes.iter()
     }
+
+    /// Buffer a store to a base-heap array, returning the buffered value it
+    /// displaced. Bounds are validated and the element conversion applied
+    /// eagerly, so the buffered value is exactly what the heap would hold.
+    fn buffer(&mut self, arr: ArrayId, idx: i64, v: Value) -> Result<Option<Value>, ExecError> {
+        let base_arr = self.base.array(arr)?;
+        let len = base_arr.len();
+        if idx < 0 || idx as usize >= len {
+            return Err(ExecError::IndexOutOfBounds {
+                array: arr,
+                index: idx,
+                len,
+            });
+        }
+        let elem = base_arr.ty();
+        let conv = v.cast(elem).ok_or_else(|| ExecError::TypeMismatch {
+            expected: elem.to_string(),
+            found: format!("{v}"),
+        })?;
+        Ok(self.writes.insert((arr, idx), conv))
+    }
+}
+
+/// A chunk's write buffer as lane memory: loads read the chunk's own
+/// writes before the base heap, stores are deferred like the scalar
+/// path's, and each one logs the buffered value it displaced. Kernels the
+/// lane VM accepts allocate nothing, so every array is a base-heap one.
+pub(crate) struct BufferLanes<'a, 'h> {
+    pub be: &'a mut BufferedBackend<'h>,
+    undo: Vec<((ArrayId, i64), Option<Value>)>,
+}
+
+impl<'a, 'h> BufferLanes<'a, 'h> {
+    pub fn new(be: &'a mut BufferedBackend<'h>) -> BufferLanes<'a, 'h> {
+        BufferLanes {
+            be,
+            undo: Vec::new(),
+        }
+    }
+}
+
+impl LaneMemory for BufferLanes<'_, '_> {
+    fn load(&mut self, _: AccessCtx, arr: ArrayId, idx: i64) -> Result<Value, ExecError> {
+        self.be.load(arr, idx)
+    }
+
+    fn store(&mut self, _: AccessCtx, arr: ArrayId, idx: i64, v: Value) -> Result<(), ExecError> {
+        let displaced = self.be.buffer(arr, idx, v)?;
+        self.undo.push(((arr, idx), displaced));
+        Ok(())
+    }
+
+    fn array_len(&self, arr: ArrayId) -> Result<usize, ExecError> {
+        self.be.base.len_of(arr)
+    }
+
+    /// CPU accounting has no coalescing model to feed.
+    fn placement(&self, _: ArrayId) -> Option<(u64, u64)> {
+        None
+    }
+}
+
+impl UndoLanes for BufferLanes<'_, '_> {
+    fn keep(&mut self) {
+        self.undo.clear();
+    }
+
+    fn roll_back(&mut self) {
+        for (at, displaced) in self.undo.drain(..).rev() {
+            match displaced {
+                Some(v) => self.be.writes.insert(at, v),
+                None => self.be.writes.remove(&at),
+            };
+        }
+    }
 }
 
 impl Backend for BufferedBackend<'_> {
@@ -102,24 +179,7 @@ impl Backend for BufferedBackend<'_> {
             }
             return a.set(idx as usize, v);
         }
-        // Validate bounds and apply the element conversion eagerly so the
-        // buffered value is exactly what the heap would hold.
-        let base_arr = self.base.array(arr)?;
-        let len = base_arr.len();
-        if idx < 0 || idx as usize >= len {
-            return Err(ExecError::IndexOutOfBounds {
-                array: arr,
-                index: idx,
-                len,
-            });
-        }
-        let elem = base_arr.ty();
-        let conv = v.cast(elem).ok_or_else(|| ExecError::TypeMismatch {
-            expected: elem.to_string(),
-            found: format!("{v}"),
-        })?;
-        self.writes.insert((arr, idx), conv);
-        Ok(())
+        self.buffer(arr, idx, v).map(|_| ())
     }
 
     fn array_len(&mut self, arr: ArrayId) -> Result<usize, ExecError> {

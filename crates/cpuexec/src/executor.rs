@@ -1,8 +1,8 @@
 //! Sequential and multi-threaded chunk execution of canonical loops.
 
-use crate::buffer::{apply_writes, BufferedBackend};
+use crate::buffer::{apply_writes, BufferLanes, BufferedBackend};
 use crate::config::CpuConfig;
-use crate::lanes::run_batches;
+use crate::lanes::{run_batches, run_with_replay, Checked, HeapLanes, UndoLanes};
 use japonica_faults::{DeviceFault, FaultOrigin, FaultPlan};
 use japonica_gpusim::LanePlan;
 use japonica_ir::{
@@ -18,28 +18,47 @@ use std::sync::Arc;
 /// What the caller knows about the loop's cross-iteration dependences. Not
 /// a setting: a fact about the loop, established by static analysis
 /// (`LoopAnalysis::proven_independent`) and handed down by the scheduler.
+/// Either way consecutive iterations execute in lockstep, 32 to a batch;
+/// the fact decides whether a batch has to be verified as it runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Independence {
     /// Nothing proven (dependent, profiled-only or clause-privatized
-    /// loops): iterations run one at a time, in order, on the scalar VMs.
+    /// loops): every batch is conflict-checked access by access, and one
+    /// whose iterations turn out to depend on each other is undone and
+    /// replayed one iteration at a time, in order, on the scalar VMs.
     #[default]
     Unproven,
     /// Statically proven: no iteration reads or overwrites what another
-    /// writes, so consecutive iterations may execute in lockstep.
+    /// writes, so batches run unchecked.
     Proven,
 }
 
-/// Chunk executor picked for a loop: the reference tree walker (config
-/// opt-out, or a loop the bytecode compiler declines), the register
-/// bytecode VM, the threaded-code native tier, or — for a
-/// [`Independence::Proven`] loop whose kernel the lane VM accepts — lane
-/// batches over the bytecode kernel, with [`ScalarVm`] on the same kernel
-/// as the replay path.
-enum ResolvedChunk {
+/// The scalar chunk executor picked for a loop: the reference tree walker
+/// (config opt-out, or a loop the bytecode compiler declines), the
+/// register bytecode VM, or the threaded-code native tier.
+enum ScalarChunk {
     Walker,
     Bytecode(Arc<CompiledKernel>),
     Native(Arc<NativeKernel>),
-    Lanes(Arc<CompiledKernel>, LanePlan),
+}
+
+impl ScalarChunk {
+    fn exec<B: Backend>(
+        &self,
+        program: &Program,
+        loop_: &ForLoop,
+        bounds: &LoopBounds,
+        range: Range<u64>,
+        env: &mut Env,
+        be: &mut B,
+    ) -> Result<Flow, ExecError> {
+        let (var, lo, hi) = (loop_.var, range.start, range.end);
+        match self {
+            ScalarChunk::Bytecode(k) => ScalarVm::new().exec_range(k, var, bounds, lo, hi, env, be),
+            ScalarChunk::Native(nk) => NativeVm::new().exec_range(nk, var, bounds, lo, hi, env, be),
+            ScalarChunk::Walker => Interp::new(program).exec_range(loop_, bounds, lo, hi, env, be),
+        }
+    }
 }
 
 /// Errors out of the guarded CPU executor: either a real interpreter error
@@ -99,8 +118,11 @@ impl CpuReport {
     }
 }
 
+/// A chunk's deferred writes, by location.
+pub type DeferredWrites = BTreeMap<(ArrayId, i64), Value>;
+
 /// One simulated chunk's op counts and deferred writes.
-type ChunkResult = (OpCounts, BTreeMap<(ArrayId, i64), Value>);
+type ChunkResult = (OpCounts, DeferredWrites);
 
 /// Everything one CPU execution needs besides the loop, the range and the
 /// mutable state: build it once per scheduled loop and run any number of
@@ -132,27 +154,30 @@ impl<'a> CpuCtx<'a> {
         }
     }
 
-    /// Resolve which chunk executor to use. Under [`ExecEngine::Native`] a
-    /// cached loop is promoted to the closure-array tier once its use
-    /// counter crosses [`japonica_ir::NATIVE_PROMOTE_USES`]; an uncached
-    /// launch has no counter to consult and compiles natively up front.
-    /// Proven ranges take the bytecode lane path under either compiled
-    /// engine; the tree walker stays purely scalar, as the oracle.
-    fn resolve(&self, loop_: &ForLoop) -> ResolvedChunk {
-        let engine = self.cfg.engine;
-        if engine == ExecEngine::TreeWalker {
-            return ResolvedChunk::Walker;
+    /// The loop's bytecode kernel and, when the lane VM accepts it, the
+    /// plan to run it in lane batches — whatever is or is not proven about
+    /// the loop, under either compiled engine. The tree walker stays
+    /// purely scalar, as the oracle.
+    fn resolve(&self, loop_: &ForLoop) -> (Option<Arc<CompiledKernel>>, Option<LanePlan>) {
+        if self.cfg.engine == ExecEngine::TreeWalker {
+            return (None, None);
         }
         let kernel = match self.kernels {
             Some(cache) => cache.get_or_compile(self.program, loop_),
             None => compile_kernel(self.program, loop_).ok().map(Arc::new),
         };
-        if let (Independence::Proven, Some(k)) = (self.independence, &kernel) {
-            if let Some(plan) = LanePlan::of(k) {
-                return ResolvedChunk::Lanes(Arc::clone(k), plan);
-            }
-        }
-        if engine == ExecEngine::Native {
+        let plan = kernel.as_deref().and_then(LanePlan::of);
+        (kernel, plan)
+    }
+
+    /// Resolve the scalar chunk executor, given [`resolve`](CpuCtx::resolve)'s
+    /// kernel. Under [`ExecEngine::Native`] a cached loop is promoted to the
+    /// closure-array tier once its use counter crosses
+    /// [`japonica_ir::NATIVE_PROMOTE_USES`]; an uncached launch has no
+    /// counter to consult and compiles natively up front. A lane-batched
+    /// loop asks only once a batch has to be replayed.
+    fn resolve_scalar(&self, loop_: &ForLoop, kernel: Option<Arc<CompiledKernel>>) -> ScalarChunk {
+        if self.cfg.engine == ExecEngine::Native {
             let native = match (self.kernels, &kernel) {
                 (Some(cache), _) => {
                     cache.native_tier::<NativeKernel, _>(loop_.id.0, compile_native)
@@ -161,35 +186,10 @@ impl<'a> CpuCtx<'a> {
                 (None, None) => None,
             };
             if let Some(nk) = native {
-                return ResolvedChunk::Native(nk);
+                return ScalarChunk::Native(nk);
             }
         }
-        kernel.map_or(ResolvedChunk::Walker, ResolvedChunk::Bytecode)
-    }
-
-    /// Run `range` one iteration at a time on the scalar executor behind
-    /// `compiled`.
-    fn exec_scalar<B: Backend>(
-        &self,
-        compiled: &ResolvedChunk,
-        loop_: &ForLoop,
-        bounds: &LoopBounds,
-        range: Range<u64>,
-        env: &mut Env,
-        be: &mut B,
-    ) -> Result<Flow, ExecError> {
-        let (var, lo, hi) = (loop_.var, range.start, range.end);
-        match compiled {
-            ResolvedChunk::Bytecode(k) | ResolvedChunk::Lanes(k, _) => {
-                ScalarVm::new().exec_range(k, var, bounds, lo, hi, env, be)
-            }
-            ResolvedChunk::Native(nk) => {
-                NativeVm::new().exec_range(nk, var, bounds, lo, hi, env, be)
-            }
-            ResolvedChunk::Walker => {
-                Interp::new(self.program).exec_range(loop_, bounds, lo, hi, env, be)
-            }
-        }
+        kernel.map_or(ScalarChunk::Walker, ScalarChunk::Bytecode)
     }
 
     /// Price per-simulated-thread op counts: busy seconds per thread (plus
@@ -214,6 +214,38 @@ impl<'a> CpuCtx<'a> {
         }
     }
 
+    /// Run `range` in order over `mem` and return the ops charged: in lane
+    /// batches when the lane VM accepts the loop, with `on_scalar` — the
+    /// scalar executor over whatever `mem` wraps — replaying the batches
+    /// that do not get through, or running the whole range when there is
+    /// no lane path.
+    fn run_in_order<M: UndoLanes>(
+        &self,
+        loop_: &ForLoop,
+        bounds: &LoopBounds,
+        range: Range<u64>,
+        env: &mut Env,
+        mut mem: M,
+        mut on_scalar: impl FnMut(
+            &ScalarChunk,
+            &mut M,
+            Range<u64>,
+            &mut Env,
+        ) -> Result<OpCounts, ExecError>,
+    ) -> Result<OpCounts, ExecError> {
+        let (kernel, plan) = self.resolve(loop_);
+        let mut scalar = None;
+        let mut replay = |mem: &mut M, span: Range<u64>, env: &mut Env| {
+            let scalar = scalar.get_or_insert_with(|| self.resolve_scalar(loop_, kernel.clone()));
+            on_scalar(scalar, mem, span, env)
+        };
+        let (Some(k), Some(plan)) = (&kernel, &plan) else {
+            return replay(&mut mem, range, env);
+        };
+        let mut mem = Checked::new(mem, self.independence);
+        run_with_replay(k, plan, loop_.var, bounds, range, env, &mut mem, replay)
+    }
+
     /// Execute iterations `range` of `loop_` sequentially on one core
     /// (the paper's mode C and all serial baselines). `env` holds the
     /// state after the last executed iteration afterwards, on error too.
@@ -225,43 +257,54 @@ impl<'a> CpuCtx<'a> {
         env: &mut Env,
         heap: &mut Heap,
     ) -> Result<CpuReport, ExecError> {
-        let compiled = self.resolve(loop_);
-        let mut counts = OpCounts::new();
-        let mut scalar_from = range.start;
-        if let ResolvedChunk::Lanes(k, plan) = &compiled {
-            let owner = std::slice::from_ref(&range);
-            let thread = std::slice::from_mut(&mut counts);
-            // A batch that cannot finish in lockstep is replayed, with
-            // everything after it, on the scalar VM.
-            scalar_from = run_batches(k, plan, loop_.var, bounds, owner, env, heap, thread, false)
-                .err()
-                .unwrap_or(range.end);
-        }
-        if scalar_from < range.end {
-            let mut be = CountingBackend::new(HeapBackend::new(heap));
-            self.exec_scalar(
-                &compiled,
-                loop_,
-                bounds,
-                scalar_from..range.end,
-                env,
-                &mut be,
-            )?;
-            counts.merge(&be.counts);
-        }
+        let mem = HeapLanes::new(heap);
+        let counts =
+            self.run_in_order(loop_, bounds, range, env, mem, |scalar, mem, span, env| {
+                let mut be = CountingBackend::new(HeapBackend::new(mem.heap));
+                scalar.exec(self.program, loop_, bounds, span, env, &mut be)?;
+                Ok(be.counts)
+            })?;
         Ok(self.report(&[counts], 0.0))
+    }
+
+    /// Execute iterations `range` of `loop_` sequentially against a private
+    /// write buffer over `heap`: the report, and the deferred writes for
+    /// the caller to commit when their turn comes (mode D orders commits
+    /// across devices this way; safe for loops with false dependences
+    /// only, where every read another chunk's write would have fed is
+    /// killed by an own-iteration write).
+    pub fn run_deferred(
+        &self,
+        loop_: &ForLoop,
+        bounds: &LoopBounds,
+        range: Range<u64>,
+        env: &Env,
+        heap: &Heap,
+    ) -> Result<(CpuReport, DeferredWrites), ExecError> {
+        let mut be = BufferedBackend::new(heap);
+        let (env, mem) = (&mut env.clone(), BufferLanes::new(&mut be));
+        let counts =
+            self.run_in_order(loop_, bounds, range, env, mem, |scalar, mem, span, env| {
+                scalar.exec(self.program, loop_, bounds, span, env, mem.be)?;
+                Ok(std::mem::take(&mut mem.be.counts))
+            })?;
+        Ok((self.report(&[counts], 0.0), be.into_writes()))
     }
 
     /// Execute iterations `range` of `loop_` as `threads` simulated worker
     /// threads over contiguous balanced chunks.
     ///
-    /// A proven-independent range runs lane-batched on the calling thread.
-    /// Anything else runs each chunk against a private write buffer, on at
-    /// most `available_parallelism` OS workers (`std::thread::scope`);
+    /// The range first runs lane-batched on the calling thread, straight
+    /// against the heap, and commits whole: every batch proven or verified
+    /// free of cross-iteration dependences, the result is the sequential
+    /// one. If a batch does not get through, the range is undone and each
+    /// chunk runs on the scalar executor against a private write buffer, on
+    /// at most `available_parallelism` OS workers (`std::thread::scope`);
     /// buffers are committed to the heap in chunk order afterwards, so a
-    /// DOALL loop yields exactly the sequential result. Either way modeled
-    /// time packs the simulated threads' busy-times onto `cfg.cores` cores
-    /// and takes the busiest core.
+    /// loop without true dependences across chunks yields exactly the
+    /// sequential result. Either way modeled time packs the simulated
+    /// threads' busy-times onto `cfg.cores` cores and takes the busiest
+    /// core.
     ///
     /// The fault plan is consulted once per call *before any work starts*
     /// (on the calling thread, so injection order is deterministic); a
@@ -297,10 +340,11 @@ impl<'a> CpuCtx<'a> {
             .collect();
         let dispatch_s = self.cfg.chunk_dispatch_us * 1e-6;
 
-        let compiled = self.resolve(loop_);
-        if let ResolvedChunk::Lanes(k, plan) = &compiled {
+        let (kernel, plan) = self.resolve(loop_);
+        if let (Some(k), Some(plan)) = (&kernel, &plan) {
             let mut counts = vec![OpCounts::new(); chunks.len()];
             let mut scratch_env = env.clone();
+            let mut mem = Checked::new(HeapLanes::new(heap), self.independence);
             let ran = run_batches(
                 k,
                 plan,
@@ -308,16 +352,18 @@ impl<'a> CpuCtx<'a> {
                 bounds,
                 &chunks,
                 &mut scratch_env,
-                heap,
+                &mut mem,
                 &mut counts,
                 true,
             );
             if ran.is_ok() {
                 return Ok(self.report(&counts, dispatch_s));
             }
-            // Rolled back; the buffered path below reports the error.
+            // Rolled back; the buffered path below owns errors and
+            // dependent iterations alike.
         }
 
+        let scalar = self.resolve_scalar(loop_, kernel);
         let heap_ref: &Heap = heap;
         let run_block = |block: &[Range<u64>]| -> Result<Vec<ChunkResult>, ExecError> {
             block
@@ -325,7 +371,14 @@ impl<'a> CpuCtx<'a> {
                 .map(|chunk| {
                     let mut be = BufferedBackend::new(heap_ref);
                     let mut env = env.clone();
-                    self.exec_scalar(&compiled, loop_, bounds, chunk.clone(), &mut env, &mut be)?;
+                    scalar.exec(
+                        self.program,
+                        loop_,
+                        bounds,
+                        chunk.clone(),
+                        &mut env,
+                        &mut be,
+                    )?;
                     Ok((be.counts.clone(), be.into_writes()))
                 })
                 .collect()
@@ -369,8 +422,8 @@ impl<'a> CpuCtx<'a> {
     }
 }
 
-/// [`CpuCtx::run_sequential`] with no fault plan and nothing proven: always
-/// the scalar executors.
+/// [`CpuCtx::run_sequential`] with no fault plan and nothing proven: every
+/// lane batch is conflict-checked.
 #[allow(clippy::too_many_arguments)] // the flat signature the perf probes call
 pub fn run_sequential_with(
     program: &Program,
@@ -389,8 +442,8 @@ pub fn run_sequential_with(
     ctx.run_sequential(loop_, bounds, range, env, heap)
 }
 
-/// [`CpuCtx::run_parallel`] with no fault plan and nothing proven: always
-/// buffered scalar chunks.
+/// [`CpuCtx::run_parallel`] with no fault plan and nothing proven: every
+/// lane batch is conflict-checked, buffered scalar chunks behind them.
 #[allow(clippy::too_many_arguments)] // the flat signature the perf probes call
 pub fn run_parallel_with(
     program: &Program,

@@ -401,13 +401,15 @@ impl ParallelLaneMemory for DeviceMemory {
 }
 
 /// Write-through lane memory with an undo journal, for launches whose
-/// iterations are *proven* independent: no iteration reads or overwrites
-/// what another stores, so executing straight against device memory is
-/// indistinguishable from buffering every store and committing in
-/// iteration order. A store logs the value the element held before the
-/// launch first touched it, then writes through; a launch that dies is
-/// undone by [`roll_back`](JournaledMemory::roll_back), one that completes
-/// hands over what it wrote by [`into_writes`](JournaledMemory::into_writes).
+/// iterations are independent (proven, or verified by the caller as they
+/// run): no iteration reads or overwrites what another stores, so
+/// executing straight against device memory is indistinguishable from
+/// buffering every store and committing in iteration order. A store logs
+/// the value the element held before the journal first touched it, then
+/// writes through; a launch that dies is undone by
+/// [`roll_back`](JournaledMemory::roll_back), one that completes hands over
+/// what it wrote by [`into_writes`](JournaledMemory::into_writes) or, when
+/// more work follows on the same journal, [`keep`](JournaledMemory::keep)s it.
 pub struct JournaledMemory<'d> {
     dev: &'d mut DeviceMemory,
     /// `(location, pre-launch value)`, one entry per location, in
@@ -427,14 +429,31 @@ impl<'d> JournaledMemory<'d> {
         }
     }
 
-    /// Undo every store, newest first: device memory is exactly what it
-    /// was when the journal was opened.
-    pub fn roll_back(self) {
-        for ((arr, idx), old) in self.undo.into_iter().rev() {
+    /// Undo every journaled store, newest first: device memory is exactly
+    /// what it was when the journal was opened or last
+    /// [`keep`](JournaledMemory::keep)t, and the journal is empty.
+    pub fn roll_back(&mut self) {
+        for &((arr, idx), old) in self.undo.iter().rev() {
             // `old` was read from this very element, so it fits.
             let restored = self.dev.store(COORDINATOR_CTX, arr, idx, old);
             debug_assert!(restored.is_ok(), "restoring a logged element cannot fail");
         }
+        self.keep();
+    }
+
+    /// Keep every store so far for good: the journal starts over from
+    /// device memory as it is now.
+    pub fn keep(&mut self) {
+        for ((arr, idx), _) in self.undo.drain(..) {
+            // Journaled locations are in bounds, so `idx >= 0`.
+            let i = idx as usize;
+            self.logged[arr.0 as usize][i / 64] &= !(1u64 << (i % 64));
+        }
+    }
+
+    /// The device memory underneath, for work that needs no journal.
+    pub fn device(&mut self) -> &mut DeviceMemory {
+        self.dev
     }
 
     /// Keep the stores and list every location written with its final

@@ -66,6 +66,19 @@ impl LanePlan {
     }
 }
 
+/// Instruction sweeps (and inner-loop rounds) a *checked* lane batch may
+/// issue. A conflict check fires at the later of two clashing accesses, so
+/// until it does a lane can hold a value no sequential execution would have
+/// shown it, and a loop bound computed from that value need not terminate.
+/// Running out is a lane error like any other — the batch is replayed on
+/// the scalar VM — so the constant only trades what a runaway batch may
+/// cost against how heavy an iteration may be and still run in lockstep.
+const CHECKED_SWEEP_BUDGET: u64 = 1 << 20;
+
+fn out_of_sweeps() -> SimtError {
+    SimtError::Unsupported("lane batch exceeded its sweep budget".into())
+}
+
 /// The warp-level bytecode VM. Owns reusable arenas; create one per host
 /// thread and reuse it across warps.
 #[derive(Debug, Default)]
@@ -122,8 +135,9 @@ impl SimtVm {
 
     /// Execute loop iterations `first..first + lanes` (at most 32) of a
     /// kernel as one batch of *independent scalar threads*, one per lane —
-    /// the CPU executor's whole-warp path for loops proven free of
-    /// cross-iteration dependences. Same sweeps and decode loop as
+    /// the CPU executor's whole-warp path for iterations that do not
+    /// depend on each other, as proven statically or as `mem` verifies
+    /// access by access (`checked`). Same sweeps and decode loop as
     /// [`run_warp`](SimtVm::run_warp); only the accounting differs:
     /// `counts` receives, per lane, exactly the ops `ScalarVm` charges
     /// running that iteration alone (loop bookkeeping included).
@@ -135,7 +149,8 @@ impl SimtVm {
     /// bound it, which is what running the iterations in order leaves.
     /// Any error means "not expressible in lockstep": the caller undoes
     /// the batch's stores and replays it on the scalar VM, which owns the
-    /// precise error.
+    /// precise error. A `checked` batch that issues more than
+    /// [`CHECKED_SWEEP_BUDGET`] sweeps is such an error.
     #[allow(clippy::too_many_arguments)] // run_warp's launch signature
     pub fn run_lanes<M: LaneMemory>(
         &mut self,
@@ -148,6 +163,7 @@ impl SimtVm {
         env: &mut Env,
         mem: &mut M,
         counts: &mut LaneCounts,
+        checked: bool,
     ) -> Result<(), SimtError> {
         let mut iters = [0u64; 32];
         for (l, k) in iters[..lanes].iter_mut().enumerate() {
@@ -160,7 +176,14 @@ impl SimtVm {
         for &v in plan.written.iter().filter(|&&v| v != vi) {
             self.rf.bound[v] = 0;
         }
-        counts.begin(lanes);
+        counts.begin(
+            lanes,
+            if checked {
+                CHECKED_SWEEP_BUDGET
+            } else {
+                u64::MAX
+            },
+        );
         // Loop bookkeeping: induction update + bound test + back edge.
         counts.record(OpClass::IntAlu, full);
         counts.record(OpClass::Branch, full);
@@ -226,6 +249,9 @@ impl SimtVm {
             let live = mask & !frame.returned;
             if live == 0 {
                 break;
+            }
+            if !ctx.acct.sweep() {
+                return Err(out_of_sweeps());
             }
             let instr = &k.chunks[ci].code[pc as usize];
             let next = instr.next_pc(pc);
@@ -629,6 +655,10 @@ impl SimtVm {
                         }
                         if round == 0 {
                             break;
+                        }
+                        // An empty body issues no instruction to count.
+                        if !ctx.acct.sweep() {
+                            return Err(out_of_sweeps());
                         }
                         ctx.acct.op(OpClass::IntAlu, round);
                         ctx.acct.branch(round);

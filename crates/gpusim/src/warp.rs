@@ -8,8 +8,8 @@
 //! What an instruction *costs* is an [`Accounting`] policy the sweeps are
 //! monomorphised over: [`WarpIssue`] is the GPU's (one issue per warp
 //! instruction, coalesced memory transactions), [`LaneCounts`] the CPU
-//! executor's (one op per live lane), which runs proven-independent CPU
-//! ranges through these same sweeps via [`crate::vm::SimtVm::run_lanes`].
+//! executor's (one op per live lane), which runs its CPU ranges through
+//! these same sweeps via [`crate::vm::SimtVm::run_lanes`].
 
 use crate::config::DeviceConfig;
 use crate::memory::{AccessCtx, LaneMemory};
@@ -69,6 +69,13 @@ pub(crate) trait Accounting {
     fn branch(&mut self, live: u32);
     /// The last branch split its lanes.
     fn diverged(&mut self);
+    /// Spend one instruction sweep (or inner-loop round) of the batch's
+    /// budget; `false` once it is gone. Only a machine model that can be
+    /// fed values no sequential execution would see needs one.
+    #[inline]
+    fn sweep(&mut self) -> bool {
+        true
+    }
     /// One warp memory access over per-lane `(lane, array, index)` triples.
     fn mem_access<M: LaneMemory + ?Sized>(
         &mut self,
@@ -124,6 +131,8 @@ pub struct LaneCounts {
     rows: [OpCounts; 32],
     /// Lanes whose row is non-zero.
     partial: u32,
+    /// Instruction sweeps the batch may still issue.
+    sweeps_left: u64,
 }
 
 impl LaneCounts {
@@ -132,9 +141,11 @@ impl LaneCounts {
         LaneCounts::default()
     }
 
-    /// Reset for a batch of `lanes` lanes.
-    pub(crate) fn begin(&mut self, lanes: usize) {
+    /// Reset for a batch of `lanes` lanes that may issue `sweeps`
+    /// instruction sweeps.
+    pub(crate) fn begin(&mut self, lanes: usize, sweeps: u64) {
         self.full = full_mask(lanes);
+        self.sweeps_left = sweeps;
         self.uniform = OpCounts::new();
         for l in lanes_of(self.partial) {
             self.rows[l] = OpCounts::new();
@@ -176,6 +187,12 @@ impl Accounting for &mut LaneCounts {
     }
     #[inline]
     fn diverged(&mut self) {}
+    #[inline]
+    fn sweep(&mut self) -> bool {
+        let left = self.sweeps_left > 0;
+        self.sweeps_left -= u64::from(left);
+        left
+    }
     #[inline]
     fn mem_access<M: LaneMemory + ?Sized>(
         &mut self,
@@ -972,7 +989,7 @@ mod tests {
                             ..LaneRegs::default()
                         };
                         let mut tally = LaneCounts::new();
-                        tally.begin(n);
+                        tally.begin(n, u64::MAX);
                         let mut cpu_ctx = WarpCtx {
                             mem: &mut mem,
                             acct: &mut tally,

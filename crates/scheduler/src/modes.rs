@@ -17,7 +17,10 @@ pub enum ExecutionMode {
     /// Mode D — only false dependences observed: privatized parallel
     /// execution PE(V) on the GPU, *sequential* execution of the CPU share
     /// (lock-step SIMD made the GPU check reliable; a parallel CPU could
-    /// still expose true dependences, §V-A).
+    /// still expose true dependences, §V-A). Sequential in what it
+    /// computes: the host walks the share in conflict-checked lane batches
+    /// against a deferred-write buffer (`CpuCtx::run_deferred`), replaying
+    /// in order whatever batch the check refuses.
     D,
     /// Mode D′ — profiling observed no dependences at all: like A, both
     /// sides parallel, but decided dynamically.

@@ -16,7 +16,7 @@ use crate::modes::{decide_mode, try_decide_mode, ExecutionMode};
 use crate::plan::DataPlan;
 use crate::report::{LoopExecReport, SchedError};
 use japonica_analysis::LoopAnalysis;
-use japonica_cpuexec::{CpuConfig, CpuCtx, CpuExecError, Independence};
+use japonica_cpuexec::{CpuCtx, CpuExecError, Independence};
 use japonica_faults::{
     DegradationLevel, DeviceFault, FaultOrigin, FaultPlan, FaultStats, ResilienceConfig,
 };
@@ -24,8 +24,7 @@ use japonica_gpusim::{
     launch_loop_par_with, DeviceMemory, JournaledMemory, KernelReport, SimtError,
 };
 use japonica_ir::{
-    compile_native, Env, ExecEngine, ExecError, ForLoop, Heap, HeapBackend, Interp, KernelCache,
-    LoopBounds, NativeKernel, NativeVm, Program, ScalarVm, Scheme,
+    Env, ExecError, ForLoop, Heap, HeapBackend, Interp, KernelCache, LoopBounds, Program, Scheme,
 };
 use japonica_profiler::LoopProfile;
 use japonica_tls::{
@@ -56,7 +55,7 @@ impl<'a> LoopTask<'a> {
 
     /// The CPU execution context for this loop: the scheduler's CPU model
     /// and kernel cache, plus what static analysis proved about the loop —
-    /// only a loop it proved independent may run its CPU ranges lane-batched.
+    /// only a loop it proved independent may run its lane batches unchecked.
     pub(crate) fn cpu_ctx<'c>(
         &self,
         program: &'c Program,
@@ -206,48 +205,6 @@ pub(crate) fn stage_device_guarded(
         }
     }
     Ok(())
-}
-
-/// Run `lo..hi` of a loop sequentially against a fresh write buffer using
-/// whichever chunk engine `ccfg` selects (the deferred-write path modes D
-/// and D′ use for ordered cross-device commits). Returns the buffered
-/// backend for cycle accounting and write harvesting.
-#[allow(clippy::too_many_arguments)] // mirrors the chunk-dispatch signature
-pub(crate) fn exec_chunk_buffered<'h>(
-    program: &Program,
-    ccfg: &CpuConfig,
-    loop_: &ForLoop,
-    bounds: &LoopBounds,
-    lo: u64,
-    hi: u64,
-    env: &Env,
-    heap: &'h Heap,
-    kernels: &KernelCache,
-) -> Result<japonica_cpuexec::BufferedBackend<'h>, ExecError> {
-    let mut be = japonica_cpuexec::BufferedBackend::new(heap);
-    let mut cenv = env.clone();
-    let compiled = if ccfg.engine == ExecEngine::TreeWalker {
-        None
-    } else {
-        kernels.get_or_compile(program, loop_)
-    };
-    let native = if ccfg.engine == ExecEngine::Native {
-        kernels.native_tier::<NativeKernel, _>(loop_.id.0, compile_native)
-    } else {
-        None
-    };
-    match (&native, &compiled) {
-        (Some(nk), _) => {
-            NativeVm::new().exec_range(nk, loop_.var, bounds, lo, hi, &mut cenv, &mut be)?;
-        }
-        (None, Some(k)) => {
-            ScalarVm::new().exec_range(k, loop_.var, bounds, lo, hi, &mut cenv, &mut be)?;
-        }
-        (None, None) => {
-            Interp::new(program).exec_range(loop_, bounds, lo, hi, &mut cenv, &mut be)?;
-        }
-    }
-    Ok(be)
 }
 
 pub(crate) fn apply_writes_to_host(
@@ -592,13 +549,10 @@ fn greedy_share(
                     // the host. This rung is deliberately unguarded — the
                     // ladder must terminate.
                     let batch_s = if privatized {
-                        let be = exec_chunk_buffered(
-                            program, &cfg.cpu, task.loop_, bounds, lo, hi, env, heap, kernels,
-                        )?;
-                        let t = cfg.cpu.cycles_to_seconds(cfg.cpu.cost.total(&be.counts));
-                        let writes: Vec<_> = be.into_writes().into_iter().collect();
-                        ordered_writes.push((idx, false, writes));
-                        t
+                        let (r, writes) =
+                            cpu.run_deferred(task.loop_, bounds, lo..hi, env, heap)?;
+                        ordered_writes.push((idx, false, writes.into_iter().collect()));
+                        r.time_s
                     } else {
                         cpu.run_parallel(task.loop_, bounds, lo..hi, env, heap, cpu_threads)?
                             .time_s
@@ -629,14 +583,9 @@ fn greedy_share(
                 // Deferred-write sequential execution so commits can be
                 // ordered across devices (safe for FD-only loops: every
                 // cross-chunk read is killed by an own-iteration write).
-                let be = exec_chunk_buffered(
-                    program, &cfg.cpu, task.loop_, bounds, lo, hi, env, heap, kernels,
-                )?;
-                let cycles = cfg.cpu.cost.total(&be.counts);
-                let t = cfg.cpu.cycles_to_seconds(cycles);
-                let writes: Vec<_> = be.into_writes().into_iter().collect();
-                ordered_writes.push((idx, false, writes));
-                t
+                let (r, writes) = cpu.run_deferred(task.loop_, bounds, lo..hi, env, heap)?;
+                ordered_writes.push((idx, false, writes.into_iter().collect()));
+                r.time_s
             } else {
                 // Worker-pool dispatch with bounded retry; a pool that
                 // exhausts its fault tolerance is retired and batches drop

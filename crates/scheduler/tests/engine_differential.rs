@@ -12,7 +12,10 @@
 //! * CPU path: heap memory, op counts, and modeled time for both the
 //!   sequential executor and the chunked parallel executor — and, for the
 //!   kernels static analysis proves independent, the same plus the
-//!   written-back `Env` between the lane-batched path and the scalar VMs;
+//!   written-back `Env` between unchecked lane batches, conflict-checked
+//!   ones and the walker (the scalar oracle: the compiled engines batch
+//!   every range the lane VM accepts), and likewise for the four Table II
+//!   loops it cannot prove independent;
 //! * TLS path: identical rollback decisions (violations, recovery windows,
 //!   kernels launched) and committed memory on a loop with a seeded
 //!   cross-iteration dependence;
@@ -413,6 +416,116 @@ fn run_cpu_par(
         )
         .unwrap();
     (CpuFingerprint::of(&r), heap_bits(&heap, fx.a))
+}
+
+/// The four Table II loops static analysis cannot prove independent — a
+/// rotating scratch slot (CFD, Sepia), a sparse true dependence 41
+/// iterations back (BlackScholes), a dense one (Gauss-Seidel) — through
+/// every CPU executor: the compiled engines run them in conflict-checked
+/// lane batches, the tree walker one iteration at a time, and nothing
+/// observable may differ.
+#[test]
+fn checked_lanes_equal_the_walker_on_the_uncertain_table2_loops() {
+    /// NaN-proof: doubles by bit pattern.
+    fn key(v: Value) -> String {
+        match v {
+            Value::Double(d) => format!("double {:#x}", d.to_bits()),
+            other => format!("{other:?}"),
+        }
+    }
+    for name in ["CFD", "Sepia", "BlackScholes", "Gauss-Seidel"] {
+        let w = japonica_workloads::Workload::by_name(name).unwrap();
+        let inst = w.instantiate(1);
+        let program = w.compile().program;
+        let (_, f) = program.function_by_name(w.entry).unwrap();
+        let loop_ = f
+            .all_loops()
+            .into_iter()
+            .find(|l| l.is_annotated())
+            .unwrap()
+            .clone();
+        assert!(!analyze_program(&program)[&loop_.id].proven_independent());
+        let mut env = Env::with_slots(f.num_vars);
+        for (p, a) in f.params.iter().zip(&inst.args) {
+            env.set(p.var, *a);
+        }
+        let bounds = eval_bounds(&program, &loop_, &env, &mut inst.heap.clone()).unwrap();
+        let trip = bounds.trip();
+        let heap_key = |heap: &Heap| -> Vec<Vec<String>> {
+            (0..heap.array_count() as u32)
+                .map(|a| {
+                    let len = heap.len_of(ArrayId(a)).unwrap() as i64;
+                    (0..len)
+                        .map(|i| key(heap.load(ArrayId(a), i).unwrap()))
+                        .collect()
+                })
+                .collect()
+        };
+        let cfg_of = |engine| CpuConfig {
+            engine,
+            ..CpuConfig::default()
+        };
+        let seq = |engine, range: std::ops::Range<u64>| {
+            let (mut env, mut heap) = (env.clone(), inst.heap.clone());
+            let r = CpuCtx::new(&program, &cfg_of(engine))
+                .run_sequential(&loop_, &bounds, range, &mut env, &mut heap)
+                .unwrap();
+            let env: Vec<_> = (0..f.num_vars)
+                .map(|v| env.get(VarId(v)).ok().map(key))
+                .collect();
+            (CpuFingerprint::of(&r), heap_key(&heap), env)
+        };
+        let deferred = |engine, range: std::ops::Range<u64>| {
+            let (r, writes) = CpuCtx::new(&program, &cfg_of(engine))
+                .run_deferred(&loop_, &bounds, range, &env, &inst.heap)
+                .unwrap();
+            let writes: Vec<_> = writes.into_iter().map(|(at, v)| (at, key(v))).collect();
+            (CpuFingerprint::of(&r), writes)
+        };
+        let par = |engine, range: std::ops::Range<u64>, threads| {
+            let mut heap = inst.heap.clone();
+            let r = CpuCtx::new(&program, &cfg_of(engine))
+                .run_parallel(&loop_, &bounds, range, &env, &mut heap, threads)
+                .unwrap();
+            (CpuFingerprint::of(&r), heap_key(&heap))
+        };
+        for range in [0..trip, 7..trip - 5, 40..41] {
+            let scalar = seq(ExecEngine::TreeWalker, range.clone());
+            let scalar_deferred = deferred(ExecEngine::TreeWalker, range.clone());
+            for engine in COMPILED_ENGINES {
+                assert_eq!(
+                    seq(engine, range.clone()),
+                    scalar,
+                    "{name} {engine:?} sequential"
+                );
+                assert_eq!(
+                    deferred(engine, range.clone()),
+                    scalar_deferred,
+                    "{name} {engine:?} deferred"
+                );
+            }
+            for threads in [1u32, 16] {
+                let (report, heap) = par(ExecEngine::TreeWalker, range.clone(), threads);
+                // No batch of BlackScholes conflicts, so its range commits
+                // whole and sequentially; the walker's buffered chunks
+                // read across the dependence. The other three either hold
+                // false dependences only or fall back to those chunks.
+                let heap = if name == "BlackScholes" {
+                    scalar.1.clone()
+                } else {
+                    heap
+                };
+                for engine in COMPILED_ENGINES {
+                    let got = par(engine, range.clone(), threads);
+                    assert_eq!(
+                        got.0, report,
+                        "{name} {engine:?} report on {threads} threads"
+                    );
+                    assert_eq!(got.1, heap, "{name} {engine:?} heap on {threads} threads");
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -912,9 +1025,10 @@ proptest! {
 
     /// Lane-batched CPU path: on every generated kernel static analysis
     /// proves independent, running 32 iterations at a time through the warp
-    /// sweeps is indistinguishable from the scalar VMs — heap bits,
+    /// sweeps — trusting the proof or checking every access instead — is
+    /// indistinguishable from the walker's scalar execution: heap bits,
     /// per-simulated-thread op counts and seconds, modeled time, and the
-    /// `Env` a sequential run writes back — around every batch-size edge.
+    /// `Env` a sequential run writes back, around every batch-size edge.
     #[test]
     fn cpu_lanes_bit_identical_to_scalar(
         genes in proptest::collection::vec(any::<u8>(), 8..64),
@@ -926,17 +1040,27 @@ proptest! {
                 analyze_program(&fx.program)[&fx.loop_.id].proven_independent(),
                 "the generator's DOALL contract must be provable:\n{}", src
             );
+            let scalar = run_cpu_seq(&fx, ExecEngine::TreeWalker, Independence::Unproven);
             for engine in COMPILED_ENGINES {
-                let scalar = run_cpu_seq(&fx, engine, Independence::Unproven);
-                let lanes = run_cpu_seq(&fx, engine, Independence::Proven);
-                prop_assert_eq!(&scalar, &lanes, "{:?} sequential diverged at trip {}:\n{}", engine, trip, &src);
-                for threads in [1u32, 3, 16] {
-                    let scalar = run_cpu_par(&fx, engine, threads, Independence::Unproven);
-                    let lanes = run_cpu_par(&fx, engine, threads, Independence::Proven);
+                for independence in [Independence::Proven, Independence::Unproven] {
+                    let lanes = run_cpu_seq(&fx, engine, independence);
                     prop_assert_eq!(
                         &scalar, &lanes,
-                        "{:?} parallel diverged at trip {} on {} threads:\n{}", engine, trip, threads, &src
+                        "{:?} {:?} sequential diverged at trip {}:\n{}", engine, independence, trip, &src
                     );
+                }
+            }
+            for threads in [1u32, 3, 16] {
+                let scalar = run_cpu_par(&fx, ExecEngine::TreeWalker, threads, Independence::Unproven);
+                for engine in COMPILED_ENGINES {
+                    for independence in [Independence::Proven, Independence::Unproven] {
+                        let lanes = run_cpu_par(&fx, engine, threads, independence);
+                        prop_assert_eq!(
+                            &scalar, &lanes,
+                            "{:?} {:?} parallel diverged at trip {} on {} threads:\n{}",
+                            engine, independence, trip, threads, &src
+                        );
+                    }
                 }
             }
         }

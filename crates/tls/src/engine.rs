@@ -3,10 +3,12 @@
 
 use crate::config::TlsConfig;
 use crate::spec_mem::{SpecArena, SpeculativeMemory};
-use japonica_cpuexec::CpuConfig;
+use japonica_cpuexec::lanes::{run_with_replay, Checked};
+use japonica_cpuexec::{CpuConfig, Independence};
 use japonica_faults::{DeviceFault, FaultPlan, ResilienceConfig};
 use japonica_gpusim::{
-    launch_loop_par_with, AccessCtx, DeviceConfig, DeviceMemory, LaneMemory, SimtError,
+    launch_loop_par_with, AccessCtx, DeviceConfig, DeviceMemory, JournaledMemory, LaneMemory,
+    LanePlan, SimtError,
 };
 use japonica_ir::{
     ArrayData, ArrayId, Backend, Env, ExecEngine, ExecError, ForLoop, Interp, KernelCache,
@@ -266,22 +268,43 @@ pub fn run_tls_loop_guarded_with(
     // Sequential replay of `lo..hi` against the coherent device data — a
     // recovery window, or a sub-loop whose launch keeps faulting — on the
     // CPU model's engine (the walker for what bytecode declines; op counts
-    // are engine-invariant). Returns the simulated CPU seconds.
+    // are engine-invariant). A window is as uncertain as the loop it
+    // recovers, so its lane batches write through a journal under the CPU
+    // executor's conflict check; one that does not get through is undone
+    // and replayed an iteration at a time. Returns the simulated CPU
+    // seconds.
     let compiled = kernels
         .filter(|_| ccfg.engine != ExecEngine::TreeWalker)
         .and_then(|cache| cache.get_or_compile(program, loop_));
+    let plan = compiled.as_deref().and_then(LanePlan::of);
     let replay_on_cpu = |dev: &mut DeviceMemory, lo: u64, hi: u64| -> Result<f64, TlsError> {
-        let mut be = DeviceBackend::new(dev);
         let mut env = base_env.clone();
-        match &compiled {
-            Some(k) => {
-                ScalarVm::new().exec_range(k, loop_.var, bounds, lo, hi, &mut env, &mut be)?;
+        let scalar = |dev: &mut DeviceMemory, span: Range<u64>, env: &mut Env| {
+            let mut be = DeviceBackend::new(dev);
+            let (lo, hi) = (span.start, span.end);
+            match &compiled {
+                Some(k) => ScalarVm::new().exec_range(k, loop_.var, bounds, lo, hi, env, &mut be),
+                None => Interp::new(program).exec_range(loop_, bounds, lo, hi, env, &mut be),
+            }?;
+            Ok(be.counts)
+        };
+        let counts = match (&compiled, &plan) {
+            (Some(k), Some(plan)) => {
+                let mut mem = Checked::new(JournaledMemory::new(dev), Independence::Unproven);
+                run_with_replay(
+                    k,
+                    plan,
+                    loop_.var,
+                    bounds,
+                    lo..hi,
+                    &mut env,
+                    &mut mem,
+                    |journal, span, env| scalar(journal.device(), span, env),
+                )?
             }
-            None => {
-                Interp::new(program).exec_range(loop_, bounds, lo, hi, &mut env, &mut be)?;
-            }
-        }
-        Ok(ccfg.cycles_to_seconds(ccfg.cost.total(&be.counts))
+            _ => scalar(dev, lo..hi, &mut env)?,
+        };
+        Ok(ccfg.cycles_to_seconds(ccfg.cost.total(&counts))
             // control transfer + coherence hop across PCIe
             + 2.0 * dcfg.pcie_latency_us * 1e-6)
     };
