@@ -968,7 +968,10 @@ pub fn run_fixed_split(
         env,
         kernels: &kernels,
         faults: None,
-        se_overhead: 0.0,
+        se_overhead: match mode {
+            ExecutionMode::D => cfg.tls.se_overhead_cycles / 2.0,
+            _ => 0.0,
+        },
         dev: &mut dev,
         arena: SpecArena::default(),
         stats: &mut report.faults,
