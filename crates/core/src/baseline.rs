@@ -6,7 +6,6 @@ use crate::report::RunReport;
 use crate::runtime::RuntimeConfig;
 use japonica_ir::{Heap, Value};
 use japonica_profiler::LoopProfile;
-use japonica_scheduler::sharing::{run_cpu_only, run_cpu_serial, run_fixed_split, run_gpu_only};
 use japonica_scheduler::{LoopTask, SchedError};
 use std::collections::BTreeMap;
 
@@ -78,15 +77,15 @@ pub fn run_baseline(
                     analysis,
                     profile: profiles.get(&l.id),
                 };
+                // A hand-ported single-device version: no fault plan.
+                let run = task
+                    .prepare(&compiled.program, sched, env, heap)?
+                    .unguarded();
                 let r = match baseline {
-                    Baseline::Serial => run_cpu_serial(&compiled.program, sched, &task, env, heap)?,
-                    Baseline::CpuParallel(t) => {
-                        run_cpu_only(&compiled.program, sched, &task, env, heap, t)?
-                    }
-                    Baseline::GpuOnly => run_gpu_only(&compiled.program, sched, &task, env, heap)?,
-                    Baseline::FixedSplit(frac) => {
-                        run_fixed_split(&compiled.program, sched, &task, env, heap, frac)?
-                    }
+                    Baseline::Serial => run.on_cpu(env, heap, None)?,
+                    Baseline::CpuParallel(t) => run.on_cpu(env, heap, Some(t))?,
+                    Baseline::GpuOnly => run.on_gpu(env, heap, None)?,
+                    Baseline::FixedSplit(frac) => run.fixed_split(env, heap, frac)?,
                 };
                 report.loops.push(r);
                 report.profiles.append(&mut profiles);

@@ -8,8 +8,8 @@ use japonica_faults::FaultPlan;
 use japonica_ir::{Env, ExecError, ForLoop, Heap, Scheme, Value};
 use japonica_profiler::{profile_loop_with, LoopProfile};
 use japonica_scheduler::{
-    run_sharing, run_stealing, sharing::eval_bounds, sharing::run_cpu_only, sharing::stage_device,
-    DataPlan, LoopTask, SchedError, SchedulerConfig,
+    run_sharing, run_stealing, sharing::eval_bounds, sharing::stage_device, DataPlan, LoopTask,
+    SchedError, SchedulerConfig,
 };
 use std::collections::BTreeMap;
 
@@ -137,7 +137,8 @@ impl Runtime {
                     analysis: analysis_of(l.id)?,
                     profile: profiles.get(&l.id),
                 };
-                let r = run_cpu_only(&compiled.program, cfg, &task, env, heap, cfg.cpu_threads)?;
+                let run = task.prepare(&compiled.program, cfg, env, heap)?.unguarded();
+                let r = run.on_cpu(env, heap, Some(cfg.cpu_threads))?;
                 report.loops.push(r);
             }
             report.profiles.append(&mut profiles);

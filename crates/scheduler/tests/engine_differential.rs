@@ -39,9 +39,7 @@ use japonica_ir::{
     compile_kernel, ArrayId, Env, ExecEngine, ForLoop, Heap, KernelCache, LoopBounds, Program,
     Value, VarId, NATIVE_PROMOTE_USES,
 };
-use japonica_scheduler::sharing::{
-    eval_bounds, launch_chunk, run_fixed_split, stage_device, ChunkCx,
-};
+use japonica_scheduler::sharing::{eval_bounds, stage_device};
 use japonica_scheduler::{run_sharing, run_stealing, DataPlan, LoopTask, SchedulerConfig};
 use japonica_tls::{
     run_privatized_with, run_tls_loop_guarded_with, SpecArena, SpeculativeMemory, TlsConfig,
@@ -714,15 +712,17 @@ fn run_scheduled(
         }
         Entry::FixedSplit => format!(
             "{:?}",
-            run_fixed_split(&fx.program, cfg, &task, &fx.env, &mut heap, 0.5).unwrap()
+            task.prepare(&fx.program, cfg, &fx.env, &mut heap)
+                .and_then(|run| run.unguarded().fixed_split(&fx.env, &mut heap, 0.5))
+                .unwrap()
         ),
     };
     (report, heap_bits(&heap, fx.a), heap_bits(&heap, fx.b))
 }
 
-/// One chunk through [`launch_chunk`]: the kernel report, the writes sorted
-/// by location (the journal lists them in store order, the buffers in
-/// iteration order) and the device bits of `a`.
+/// One chunk through `LoopRun::launch_chunk`: the kernel report, the
+/// writes sorted by location (the journal lists them in store order, the
+/// buffers in iteration order) and the device bits of `a`.
 fn run_chunk(
     fx: &Fx,
     analysis: &LoopAnalysis,
@@ -734,30 +734,18 @@ fn run_chunk(
         profile: None,
     };
     let mut heap = fx.heap.clone();
-    let plan = DataPlan::derive(
-        &fx.program,
-        &fx.loop_,
-        &analysis.classes,
-        &fx.env,
-        &mut heap,
-    )
-    .unwrap();
-    let mut dev = DeviceMemory::new();
-    stage_device(&plan, &heap, &mut dev, cfg).unwrap();
-    let kernels = KernelCache::new();
-    let mut cx = ChunkCx {
-        program: &fx.program,
-        cfg,
-        bounds: &fx.bounds,
-        env: &fx.env,
-        kernels: &kernels,
-        faults: None,
-        se_overhead: 0.0,
-        dev: &mut dev,
-        arena: SpecArena::default(),
-        stats: &mut Default::default(),
-    };
-    let (kr, writes) = launch_chunk(&task, 0..fx.n as u64, &mut cx)
+    let run = task.prepare(&fx.program, cfg, &fx.env, &mut heap).unwrap();
+    assert_eq!(run.bounds, fx.bounds);
+    let stats = &mut Default::default();
+    let mut dev = run.stage(&heap, run.origin, stats).unwrap();
+    let (kr, writes) = run
+        .launch_chunk(
+            0..fx.n as u64,
+            &fx.env,
+            &mut dev,
+            &mut SpecArena::default(),
+            stats,
+        )
         .unwrap()
         .outcome
         .unwrap();

@@ -96,7 +96,7 @@ fn schedule_and_check(c: &mut Case) -> ExecutionMode {
         analysis: &analysis,
         profile: profile.as_ref(),
     };
-    let mode = task.mode(&cfg);
+    let mode = task.try_mode(&cfg).unwrap();
     let mut env = c.env.clone();
     let report = run_sharing(&c.program, &cfg, &task, &mut env, &mut c.heap).unwrap();
     assert_eq!(report.mode, mode);

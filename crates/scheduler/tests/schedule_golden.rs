@@ -22,9 +22,7 @@ use japonica_frontend::compile_source;
 use japonica_gpusim::DeviceMemory;
 use japonica_ir::{ArrayId, Env, ForLoop, Heap, ParamTy, Program, Value};
 use japonica_profiler::{profile_loop, LoopProfile};
-use japonica_scheduler::sharing::{
-    eval_bounds, run_cpu_only, run_cpu_serial, run_fixed_split, run_gpu_only, stage_device,
-};
+use japonica_scheduler::sharing::{eval_bounds, stage_device};
 use japonica_scheduler::{
     run_sharing, run_stealing, DataPlan, ExecutionMode, LoopExecReport, LoopTask, SchedError,
     SchedulerConfig, StealingReport,
@@ -420,12 +418,17 @@ fn cell(
         })
         .collect();
     let (p, t, mut heap) = (&fx.program, &tasks[0], fx.heap.clone());
+    // The baselines are hand-ported single-device versions: no fault plan.
+    let baseline = |heap: &mut Heap| t.prepare(p, &cfg, &fx.env, heap).map(|r| r.unguarded());
     let looped = match scheme {
         "sharing" | "literal" => run_sharing(p, &cfg, t, &mut fx.env.clone(), &mut heap),
-        "fixed" => run_fixed_split(p, &cfg, t, &fx.env, &mut heap, 0.5),
-        "gpu-only" => run_gpu_only(p, &cfg, t, &fx.env, &mut heap),
-        "cpu-only" => run_cpu_only(p, &cfg, t, &mut fx.env.clone(), &mut heap, cfg.cpu_threads),
-        "serial" => run_cpu_serial(p, &cfg, t, &mut fx.env.clone(), &mut heap),
+        "fixed" => baseline(&mut heap).and_then(|r| r.fixed_split(&fx.env, &mut heap, 0.5)),
+        "gpu-only" => baseline(&mut heap).and_then(|r| r.on_gpu(&fx.env, &mut heap, None)),
+        "cpu-only" => baseline(&mut heap)
+            .and_then(|r| r.on_cpu(&mut fx.env.clone(), &mut heap, Some(cfg.cpu_threads))),
+        "serial" => {
+            baseline(&mut heap).and_then(|r| r.on_cpu(&mut fx.env.clone(), &mut heap, None))
+        }
         "stealing" => {
             match run_stealing(p, &cfg, &tasks, &fx.pdg, &fx.env, &mut heap) {
                 Ok(r) => {
@@ -468,7 +471,11 @@ fn table() -> String {
             analysis: &fx.analyses[0],
             profile: profiles[0].as_ref(),
         };
-        assert_eq!(first.mode(&SchedulerConfig::default()), mode, "{label}");
+        assert_eq!(
+            first.try_mode(&SchedulerConfig::default()),
+            Ok(mode),
+            "{label}"
+        );
         assert_eq!(
             fx.pdg.batches().len(),
             2,

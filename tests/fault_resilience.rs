@@ -18,9 +18,9 @@ use japonica::faults::{
     DegradationLevel, FaultKind, FaultPlan, FaultRule, FaultStats, ResilienceConfig,
 };
 use japonica::gpusim::DeviceMemory;
-use japonica::ir::{Heap, HeapBackend, Interp, KernelCache, Scheme, Value};
-use japonica::scheduler::sharing::{eval_bounds, launch_chunk, stage_device, ChunkCx};
-use japonica::scheduler::{DataPlan, LoopTask, SchedulerConfig};
+use japonica::ir::{Heap, HeapBackend, Interp, Scheme, Value};
+use japonica::scheduler::sharing::stage_device;
+use japonica::scheduler::{LoopTask, SchedulerConfig};
 use japonica::tls::SpecArena;
 use japonica::{compile, RunReport, Runtime, RuntimeConfig};
 use japonica_workloads::{outputs_match, Workload};
@@ -267,11 +267,16 @@ fn launch_one_chunk(
     }
     let mut cfg = SchedulerConfig::default().with_host_threads(host_threads);
     cfg.faults = Some(FaultPlan::new(31, rules));
-    let bounds = eval_bounds(&compiled.program, loop_, &env, &mut heap).expect("bounds");
-    let plan = DataPlan::derive(&compiled.program, loop_, &analysis.classes, &env, &mut heap)
-        .expect("data plan");
+    let task = LoopTask {
+        loop_,
+        analysis,
+        profile: None,
+    };
+    let prepared = task
+        .prepare(&compiled.program, &cfg, &env, &mut heap)
+        .expect("bounds and data plan");
     let mut dev = DeviceMemory::new();
-    stage_device(&plan, &heap, &mut dev, &cfg).expect("staging");
+    stage_device(&prepared.plan, &heap, &mut dev, &cfg).expect("staging");
     let device_b = |dev: &DeviceMemory| -> Vec<f64> {
         let arr = dev.array(b).expect("b is resident");
         (0..n)
@@ -280,24 +285,15 @@ fn launch_one_chunk(
     };
     let before = device_b(&dev);
     let mut stats = FaultStats::default();
-    let task = LoopTask {
-        loop_,
-        analysis,
-        profile: None,
-    };
-    let mut cx = ChunkCx {
-        program: &compiled.program,
-        cfg: &cfg,
-        bounds: &bounds,
-        env: &env,
-        kernels: &KernelCache::new(),
-        faults: cfg.faults.as_ref(),
-        se_overhead: 0.0,
-        dev: &mut dev,
-        arena: SpecArena::default(),
-        stats: &mut stats,
-    };
-    let run = launch_chunk(&task, 0..n as u64, &mut cx).expect("faults are not errors");
+    let run = prepared
+        .launch_chunk(
+            0..n as u64,
+            &env,
+            &mut dev,
+            &mut SpecArena::default(),
+            &mut stats,
+        )
+        .expect("faults are not errors");
     if let Ok((kr, writes)) = &run.outcome {
         assert_eq!(kr.warps as usize, WARPS);
         assert_eq!(writes.len(), n, "every element of b, once");
