@@ -4,7 +4,9 @@
 //! builds (DESIGN.md, "Scheduling core").
 
 use crate::config::SchedulerConfig;
-use crate::ladder::{absorb_pool_fault, retry_transient, transfer_with_retry, Retried};
+use crate::ladder::{
+    absorb_pool_fault, pool_retired, retry_transient, transfer_with_retry, Retried,
+};
 use crate::modes::ExecutionMode;
 use crate::plan::{DataPlan, PlanEntry};
 use crate::report::{LoopExecReport, SchedError};
@@ -345,7 +347,8 @@ impl<'a> LoopRun<'a> {
     /// retry backoffs charged first. With an `origin` the dispatch consults
     /// the fault plan and is retried; a fault that outlives the retries
     /// drops the batch to sequential execution — the CPU rung always
-    /// completes. Without one the dispatch is unguarded.
+    /// completes — and so does every later batch once the pool is retired.
+    /// Without one the dispatch is unguarded.
     pub fn cpu_pool(
         &self,
         range: Range<u64>,
@@ -355,6 +358,10 @@ impl<'a> LoopRun<'a> {
         origin: Option<FaultOrigin>,
         stats: &mut FaultStats,
     ) -> Result<(f64, Vec<f64>), SchedError> {
+        if origin.is_some() && pool_retired(stats) {
+            let busy_s = self.cpu_sequential(range, &mut env.clone(), heap)?;
+            return Ok((busy_s, Vec::new()));
+        }
         let pool = CpuCtx {
             faults: origin.and(self.faults),
             origin: origin.unwrap_or_default(),

@@ -6,7 +6,7 @@
 use crate::config::SchedulerConfig;
 use crate::exec::apply_writes_to_host;
 pub use crate::exec::{eval_bounds, stage_device, LoopRun};
-use crate::ladder::{absorb_gpu_fault, pool_retired};
+use crate::ladder::absorb_gpu_fault;
 use crate::modes::{try_decide_mode, ExecutionMode};
 use crate::report::{LoopExecReport, SchedError};
 use crate::schedule::{Device, GpuFault, ShareSchedule};
@@ -128,9 +128,6 @@ impl LoopRun<'_> {
             let (busy_s, backoffs) = if privatized {
                 let (busy_s, writes) = self.cpu_deferred(range, env, heap)?;
                 ordered_writes.push((t.chunk, false, writes));
-                (busy_s, Vec::new())
-            } else if gpu_fault.is_none() && pool_retired(stats) {
-                let busy_s = self.cpu_sequential(range, &mut env.clone(), heap)?;
                 (busy_s, Vec::new())
             } else {
                 let origin = gpu_fault.is_none().then(|| self.origin.with_chunk(t.chunk));

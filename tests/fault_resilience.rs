@@ -186,6 +186,27 @@ fn persistent_cpu_chunk_fault_degrades_the_worker_pool() {
     assert!(s.level >= DegradationLevel::Sequential, "{s:?}");
 }
 
+/// Both devices fault persistently, so every chunk and sub-task ends up on
+/// the host. The pool is retired after `device_fault_tolerance` faults and
+/// every later batch runs sequentially without consulting it — under task
+/// stealing too, which used to keep dispatching to the faulted pool.
+#[test]
+fn a_retired_worker_pool_is_not_dispatched_to_again() {
+    for scheme in [Scheme::Sharing, Scheme::Stealing] {
+        let rules = vec![
+            FaultRule::persistent(FaultKind::KernelLaunch),
+            FaultRule::persistent(FaultKind::CpuChunk),
+        ];
+        let (_, s) = run_scale(Some(FaultPlan::new(9, rules)), default_res(), Some(scheme));
+        assert_eq!(
+            s.cpu_faults,
+            default_res().device_fault_tolerance,
+            "{scheme:?}: {s:?}"
+        );
+        assert_eq!(s.level, DegradationLevel::Sequential, "{scheme:?}: {s:?}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Degradation-ladder transitions.
 // ---------------------------------------------------------------------------
