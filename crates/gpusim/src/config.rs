@@ -50,7 +50,8 @@ impl SimConfig {
 }
 
 /// A contiguous slice of a device's streaming multiprocessors, leased to
-/// one tenant of a shared device (see `japonica-serve`'s `DevicePool`).
+/// one tenant of a shared device (see `japonica-serve`'s
+/// `PartitionAllocator`).
 ///
 /// Every simulated quantity depends only on `sm_count` — `sm_base` exists
 /// purely so occupancy can be attributed to physical SMs of the shared
@@ -132,7 +133,7 @@ impl DeviceConfig {
     }
 
     /// Restrict this config to `partition`. The returned view is what a
-    /// `DeviceLease` hands to a tenant's scheduler.
+    /// `japonica-serve` dispatch ticket hands to a tenant's scheduler.
     pub fn partitioned(mut self, partition: DevicePartition) -> DeviceConfig {
         self.partition = Some(partition);
         self

@@ -74,11 +74,12 @@ impl SchedulerConfig {
     /// platform: the GPU simulation sees only `partition`'s SM slice and
     /// the CPU side gets `cpu_slots` worker threads (each backed by one
     /// core, capped at the physical core count). This is the view a
-    /// `DeviceLease` hands to the schedulers — the sharing boundary,
-    /// chunk occupancy, TLS dependence checking and profiling all scale to
-    /// the slice automatically, and none of them observe `sm_base`, so a
-    /// job on a lease is bit-identical to the same job alone on an
-    /// equal-sized device.
+    /// `japonica-serve` dispatch ticket hands to the schedulers for the
+    /// slice its `PartitionAllocator` carved — the sharing boundary, chunk
+    /// occupancy, TLS dependence checking and profiling all scale to the
+    /// slice automatically, and none of them observe `sm_base`, so a job on
+    /// a slice is bit-identical to the same job alone on an equal-sized
+    /// device.
     pub fn with_partition(mut self, partition: DevicePartition, cpu_slots: u32) -> SchedulerConfig {
         self.gpu.partition = Some(partition);
         self.cpu_threads = cpu_slots.max(1);

@@ -439,16 +439,10 @@ impl StealSchedule {
         if gpu_alive && !gpu_turn && self.cpu_q.is_empty() && !stealable(&self.gpu_q) {
             gpu_turn = true;
         }
-        let (me, transfer, own_q, other_q) = if gpu_turn {
-            let streamed = TransferKind::Streamed;
-            (Device::Gpu, streamed, &mut self.gpu_q, &mut self.cpu_q)
+        let (me, own_q, other_q) = if gpu_turn {
+            (Device::Gpu, &mut self.gpu_q, &mut self.cpu_q)
         } else {
-            (
-                Device::Cpu,
-                TransferKind::None,
-                &mut self.cpu_q,
-                &mut self.gpu_q,
-            )
+            (Device::Cpu, &mut self.cpu_q, &mut self.gpu_q)
         };
         let stolen = own_q.is_empty();
         let t = own_q.pop_front().or_else(|| steal(other_q, me));
@@ -461,6 +455,11 @@ impl StealSchedule {
             self.gpu_xfer_clock = self.gpu_clock;
             self.gpu_return_clock = self.gpu_return_clock.max(self.gpu_clock);
         }
+        let transfer = if gpu_turn {
+            TransferKind::Streamed
+        } else {
+            TransferKind::None
+        };
         Ok(Some(Ticket {
             transfer,
             stolen,

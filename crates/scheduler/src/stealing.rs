@@ -41,7 +41,7 @@ pub fn run_stealing(
     heap: &mut Heap,
 ) -> Result<StealingReport, SchedError> {
     let mut sched = StealSchedule::new(cfg);
-    let mut stats = FaultStats::default();
+    let stats = &mut FaultStats::default();
     for batch in pdg.batches() {
         // Loops of the batch that are in this pool, evaluated against the
         // heap the earlier batches left.
@@ -61,7 +61,7 @@ pub fn run_stealing(
             // A GPU ticket either completes here or leaves a fault behind.
             let mut gpu_fault = None;
             if t.device == Device::Gpu {
-                match exec_gpu(run, &t, origin, env, heap, &mut stats) {
+                match exec_gpu(run, &t, origin, env, heap, stats) {
                     Ok((h2d_s, kernel_s, d2h_s)) => {
                         sched.finish_gpu(&t, h2d_s, kernel_s, d2h_s);
                         continue;
@@ -69,7 +69,7 @@ pub fn run_stealing(
                     // The fault went through its retry budget and the heap
                     // is untouched: resubmit the task on the CPU timeline.
                     Err(SchedError::Device { fault, .. }) => {
-                        let gpu_alive = absorb_gpu_fault(&cfg.resilience, &mut stats, fault)?;
+                        let gpu_alive = absorb_gpu_fault(&cfg.resilience, stats, fault)?;
                         gpu_fault = Some(GpuFault {
                             backoff_s: 0.0,
                             gpu_alive,
@@ -81,7 +81,6 @@ pub fn run_stealing(
             // On the host: the worker pool for dependence-free tasks, in
             // order on one core otherwise.
             let busy_s = if matches!(run.mode, ExecutionMode::A | ExecutionMode::DPrime) {
-                let stats = &mut stats;
                 run.cpu_pool(range, env, heap, run.threads, Some(origin), stats)?
                     .0
             } else {
@@ -91,7 +90,7 @@ pub fn run_stealing(
         }
         sched.end_batch();
     }
-    sched.report.faults = stats;
+    sched.report.faults = *stats;
     Ok(sched.report)
 }
 

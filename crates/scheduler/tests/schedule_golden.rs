@@ -289,7 +289,8 @@ fn fault_row(s: &FaultStats) -> String {
     )
 }
 
-fn loop_rows(out: &mut String, r: &LoopExecReport) {
+fn loop_rows(r: &LoopExecReport) -> String {
+    let mut out = String::new();
     writeln!(
         out,
         "  loop {} mode={:?} scheme={:?} iters={} gpu_iters={} cpu_iters={} gpu_busy={} \
@@ -327,9 +328,11 @@ fn loop_rows(out: &mut String, r: &LoopExecReport) {
         )
         .expect("writing to a String");
     }
+    out
 }
 
-fn stealing_rows(out: &mut String, r: &StealingReport) {
+fn stealing_rows(r: &StealingReport) -> String {
+    let mut out = String::new();
     writeln!(
         out,
         "  stealing gpu_iters={} cpu_iters={} gpu_busy={} cpu_busy={} stolen_by_gpu={} \
@@ -365,6 +368,7 @@ fn stealing_rows(out: &mut String, r: &StealingReport) {
         )
         .expect("writing to a String");
     }
+    out
 }
 
 /// FNV-1a over every array's elements, in parameter order.
@@ -378,10 +382,6 @@ fn heap_hash(heap: &Heap, arrays: &[ArrayId]) -> u64 {
         }
     }
     h
-}
-
-fn error_row(out: &mut String, e: &SchedError) {
-    writeln!(out, "  error {e:?}").expect("writing to a String");
 }
 
 /// One cell of the table: the first loop of `fx` (both loops, for stealing)
@@ -420,45 +420,28 @@ fn cell(
     let (p, t, mut heap) = (&fx.program, &tasks[0], fx.heap.clone());
     // The baselines are hand-ported single-device versions: no fault plan.
     let baseline = |heap: &mut Heap| t.prepare(p, &cfg, &fx.env, heap).map(|r| r.unguarded());
-    let looped = match scheme {
-        "sharing" | "literal" => run_sharing(p, &cfg, t, &mut fx.env.clone(), &mut heap),
-        "fixed" => baseline(&mut heap).and_then(|r| r.fixed_split(&fx.env, &mut heap, 0.5)),
-        "gpu-only" => baseline(&mut heap).and_then(|r| r.on_gpu(&fx.env, &mut heap, None)),
-        "cpu-only" => baseline(&mut heap)
-            .and_then(|r| r.on_cpu(&mut fx.env.clone(), &mut heap, Some(cfg.cpu_threads))),
+    let looped = |r: Result<LoopExecReport, SchedError>| r.map(|r| loop_rows(&r));
+    let rows = match scheme {
+        "sharing" | "literal" => looped(run_sharing(p, &cfg, t, &mut fx.env.clone(), &mut heap)),
+        "fixed" => looped(baseline(&mut heap).and_then(|r| r.fixed_split(&fx.env, &mut heap, 0.5))),
+        "gpu-only" => looped(baseline(&mut heap).and_then(|r| r.on_gpu(&fx.env, &mut heap, None))),
+        "cpu-only" => looped(
+            baseline(&mut heap)
+                .and_then(|r| r.on_cpu(&mut fx.env.clone(), &mut heap, Some(cfg.cpu_threads))),
+        ),
         "serial" => {
-            baseline(&mut heap).and_then(|r| r.on_cpu(&mut fx.env.clone(), &mut heap, None))
+            looped(baseline(&mut heap).and_then(|r| r.on_cpu(&mut fx.env.clone(), &mut heap, None)))
         }
-        "stealing" => {
-            match run_stealing(p, &cfg, &tasks, &fx.pdg, &fx.env, &mut heap) {
-                Ok(r) => {
-                    assert_eq!(r.batch_ends.len(), 2, "the fixture's PDG has two batches");
-                    stealing_rows(out, &r);
-                }
-                Err(e) => error_row(out, &e),
-            }
-            writeln!(out, "  heap={:016x}", heap_hash(&heap, &fx.arrays)).expect("writing");
-            writeln!(
-                out,
-                "  injected={}",
-                cfg.faults.as_ref().map_or(0, FaultPlan::injected)
-            )
-            .expect("writing");
-            return;
-        }
+        "stealing" => run_stealing(p, &cfg, &tasks, &fx.pdg, &fx.env, &mut heap).map(|r| {
+            assert_eq!(r.batch_ends.len(), 2, "the fixture's PDG has two batches");
+            stealing_rows(&r)
+        }),
         other => unreachable!("unknown scheme {other}"),
     };
-    match looped {
-        Ok(r) => loop_rows(out, &r),
-        Err(e) => error_row(out, &e),
-    }
+    out.push_str(&rows.unwrap_or_else(|e| format!("  error {e:?}\n")));
     writeln!(out, "  heap={:016x}", heap_hash(&heap, &fx.arrays)).expect("writing");
-    writeln!(
-        out,
-        "  injected={}",
-        cfg.faults.as_ref().map_or(0, FaultPlan::injected)
-    )
-    .expect("writing");
+    let injected = cfg.faults.as_ref().map_or(0, FaultPlan::injected);
+    writeln!(out, "  injected={injected}").expect("writing");
 }
 
 fn table() -> String {

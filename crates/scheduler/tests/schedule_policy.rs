@@ -10,28 +10,16 @@ use japonica_scheduler::schedule::{
 };
 use japonica_scheduler::{ExecutionMode, SchedulerConfig};
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
-/// SplitMix64: the seeded source of cost jitter and faults.
-struct Rng(u64);
+/// True with probability `pct` percent.
+fn chance(rng: &mut TestRng, pct: u64) -> bool {
+    rng.below(100) < pct
+}
 
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// True with probability `pct` percent.
-    fn chance(&mut self, pct: u64) -> bool {
-        self.next() % 100 < pct
-    }
-
-    /// A factor in `[1, 1 + spread)`.
-    fn jitter(&mut self, spread: f64) -> f64 {
-        1.0 + spread * (self.next() % 1000) as f64 / 1000.0
-    }
+/// A factor in `[1, 1 + spread)`.
+fn jitter(rng: &mut TestRng, spread: f64) -> f64 {
+    1.0 + spread * rng.unit_f64()
 }
 
 /// What the canned executor charges: additive per-iteration costs (a range
@@ -81,7 +69,7 @@ fn drive_sharing(
     costs: Costs,
     seed: u64,
 ) -> Result<ShareRun, TestCaseError> {
-    let mut rng = Rng(seed);
+    let mut rng = TestRng::from_seed(seed);
     let mut sched = ShareSchedule::new(cfg, trip, 16.0, privatized);
     let boundary = sched.boundary_iter;
     let (mut ranges, mut faults, mut gpu_alive) = (Vec::new(), 0u32, true);
@@ -90,14 +78,14 @@ fn drive_sharing(
         ranges.push((t.range.start, t.range.end));
         prop_assert_eq!(t.task, 0);
         let n = iters(&t) as f64;
-        let cpu_s = n * costs.cpu_s_per_iter * rng.jitter(costs.jitter);
+        let cpu_s = n * costs.cpu_s_per_iter * jitter(&mut rng, costs.jitter);
         match t.device {
             Device::Gpu => {
                 prop_assert!(gpu_alive, "a retired GPU was ticketed {:?}", t.range);
                 let streamed = t.range.start < boundary;
                 let expect = [TransferKind::Synchronous, TransferKind::Streamed][streamed as usize];
                 prop_assert_eq!(t.transfer, expect);
-                if rng.chance(costs.gpu_fault_pct) {
+                if chance(&mut rng, costs.gpu_fault_pct) {
                     faults += 1;
                     gpu_alive = faults < costs.tolerance;
                     let fault = GpuFault {
@@ -106,7 +94,7 @@ fn drive_sharing(
                     };
                     sched.finish_host(&t, cpu_s, &[], Some(fault));
                 } else {
-                    let cycles = n * costs.gpu_cycles_per_iter * rng.jitter(costs.jitter);
+                    let cycles = n * costs.gpu_cycles_per_iter * jitter(&mut rng, costs.jitter);
                     let warps = iters(&t).div_ceil(32) as u32;
                     sched.finish_gpu(&t, warps, cycles, iters(&t) as usize, 0.0);
                 }
@@ -122,7 +110,7 @@ fn drive_sharing(
                     );
                 }
                 dearest = dearest.max(cpu_s);
-                let backoffs: &[f64] = if costs.gpu_fault_pct > 0 && rng.chance(10) {
+                let backoffs: &[f64] = if costs.gpu_fault_pct > 0 && chance(&mut rng, 10) {
                     &[50e-6, 100e-6]
                 } else {
                     &[]
@@ -253,7 +241,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let cfg = SchedulerConfig { subloops_per_task: subloops, ..SchedulerConfig::default() };
-        let mut rng = Rng(seed);
+        let mut rng = TestRng::from_seed(seed);
         let mut sched = StealSchedule::new(&cfg);
         let (mut faults, mut gpu_alive, mut next_id) = (0u32, true, 0u32);
         for batch in &batches {
@@ -274,10 +262,10 @@ proptest! {
                     prop_assert!(!t.stolen, "obligatory task stolen: {:?}", t);
                     prop_assert!(t.device == home || !gpu_alive, "obligatory task moved: {:?}", t);
                 }
-                let busy_s = iters(&t) as f64 * costs.0 as f64 * 1e-9 * rng.jitter(0.5);
+                let busy_s = iters(&t) as f64 * costs.0 as f64 * 1e-9 * jitter(&mut rng, 0.5);
                 if t.device == Device::Cpu {
                     sched.finish_host(&t, busy_s, None);
-                } else if rng.chance(costs.1) {
+                } else if chance(&mut rng, costs.1) {
                     prop_assert!(gpu_alive, "a retired GPU was ticketed: {:?}", t);
                     faults += 1;
                     gpu_alive = faults < costs.2;
