@@ -18,6 +18,34 @@ use japonica_ir::{Env, Heap, Program};
 use japonica_tls::SpecArena;
 
 impl StealingReport {
+    /// Export the schedule as a `chrome://tracing` / Perfetto JSON trace:
+    /// one row per device, one complete event per (sub-)task, timestamps in
+    /// simulated microseconds.
+    pub fn to_chrome_trace(&self) -> String {
+        let mut out = String::from("[");
+        for (i, t) in self.tasks.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let tid = match t.device {
+                Device::Gpu => 1,
+                Device::Cpu => 2,
+            };
+            out.push_str(&format!(
+                "{{\"name\":\"{} sub {}/{}{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3}}}",
+                t.loop_id,
+                t.subloop.0 + 1,
+                t.subloop.1,
+                if t.stolen { " (stolen)" } else { "" },
+                tid,
+                t.start_s * 1e6,
+                (t.end_s - t.start_s) * 1e6,
+            ));
+        }
+        out.push(']');
+        out
+    }
+
     /// Fraction of all iterations the CPU ended up executing (the paper
     /// reports the CPU finishing 62.5% of BICG's subloops).
     pub fn cpu_iter_share(&self) -> f64 {
@@ -316,6 +344,21 @@ mod tests {
             expect[i] += expect[i - 1];
         }
         assert_eq!(a, expect);
+    }
+
+    #[test]
+    fn chrome_trace_is_valid_shape() {
+        let mut p = pool(BICG_LIKE, 20_000);
+        let cfg = SchedulerConfig::default();
+        let env = p.env.clone();
+        let mut heap = p.heap.clone();
+        let ts = tasks(&p);
+        let r = run_stealing(&p.program, &cfg, &ts, &p.pdg, &env, &mut heap).unwrap();
+        p.heap = heap;
+        let trace = r.to_chrome_trace();
+        assert!(trace.starts_with('[') && trace.ends_with(']'));
+        assert_eq!(trace.matches("\"ph\":\"X\"").count(), r.tasks.len());
+        assert!(trace.contains("\"tid\":1") || trace.contains("\"tid\":2"));
     }
 
     #[test]
