@@ -77,14 +77,13 @@ pub fn run_baseline(
                     analysis,
                     profile: profiles.get(&l.id),
                 };
-                // A hand-ported single-device version: no fault plan.
-                let run = task
-                    .prepare(&compiled.program, sched, env, heap)?
-                    .unguarded();
+                // Each composition is a hand-ported version: it consults
+                // no fault plan.
+                let run = task.prepare(&compiled.program, sched, env, heap)?;
                 let r = match baseline {
                     Baseline::Serial => run.on_cpu(env, heap, None)?,
                     Baseline::CpuParallel(t) => run.on_cpu(env, heap, Some(t))?,
-                    Baseline::GpuOnly => run.on_gpu(env, heap, None)?,
+                    Baseline::GpuOnly => run.gpu_only(env, heap)?,
                     Baseline::FixedSplit(frac) => run.fixed_split(env, heap, frac)?,
                 };
                 report.loops.push(r);

@@ -137,7 +137,7 @@ impl Runtime {
                     analysis: analysis_of(l.id)?,
                     profile: profiles.get(&l.id),
                 };
-                let run = task.prepare(&compiled.program, cfg, env, heap)?.unguarded();
+                let run = task.prepare(&compiled.program, cfg, env, heap)?;
                 let r = run.on_cpu(env, heap, Some(cfg.cpu_threads))?;
                 report.loops.push(r);
             }

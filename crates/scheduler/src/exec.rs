@@ -18,8 +18,7 @@ use japonica_gpusim::{
     SimtError,
 };
 use japonica_ir::{
-    ArrayId, Env, ExecError, ForLoop, Heap, HeapBackend, Interp, KernelCache, LoopBounds, Program,
-    Scheme,
+    Env, ExecError, ForLoop, Heap, HeapBackend, Interp, KernelCache, LoopBounds, Program, Scheme,
 };
 use japonica_tls::{
     run_privatized_with, run_tls_loop_guarded_with, SpecArena, SpeculativeMemory, TlsReport,
@@ -43,7 +42,7 @@ pub struct LoopRun<'a> {
     /// Pool workers: the loop's `threads(n)` clause, else the configured count.
     pub threads: u32,
     /// The plan launches, transfers and pool dispatches consult and retry
-    /// under; `None` runs everything unguarded.
+    /// under; the baseline compositions clear it.
     pub faults: Option<&'a FaultPlan>,
     /// The loop's fault origin; callers narrow it to a chunk or sub-loop.
     pub origin: FaultOrigin,
@@ -86,14 +85,32 @@ pub fn eval_bounds(
     Interp::new(program).loop_bounds(loop_, &mut env, &mut be)
 }
 
-/// Mirror the plan's arrays onto the device, moving each through `copy_in`
+/// Functionally mirror the plan's arrays onto the device, unguarded
 /// (transfer *time* is modeled by the callers' timelines, not by this copy).
-fn stage_with<E: From<ExecError>>(
+pub fn stage_device(
     plan: &DataPlan,
     heap: &Heap,
     dev: &mut DeviceMemory,
-    mut copy_in: impl FnMut(&mut DeviceMemory, ArrayId, usize) -> Result<(), E>,
-) -> Result<(), E> {
+    cfg: &SchedulerConfig,
+) -> Result<(), ExecError> {
+    let (origin, stats) = (FaultOrigin::default(), &mut FaultStats::default());
+    stage_guarded(plan, heap, dev, cfg, None, origin, stats).map_err(|e| match e {
+        SchedError::Exec(e) => e,
+        other => ExecError::Aborted(other.to_string()),
+    })
+}
+
+/// [`stage_device`] under a fault plan: a faulted transfer is retried; one
+/// that stays down is the caller's rung.
+fn stage_guarded(
+    plan: &DataPlan,
+    heap: &Heap,
+    dev: &mut DeviceMemory,
+    cfg: &SchedulerConfig,
+    faults: Option<&FaultPlan>,
+    origin: FaultOrigin,
+    stats: &mut FaultStats,
+) -> Result<(), SchedError> {
     for e in plan.device_arrays() {
         let len = heap.len_of(e.array)?;
         let listed = |entries: &[PlanEntry]| entries.iter().any(|c| c.array == e.array);
@@ -102,22 +119,12 @@ fn stage_with<E: From<ExecError>>(
         if listed(&plan.create) && !listed(&plan.copyin) && !listed(&plan.copyout) {
             dev.alloc(e.array, heap.array(e.array)?.ty(), len);
         } else {
-            copy_in(dev, e.array, len)?;
+            transfer_with_retry(&cfg.resilience, stats, || {
+                dev.copy_in_guarded(heap, e.array, 0, len, &cfg.gpu, faults, origin)
+            })?;
         }
     }
     Ok(())
-}
-
-/// Functionally mirror the plan's arrays onto the device, unguarded.
-pub fn stage_device(
-    plan: &DataPlan,
-    heap: &Heap,
-    dev: &mut DeviceMemory,
-    cfg: &SchedulerConfig,
-) -> Result<(), ExecError> {
-    stage_with(plan, heap, dev, |dev, arr, len| {
-        dev.copy_in(heap, arr, 0, len, &cfg.gpu).map(drop)
-    })
 }
 
 pub(crate) fn apply_writes_to_host(
@@ -137,7 +144,7 @@ pub(crate) fn apply_writes_to_host(
     Ok(bytes)
 }
 
-impl<'a> LoopRun<'a> {
+impl LoopRun<'_> {
     pub fn trip(&self) -> u64 {
         self.bounds.trip()
     }
@@ -147,13 +154,6 @@ impl<'a> LoopRun<'a> {
         let mut report = LoopExecReport::new(self.task.loop_.id, self.mode, Scheme::Sharing);
         report.iterations = self.trip();
         report
-    }
-
-    /// The same loop with the fault plan ignored, like a hand-ported
-    /// single-device version: the baselines run unguarded.
-    pub fn unguarded(mut self) -> LoopRun<'a> {
-        self.faults = None;
-        self
     }
 
     /// The CPU execution context; only a loop static analysis proved
@@ -170,22 +170,23 @@ impl<'a> LoopRun<'a> {
         }
     }
 
-    /// Stage the data plan onto a fresh device, retrying faulted transfers;
-    /// one that stays down is the caller's rung.
+    /// Stage the data plan onto a fresh device, guarded under `origin`.
     pub fn stage(
         &self,
         heap: &Heap,
         origin: FaultOrigin,
         stats: &mut FaultStats,
     ) -> Result<DeviceMemory, SchedError> {
-        let (cfg, faults) = (self.cfg, self.faults);
         let mut dev = DeviceMemory::new();
-        stage_with(&self.plan, heap, &mut dev, |dev, arr, len| {
-            transfer_with_retry(&cfg.resilience, stats, || {
-                dev.copy_in_guarded(heap, arr, 0, len, &cfg.gpu, faults, origin)
-            })
-            .map(drop)
-        })?;
+        stage_guarded(
+            &self.plan,
+            heap,
+            &mut dev,
+            self.cfg,
+            self.faults,
+            origin,
+            stats,
+        )?;
         Ok(dev)
     }
 
@@ -344,27 +345,28 @@ impl<'a> LoopRun<'a> {
     }
 
     /// `range` on `threads` pool workers: the simulated seconds and the
-    /// retry backoffs charged first. With an `origin` the dispatch consults
-    /// the fault plan and is retried; a fault that outlives the retries
+    /// retry backoffs charged first. The dispatch consults the fault plan
+    /// under `guard` and is retried; a fault that outlives the retries
     /// drops the batch to sequential execution — the CPU rung always
     /// completes — and so does every later batch once the pool is retired.
-    /// Without one the dispatch is unguarded.
+    /// `None` is for the one dispatch that must not fault again: a range
+    /// resubmitted after its GPU attempt already did.
     pub fn cpu_pool(
         &self,
         range: Range<u64>,
         env: &Env,
         heap: &mut Heap,
         threads: u32,
-        origin: Option<FaultOrigin>,
+        guard: Option<FaultOrigin>,
         stats: &mut FaultStats,
     ) -> Result<(f64, Vec<f64>), SchedError> {
-        if origin.is_some() && pool_retired(stats) {
+        if guard.is_some() && pool_retired(stats) {
             let busy_s = self.cpu_sequential(range, &mut env.clone(), heap)?;
             return Ok((busy_s, Vec::new()));
         }
         let pool = CpuCtx {
-            faults: origin.and(self.faults),
-            origin: origin.unwrap_or_default(),
+            faults: guard.and(self.faults),
+            origin: guard.unwrap_or_default(),
             ..self.cpu()
         };
         let (loop_, bounds) = (self.task.loop_, &self.bounds);

@@ -19,24 +19,11 @@ pub enum Device {
     Cpu,
 }
 
-/// How a ticket's input reaches its device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransferKind {
-    /// Host execution: nothing moves.
-    None,
-    /// Rides the open stream ahead of the kernels, hidden behind compute.
-    Streamed,
-    /// Pulled from beyond the sharing boundary: the kernel waits for it
-    /// (the paper's "extra overhead" observed on GEMM).
-    Synchronous,
-}
-
 /// One unit of work for the driver to execute and report back.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ticket {
     pub device: Device,
     pub range: Range<u64>,
-    pub transfer: TransferKind,
     /// Which task of the batch (stealing; 0 when sharing one loop).
     pub task: usize,
     /// Chunk (sharing) or sub-loop (stealing) index within the task.
@@ -55,7 +42,6 @@ impl Ticket {
         Ticket {
             device,
             range,
-            transfer: TransferKind::None,
             task,
             chunk,
             obligatory: false,
@@ -67,15 +53,6 @@ impl Ticket {
     fn iters(&self) -> u64 {
         self.range.end - self.range.start
     }
-}
-
-/// A ticketed GPU faulted past its retries and the range re-ran on the
-/// host: the retry backoff the GPU attempt had charged, and whether the
-/// ladder keeps the GPU in service.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GpuFault {
-    pub backoff_s: f64,
-    pub gpu_alive: bool,
 }
 
 /// Task sharing (§V-A): uniform chunks, the GPU ascending from the front
@@ -186,11 +163,15 @@ impl<'a> ShareSchedule<'a> {
                 self.transfer_clock = self.sm_free[0];
             }
             if t.range.start < self.boundary_iter {
+                // Rides the open stream ahead of the kernels, hidden behind
+                // compute.
                 self.transfer_clock += gpu.stream_seconds(tbytes);
-                (t.transfer, t.arrival_s) = (TransferKind::Streamed, self.transfer_clock);
+                t.arrival_s = self.transfer_clock;
             } else {
-                let arrival_s = gpu_next + gpu.transfer_seconds(tbytes);
-                (t.transfer, t.arrival_s) = (TransferKind::Synchronous, arrival_s);
+                // Pulled from beyond the boundary: the kernel waits for a
+                // synchronous transfer (the paper's "extra overhead"
+                // observed on GEMM).
+                t.arrival_s = gpu_next + gpu.transfer_seconds(tbytes);
             }
             Some(t)
         } else {
@@ -239,24 +220,24 @@ impl<'a> ShareSchedule<'a> {
         self.gpu_iters += t.iters();
     }
 
-    /// The range ran on the host for `busy_s`: ticketed there, after
-    /// `backoffs` of pool retry, or resubmitted after `gpu_fault`.
+    /// The range ran on the host for `busy_s`, after `backoffs` of pool
+    /// retry: ticketed there, or — `gpu_faulted` — resubmitted by a GPU
+    /// ticket whose fault outlived its retries (`busy_s` then includes that
+    /// attempt's backoff), `Some(false)` when the ladder retired the GPU.
     pub fn finish_host(
         &mut self,
         t: &Ticket,
         busy_s: f64,
         backoffs: &[f64],
-        gpu_fault: Option<GpuFault>,
+        gpu_faulted: Option<bool>,
     ) {
-        if let Some(fault) = gpu_fault {
-            self.gpu_alive = fault.gpu_alive;
-            self.cpu_clock += busy_s + fault.backoff_s;
-        } else {
-            for b in backoffs {
-                self.cpu_clock += b;
-            }
-            self.cpu_clock += busy_s;
-            self.cpu_per_chunk_est = Some(busy_s / t.iters().div_ceil(self.chunk) as f64);
+        for b in backoffs {
+            self.cpu_clock += b;
+        }
+        self.cpu_clock += busy_s;
+        match gpu_faulted {
+            Some(alive) => self.gpu_alive = alive,
+            None => self.cpu_per_chunk_est = Some(busy_s / t.iters().div_ceil(self.chunk) as f64),
         }
         self.cpu_iters += t.iters();
     }
@@ -455,16 +436,7 @@ impl StealSchedule {
             self.gpu_xfer_clock = self.gpu_clock;
             self.gpu_return_clock = self.gpu_return_clock.max(self.gpu_clock);
         }
-        let transfer = if gpu_turn {
-            TransferKind::Streamed
-        } else {
-            TransferKind::None
-        };
-        Ok(Some(Ticket {
-            transfer,
-            stolen,
-            ..t
-        }))
+        Ok(Some(Ticket { stolen, ..t }))
     }
 
     /// The task ran on the GPU: its H2D share rides the async stream ahead
@@ -477,19 +449,19 @@ impl StealSchedule {
         self.record(t, Device::Gpu, t.stolen, start, self.gpu_clock);
     }
 
-    /// The task ran on the host for `busy_s`: ticketed there, or
-    /// resubmitted after `gpu_fault`. This timeline has never charged retry
-    /// backoff to a clock (`FaultStats::backoff_s` counts it).
-    pub fn finish_host(&mut self, t: &Ticket, busy_s: f64, gpu_fault: Option<GpuFault>) {
-        if let Some(fault) = gpu_fault {
-            self.gpu_retired = !fault.gpu_alive;
-            if self.gpu_retired {
-                self.retire_gpu_queue();
-            }
+    /// The task ran on the host for `busy_s`: ticketed there, or —
+    /// `gpu_faulted` — resubmitted by a GPU ticket whose fault outlived its
+    /// retries, `Some(false)` when the ladder retired the GPU. This timeline
+    /// has never charged retry backoff to a clock (`FaultStats::backoff_s`
+    /// counts it).
+    pub fn finish_host(&mut self, t: &Ticket, busy_s: f64, gpu_faulted: Option<bool>) {
+        if gpu_faulted == Some(false) {
+            self.gpu_retired = true;
+            self.retire_gpu_queue();
         }
         let start = self.cpu_clock;
         self.cpu_clock += busy_s;
-        let stolen = t.stolen || gpu_fault.is_some();
+        let stolen = t.stolen || gpu_faulted.is_some();
         self.record(t, Device::Cpu, stolen, start, self.cpu_clock);
     }
 

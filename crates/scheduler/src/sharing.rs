@@ -9,7 +9,7 @@ pub use crate::exec::{eval_bounds, stage_device, LoopRun};
 use crate::ladder::absorb_gpu_fault;
 use crate::modes::{try_decide_mode, ExecutionMode};
 use crate::report::{LoopExecReport, SchedError};
-use crate::schedule::{Device, GpuFault, ShareSchedule};
+use crate::schedule::{Device, ShareSchedule};
 use japonica_analysis::LoopAnalysis;
 use japonica_faults::DegradationLevel;
 use japonica_ir::{Env, ForLoop, Heap, Program};
@@ -99,8 +99,10 @@ impl LoopRun<'_> {
         let stats = &mut report.faults;
         while let Some(t) = sched.next_ticket() {
             let range = t.range.clone();
-            // A GPU ticket either completes here or leaves a fault behind.
-            let mut gpu_fault = None;
+            // A GPU ticket either completes here or leaves a fault behind:
+            // whether the GPU stays in service, and the backoff its retries
+            // had charged.
+            let (mut gpu_faulted, mut faulted_backoff_s) = (None, 0.0);
             if t.device == Device::Gpu {
                 let launched =
                     self.launch_chunk(range.clone(), env, &mut dev, &mut arena, stats)?;
@@ -114,11 +116,8 @@ impl LoopRun<'_> {
                         continue;
                     }
                     Err(fault) => {
-                        let gpu_alive = absorb_gpu_fault(&cfg.resilience, stats, fault)?;
-                        gpu_fault = Some(GpuFault {
-                            backoff_s,
-                            gpu_alive,
-                        });
+                        gpu_faulted = Some(absorb_gpu_fault(&cfg.resilience, stats, fault)?);
+                        faulted_backoff_s = backoff_s;
                     }
                 }
             }
@@ -130,10 +129,11 @@ impl LoopRun<'_> {
                 ordered_writes.push((t.chunk, false, writes));
                 (busy_s, Vec::new())
             } else {
-                let origin = gpu_fault.is_none().then(|| self.origin.with_chunk(t.chunk));
-                self.cpu_pool(range, env, heap, self.threads, origin, stats)?
+                let guard = self.origin.with_chunk(t.chunk);
+                let guard = gpu_faulted.is_none().then_some(guard);
+                self.cpu_pool(range, env, heap, self.threads, guard, stats)?
             };
-            sched.finish_host(&t, busy_s, &backoffs, gpu_fault);
+            sched.finish_host(&t, busy_s + faulted_backoff_s, &backoffs, gpu_faulted);
         }
 
         // Commit all deferred writes in chunk (iteration) order; count the
@@ -160,12 +160,11 @@ impl LoopRun<'_> {
         Ok(report)
     }
 
-    /// The whole iteration space in one GPU engine run, like a plain CUDA
-    /// port: synchronous full H2D, [`LoopRun::launch_whole`] (a hand port
-    /// has no profiler and passes no `td_iters`), synchronous full D2H. A
-    /// transfer fault that outlives its retries discards whatever reached
-    /// the host and drops to the sequential rung.
-    pub fn on_gpu(
+    /// The whole iteration space in one GPU engine run: synchronous full
+    /// H2D, [`LoopRun::launch_whole`], synchronous full D2H. A transfer
+    /// fault that outlives its retries discards whatever reached the host
+    /// and drops to the sequential rung.
+    fn on_gpu(
         &self,
         env: &Env,
         heap: &mut Heap,
@@ -206,21 +205,31 @@ impl LoopRun<'_> {
         Ok(report)
     }
 
-    /// The whole loop on the host: on `threads` pool workers when given and
-    /// no true dependence was proven or observed (a plain Java port cannot
-    /// blindly multithread such a loop), in order on one core otherwise —
-    /// mode C and the paper's "best serial" baseline.
+    /// The GPU-only baseline, a plain CUDA port: [`LoopRun::on_gpu`] with
+    /// no profiler to pass `td_iters`. Like every baseline it is a hand
+    /// port that consults no fault plan.
+    pub fn gpu_only(mut self, env: &Env, heap: &mut Heap) -> Result<LoopExecReport, SchedError> {
+        self.faults = None;
+        self.on_gpu(env, heap, None)
+    }
+
+    /// The whole loop on the host, no fault plan consulted (the last rung
+    /// must terminate): on `threads` pool workers when given and no true
+    /// dependence was proven or observed (a plain Java port cannot blindly
+    /// multithread such a loop), in order on one core otherwise — mode C
+    /// and the paper's "best serial" baseline.
     pub fn on_cpu(
-        &self,
+        mut self,
         env: &mut Env,
         heap: &mut Heap,
         threads: Option<u32>,
     ) -> Result<LoopExecReport, SchedError> {
+        self.faults = None;
         let (trip, mut report) = (self.trip(), self.report());
         let busy_s = match threads {
             Some(n) if !matches!(self.mode, ExecutionMode::B | ExecutionMode::C) => {
-                let stats = &mut report.faults;
-                self.cpu_pool(0..trip, env, heap, n, None, stats)?.0
+                let (guard, stats) = (Some(self.origin), &mut report.faults);
+                self.cpu_pool(0..trip, env, heap, n, guard, stats)?.0
             }
             _ => self.cpu_sequential(0..trip, env, heap)?,
         };
@@ -230,14 +239,16 @@ impl LoopRun<'_> {
         Ok(report)
     }
 
-    /// A fixed-fraction cooperative split with no stealing and no streamed
-    /// transfers — the paper's naive "CPU 50% + GPU 50%" comparison point.
+    /// A fixed-fraction cooperative split with no stealing, no streamed
+    /// transfers and no fault plan — the paper's naive "CPU 50% + GPU 50%"
+    /// comparison point.
     pub fn fixed_split(
-        &self,
+        mut self,
         env: &Env,
         heap: &mut Heap,
         gpu_fraction: f64,
     ) -> Result<LoopExecReport, SchedError> {
+        self.faults = None;
         let (gpu, trip, mut report) = (&self.cfg.gpu, self.trip(), self.report());
         let stats = &mut report.faults;
         let split = ((trip as f64 * gpu_fraction) as u64).min(trip);
@@ -247,8 +258,8 @@ impl LoopRun<'_> {
         let mut arena = SpecArena::default();
         let launched = self.launch_chunk(0..split, env, &mut dev, &mut arena, stats)?;
         let (kr, writes) = launched.outcome?;
-        let threads = self.cfg.cpu_threads;
-        let (cpu_s, _) = self.cpu_pool(split..trip, env, heap, threads, None, stats)?;
+        let (threads, guard) = (self.cfg.cpu_threads, Some(self.origin));
+        let (cpu_s, _) = self.cpu_pool(split..trip, env, heap, threads, guard, stats)?;
         let bytes_out = apply_writes_to_host(heap, &writes)?;
         let d2h = gpu.transfer_seconds(bytes_out);
         report.gpu_iters = split;
@@ -389,7 +400,7 @@ mod tests {
                 profile: None,
             };
             let run = task.prepare(&f.program, &cfg, &f.env, &mut f.heap).unwrap();
-            run.unguarded().on_gpu(&f.env, &mut f.heap, None).unwrap()
+            run.gpu_only(&f.env, &mut f.heap).unwrap()
         });
         let cpu = wall(&|f| {
             let task = LoopTask {
@@ -398,8 +409,7 @@ mod tests {
                 profile: None,
             };
             let run = task.prepare(&f.program, &cfg, &f.env, &mut f.heap).unwrap();
-            run.unguarded()
-                .on_cpu(&mut f.env.clone(), &mut f.heap, Some(16))
+            run.on_cpu(&mut f.env.clone(), &mut f.heap, Some(16))
                 .unwrap()
         });
         assert!(shared < gpu, "shared {shared} vs gpu {gpu}");
@@ -439,10 +449,7 @@ mod tests {
             profile: None,
         };
         let run = task.prepare(&f.program, &cfg, &f.env, &mut f.heap).unwrap();
-        let r = run
-            .unguarded()
-            .fixed_split(&f.env, &mut f.heap, 0.5)
-            .unwrap();
+        let r = run.fixed_split(&f.env, &mut f.heap, 0.5).unwrap();
         assert_eq!(r.gpu_iters, 5000);
         assert_eq!(r.cpu_iters, 5000);
         for (a, e) in f.arrays.iter().zip(&expect) {
@@ -460,7 +467,7 @@ mod tests {
             profile: None,
         };
         let run = task.prepare(&f.program, &cfg, &f.env, &mut f.heap).unwrap();
-        let r = run.unguarded().on_gpu(&f.env, &mut f.heap, None).unwrap();
+        let r = run.gpu_only(&f.env, &mut f.heap).unwrap();
         // wall includes both directions of traffic
         assert!(r.transfer_s > 0.0);
         assert!(r.wall_s >= r.transfer_s);

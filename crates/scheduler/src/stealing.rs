@@ -9,7 +9,7 @@ use crate::ladder::{absorb_gpu_fault, transfer_with_retry};
 use crate::modes::ExecutionMode;
 use crate::report::SchedError;
 pub use crate::schedule::{Device, StealingReport, TaskRecord};
-use crate::schedule::{GpuFault, StealSchedule, Ticket};
+use crate::schedule::{StealSchedule, Ticket};
 use crate::sharing::LoopTask;
 use japonica_analysis::Pdg;
 use japonica_faults::{FaultOrigin, FaultStats};
@@ -87,7 +87,7 @@ pub fn run_stealing(
             let (run, range) = (&runs[t.task], t.range.clone());
             let origin = run.origin.with_subloop(range.start).with_chunk(t.chunk);
             // A GPU ticket either completes here or leaves a fault behind.
-            let mut gpu_fault = None;
+            let mut gpu_faulted = None;
             if t.device == Device::Gpu {
                 match exec_gpu(run, &t, origin, env, heap, stats) {
                     Ok((h2d_s, kernel_s, d2h_s)) => {
@@ -97,11 +97,7 @@ pub fn run_stealing(
                     // The fault went through its retry budget and the heap
                     // is untouched: resubmit the task on the CPU timeline.
                     Err(SchedError::Device { fault, .. }) => {
-                        let gpu_alive = absorb_gpu_fault(&cfg.resilience, stats, fault)?;
-                        gpu_fault = Some(GpuFault {
-                            backoff_s: 0.0,
-                            gpu_alive,
-                        });
+                        gpu_faulted = Some(absorb_gpu_fault(&cfg.resilience, stats, fault)?);
                     }
                     Err(e) => return Err(e),
                 }
@@ -114,7 +110,7 @@ pub fn run_stealing(
             } else {
                 run.cpu_sequential(range, &mut env.clone(), heap)?
             };
-            sched.finish_host(&t, busy_s, gpu_fault);
+            sched.finish_host(&t, busy_s, gpu_faulted);
         }
         sched.end_batch();
     }

@@ -713,7 +713,7 @@ fn run_scheduled(
         Entry::FixedSplit => format!(
             "{:?}",
             task.prepare(&fx.program, cfg, &fx.env, &mut heap)
-                .and_then(|run| run.unguarded().fixed_split(&fx.env, &mut heap, 0.5))
+                .and_then(|run| run.fixed_split(&fx.env, &mut heap, 0.5))
                 .unwrap()
         ),
     };

@@ -418,13 +418,12 @@ fn cell(
         })
         .collect();
     let (p, t, mut heap) = (&fx.program, &tasks[0], fx.heap.clone());
-    // The baselines are hand-ported single-device versions: no fault plan.
-    let baseline = |heap: &mut Heap| t.prepare(p, &cfg, &fx.env, heap).map(|r| r.unguarded());
+    let baseline = |heap: &mut Heap| t.prepare(p, &cfg, &fx.env, heap);
     let looped = |r: Result<LoopExecReport, SchedError>| r.map(|r| loop_rows(&r));
     let rows = match scheme {
         "sharing" | "literal" => looped(run_sharing(p, &cfg, t, &mut fx.env.clone(), &mut heap)),
         "fixed" => looped(baseline(&mut heap).and_then(|r| r.fixed_split(&fx.env, &mut heap, 0.5))),
-        "gpu-only" => looped(baseline(&mut heap).and_then(|r| r.on_gpu(&fx.env, &mut heap, None))),
+        "gpu-only" => looped(baseline(&mut heap).and_then(|r| r.gpu_only(&fx.env, &mut heap))),
         "cpu-only" => looped(
             baseline(&mut heap)
                 .and_then(|r| r.on_cpu(&mut fx.env.clone(), &mut heap, Some(cfg.cpu_threads))),
