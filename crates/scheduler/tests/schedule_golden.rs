@@ -3,7 +3,8 @@
 //! sharing, paper-literal sharing (`cpu_steals_back = false`), task stealing
 //! over a two-batch PDG, the fixed 50/50 split, GPU-only, CPU-only, serial —
 //! with no fault plan and under each fault shape the degradation ladder
-//! distinguishes, plus the `fail_fast` escapes.
+//! distinguishes, plus the `fail_fast` escapes. The baselines consult no
+//! plan: they are recorded once per mode and asserted equal under the rest.
 //!
 //! `tests/sim_golden.txt` at the root pins fault-free default-config cells
 //! only; this table pins the rest: every report `f64` by its bit pattern,
@@ -464,9 +465,21 @@ fn table() -> String {
             "{label}: consumer after producer"
         );
         for scheme in SCHEMES {
+            let baseline = matches!(scheme, "fixed" | "gpu-only" | "cpu-only" | "serial");
+            let mut no_plan = String::new();
             for (plan, rules, fail_fast) in plans() {
+                let mut rows = String::new();
+                cell(&mut rows, &fx, &profiles, scheme, rules, fail_fast);
+                if plan == "none" {
+                    no_plan.clone_from(&rows);
+                } else if baseline {
+                    // A baseline is a hand port that consults no fault plan:
+                    // one recorded row stands for every plan.
+                    assert_eq!(rows, no_plan, "{label} {scheme} under {plan}");
+                    continue;
+                }
                 writeln!(out, "cell mode={label} scheme={scheme} plan={plan}").expect("writing");
-                cell(&mut out, &fx, &profiles, scheme, rules, fail_fast);
+                out.push_str(&rows);
             }
         }
     }
