@@ -22,7 +22,7 @@
 use crate::executor::Independence;
 use japonica_gpusim::{AccessCtx, JournaledMemory, LaneCounts, LaneMemory, LanePlan, SimtVm};
 use japonica_ir::{
-    ArrayId, CompiledKernel, Env, ExecError, Heap, LoopBounds, OpCounts, Value, VarId,
+    ArrayData, ArrayId, CompiledKernel, Env, ExecError, Heap, LoopBounds, OpCounts, Value, VarId,
 };
 use std::hash::{BuildHasher, RandomState};
 use std::ops::Range;
@@ -85,6 +85,11 @@ impl LaneMemory for HeapLanes<'_> {
     /// CPU accounting has no coalescing model to feed.
     fn placement(&self, _: ArrayId) -> Option<(u64, u64)> {
         None
+    }
+
+    /// Loads read the heap as it is; only stores are logged.
+    fn plain(&self, arr: ArrayId) -> Option<&ArrayData> {
+        self.heap.array(arr).ok()
     }
 }
 
@@ -277,6 +282,14 @@ impl<M: UndoLanes> LaneMemory for Checked<M> {
     fn placement(&self, arr: ArrayId) -> Option<(u64, u64)> {
         self.mem.placement(arr)
     }
+
+    /// A checked batch must see every load; a proven one reads through.
+    fn plain(&self, arr: ArrayId) -> Option<&ArrayData> {
+        match self.touched {
+            Some(_) => None,
+            None => self.mem.plain(arr),
+        }
+    }
 }
 
 /// Run the iterations covered by `owners` — the contiguous, ascending,
@@ -394,6 +407,8 @@ mod tests {
     use super::*;
     use japonica_frontend::compile_source;
     use japonica_ir::{compile_kernel, CountingBackend, HeapBackend, ScalarVm};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     fn at(lane: u32) -> AccessCtx {
         AccessCtx {
@@ -518,5 +533,81 @@ mod tests {
             [64..96, 96..160]
         );
         assert_eq!(replayed_spans("i < 0", 1001), []);
+    }
+
+    /// Iterations whose lanes diverge on their data, load through an index
+    /// array, shift `long`s by `int`s and never touch what another
+    /// iteration stores.
+    const GATHERING: &str = "static void f(double[] x, int[] ix, long[] m, double[] y, int n) {
+        /* acc parallel */
+        for (int i = 0; i < n; i++) {
+            long k = m[i] << 3;
+            if (k > 0) { y[i] = x[ix[i]] * 2.0 + k; } else { y[i] = x[i] - x[0]; }
+        }
+    }";
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// A proven batch loads each warp in one gather from the heap; an
+        /// unproven one goes lane by lane through the conflict check. On
+        /// iterations that do not conflict — a bad index on a middle lane
+        /// included — both leave the same heap, `env`, counts and error.
+        #[test]
+        fn a_proven_batch_gathers_what_a_checked_one_loads_lane_by_lane(seed in any::<u64>()) {
+            let mut rng = TestRng::from_seed(seed);
+            let program = compile_source(GATHERING).unwrap();
+            let f = &program.functions[0];
+            let loop_ = f.all_loops()[0].clone();
+            let kernel = compile_kernel(&program, &loop_).unwrap();
+            let plan = LanePlan::of(&kernel).unwrap();
+            let n = 64usize;
+            let mut ix: Vec<i32> = (0..n).map(|_| rng.below(n as u64) as i32).collect();
+            if rng.below(2) == 0 {
+                ix[1 + rng.below(30) as usize] = [-1, n as i32][rng.below(2) as usize];
+            }
+            let m: Vec<i64> = (0..n).map(|_| rng.below(5) as i64 - 2).collect();
+            let mut heap = Heap::new();
+            let x = heap.alloc_doubles(&(0..n).map(|i| i as f64 * 0.75).collect::<Vec<_>>());
+            let ids = [x, heap.alloc_ints(&ix), heap.alloc_longs(&m), heap.alloc_doubles(&[0.0; 64])];
+            let mut env = Env::with_slots(f.num_vars);
+            for (p, id) in f.params.iter().zip(ids) {
+                env.set(p.var, Value::Array(id));
+            }
+            env.set(f.params[4].var, Value::Int(n as i32));
+            let bounds = LoopBounds { start: 0, end: n as i64, step: 1 };
+            let (first, lanes) = (rng.below(32), 1 + rng.below(32) as usize);
+            let runs = [Independence::Proven, Independence::Unproven].map(|independence| {
+                let (mut heap, mut env) = (heap.clone(), env.clone());
+                let mut mem = Checked::new(HeapLanes::new(&mut heap), independence);
+                let gathers = ids.iter().all(|&a| mem.plain(a).is_some());
+                if let Some(touched) = &mut mem.touched {
+                    touched.next_batch();
+                }
+                let mut tally = LaneCounts::new();
+                let ran = SimtVm::new().run_lanes(
+                    &kernel, &plan, loop_.var, &bounds, first, lanes, &mut env, &mut mem,
+                    &mut tally, independence == Independence::Unproven,
+                );
+                let counts: Vec<OpCounts> = (0..lanes)
+                    .map(|l| {
+                        let mut one = OpCounts::new();
+                        tally.fold(l..l + 1, &mut one);
+                        one
+                    })
+                    .collect();
+                let y: Vec<u64> = heap.read_doubles(ids[3]).unwrap().iter().map(|v| v.to_bits()).collect();
+                let env = (0..f.num_vars).map(|v| env.get(VarId(v)).ok()).collect::<Vec<_>>();
+                (gathers, ran, y, format!("{env:?}"), counts)
+            });
+            let [proven, checked] = runs;
+            prop_assert!(proven.0 && !checked.0, "only a proven batch hands out arrays");
+            prop_assert_eq!(&proven.1, &checked.1);
+            prop_assert_eq!(&proven.2, &checked.2);
+            if proven.1.is_ok() {
+                prop_assert_eq!(&proven.3, &checked.3);
+                prop_assert_eq!(&proven.4, &checked.4);
+            }
+        }
     }
 }

@@ -55,6 +55,16 @@ pub trait LaneMemory {
     fn overhead_cycles(&self) -> f64 {
         0.0
     }
+    /// The array behind `arr`, when loading from it is nothing but reading
+    /// it: for every `ctx` and every in-bounds `idx`, [`load`](LaneMemory::load)
+    /// returns `Ok(element idx)` of what this returns, and has no other
+    /// effect. The lane sweeps then load a whole warp from one array in a
+    /// single typed gather. A memory that records, buffers or redirects
+    /// loads must keep the default, `None`, which sends every load through
+    /// [`load`](LaneMemory::load).
+    fn plain(&self, _arr: ArrayId) -> Option<&ArrayData> {
+        None
+    }
 }
 
 /// Lane memory that can hand each warp an independent, sendable view for
@@ -335,6 +345,11 @@ impl LaneMemory for DeviceMemory {
         let slot = self.slot(arr).ok()?;
         Some((slot.base, slot.data.ty().size_bytes() as u64))
     }
+
+    #[inline]
+    fn plain(&self, arr: ArrayId) -> Option<&ArrayData> {
+        self.array(arr).ok()
+    }
 }
 
 /// One warp's private window onto [`DeviceMemory`] during a host-parallel
@@ -506,6 +521,12 @@ impl LaneMemory for JournaledMemory<'_> {
     #[inline]
     fn placement(&self, arr: ArrayId) -> Option<(u64, u64)> {
         self.dev.placement(arr)
+    }
+
+    /// Loads read device memory as it is; only stores are journaled.
+    #[inline]
+    fn plain(&self, arr: ArrayId) -> Option<&ArrayData> {
+        self.dev.plain(arr)
     }
 }
 
@@ -738,6 +759,25 @@ mod tests {
         assert_eq!(dev.peek(a, 0).unwrap(), Value::Int(1));
         assert_eq!(dev.peek(a, 1).unwrap(), Value::Int(21));
         assert_ne!(dev.array(a).unwrap(), &before);
+    }
+
+    #[test]
+    fn plain_hands_out_resident_arrays_and_never_a_buffered_view() {
+        let mut host = Heap::new();
+        let a = host.alloc_ints(&[1, 2, 3]);
+        let mut dev = DeviceMemory::new();
+        dev.copy_in(&host, a, 0, 3, &DeviceConfig::default())
+            .unwrap();
+        let missing = ArrayId(7);
+        assert_eq!(dev.plain(a), Some(dev.array(a).unwrap()));
+        assert_eq!(dev.plain(missing), None);
+        // A shadow view answers from its overlay first.
+        assert_eq!(dev.fork().plain(a), None);
+        // A journal logs stores, not loads.
+        let mut j = JournaledMemory::new(&mut dev);
+        j.store(ctx(), a, 1, Value::Int(20)).unwrap();
+        assert_eq!(j.plain(a).map(|d| d.get(1)), Some(Value::Int(20)));
+        assert_eq!(j.plain(missing), None);
     }
 
     #[test]

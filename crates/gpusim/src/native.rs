@@ -23,7 +23,7 @@ use crate::config::DeviceConfig;
 use crate::memory::LaneMemory;
 use crate::simt::SimtError;
 use crate::stats::WarpStats;
-use crate::warp::{bit, Accounting, Frame, LaneCtx, LaneRegs, WarpIssue};
+use crate::warp::{bit, each_lane, for_lanes, Accounting, Frame, LaneCtx, LaneRegs, WarpIssue};
 use japonica_ir::bytecode::{CompiledKernel, Instr};
 use japonica_ir::{BinOp, Env, ExecError, LoopBounds, OpClass, ParamTy, Value, VarId};
 
@@ -298,35 +298,28 @@ impl Lowerer<'_> {
                         .resize(nbase + c.num_regs * lc.lanes, Value::Int(0));
                     vm.rf.bound.resize(nbbase + c.num_vars, 0);
                     // Lane-major binding, like the walker's per-lane envs.
-                    let mut bind_err = None;
-                    'bind: for l in 0..lc.lanes {
-                        if lc.live & bit(l) == 0 {
-                            continue;
-                        }
+                    let bound = for_lanes(lc.lanes, lc.live, |l| {
                         for (i, (preg, pty)) in c.params.iter().enumerate() {
                             let raw = vm.rf.reg(lc.base, lc.lanes, args[i], l);
                             let v = match pty {
-                                ParamTy::Scalar(t) => match raw.cast(*t) {
-                                    Some(v) => v,
-                                    None => {
-                                        bind_err = Some(ctx.lane_err(
-                                            l,
-                                            ExecError::TypeMismatch {
-                                                expected: t.to_string(),
-                                                found: format!("{raw}"),
-                                            },
-                                        ));
-                                        break 'bind;
-                                    }
-                                },
+                                ParamTy::Scalar(t) => raw.cast(*t).ok_or_else(|| {
+                                    ctx.lane_err(
+                                        l,
+                                        ExecError::TypeMismatch {
+                                            expected: t.to_string(),
+                                            found: format!("{raw}"),
+                                        },
+                                    )
+                                })?,
                                 ParamTy::Array(_) => raw,
                             };
                             vm.rf.set_reg(nbase, lc.lanes, *preg, l, v);
                         }
-                    }
-                    let res = match bind_err {
-                        Some(e) => Err(e),
-                        None => {
+                        Ok(())
+                    });
+                    let res = match bound {
+                        Err(e) => Err(e),
+                        Ok(()) => {
                             for (preg, _) in &c.params {
                                 vm.rf.bound[nbbase + *preg] = lc.live;
                             }
@@ -347,23 +340,17 @@ impl Lowerer<'_> {
                     vm.rf.regs.truncate(nbase);
                     vm.rf.bound.truncate(nbbase);
                     let callee_frame = res?;
-                    if c.check_returned {
-                        for l in 0..lc.lanes {
-                            if lc.live & bit(l) != 0 && callee_frame.returned & bit(l) == 0 {
-                                return Err(SimtError::Unsupported(format!(
-                                    "`{}` completed without returning on some lane",
-                                    c.fn_name
-                                )));
-                            }
-                        }
+                    if c.check_returned && lc.live & !callee_frame.returned != 0 {
+                        return Err(SimtError::Unsupported(format!(
+                            "`{}` completed without returning on some lane",
+                            c.fn_name
+                        )));
                     }
                     if let Some(dst) = dst {
-                        for l in 0..lc.lanes {
-                            if lc.live & bit(l) != 0 {
-                                vm.rf
-                                    .set_reg(lc.base, lc.lanes, dst, l, callee_frame.ret[l]);
-                            }
-                        }
+                        each_lane(lc.lanes, lc.live, |l| {
+                            vm.rf
+                                .set_reg(lc.base, lc.lanes, dst, l, callee_frame.ret[l])
+                        });
                     }
                     Ok(())
                 })
@@ -395,17 +382,11 @@ impl Lowerer<'_> {
                         )?;
                         rtruth = vm.rf.truth_mask(lc, rhs, need_rhs, ctx)?;
                     }
-                    for l in 0..lc.lanes {
-                        if lc.live & bit(l) == 0 {
-                            continue;
-                        }
-                        let b = if need_rhs & bit(l) != 0 {
-                            rtruth & bit(l) != 0
-                        } else {
-                            truth & bit(l) != 0
-                        };
-                        vm.rf.set_reg(lc.base, lc.lanes, dst, l, Value::Bool(b));
-                    }
+                    let result = (need_rhs & rtruth) | (short & truth);
+                    each_lane(lc.lanes, lc.live, |l| {
+                        vm.rf
+                            .set_reg(lc.base, lc.lanes, dst, l, Value::Bool(result & bit(l) != 0))
+                    });
                     Ok(())
                 })
             }
@@ -435,14 +416,11 @@ impl Lowerer<'_> {
                     if f_mask != 0 {
                         run_ops(vm, &f_ops, lc.lanes, f_mask, lc.base, lc.bbase, frame, ctx)?;
                     }
-                    for l in 0..lc.lanes {
-                        if lc.live & bit(l) == 0 {
-                            continue;
-                        }
+                    each_lane(lc.lanes, lc.live, |l| {
                         let src = if t_mask & bit(l) != 0 { t_dst } else { f_dst };
                         let v = vm.rf.reg(lc.base, lc.lanes, src, l);
                         vm.rf.set_reg(lc.base, lc.lanes, dst, l, v);
-                    }
+                    });
                     Ok(())
                 })
             }
@@ -561,11 +539,7 @@ impl Lowerer<'_> {
                                     ctx: &mut DynCtx<'_>|
                      -> Result<(), SimtError> {
                         run_ops(vm, ops, lc.lanes, lc.live, lc.base, lc.bbase, frame, ctx)?;
-                        #[allow(clippy::needless_range_loop)] // lane indexing reads clearer
-                        for l in 0..lc.lanes {
-                            if lc.live & bit(l) == 0 {
-                                continue;
-                            }
+                        for_lanes(lc.lanes, lc.live, |l| {
                             let v = vm.rf.reg(lc.base, lc.lanes, r, l);
                             out[l] = v.as_i64().ok_or_else(|| {
                                 ctx.lane_err(
@@ -576,17 +550,15 @@ impl Lowerer<'_> {
                                     },
                                 )
                             })?;
-                        }
-                        Ok(())
+                            Ok(())
+                        })
                     };
                     bound_of(vm, &start_ops, start, &mut starts, frame, ctx)?;
                     let mut ends = [0i64; 32];
                     bound_of(vm, &end_ops, end, &mut ends, frame, ctx)?;
                     bound_of(vm, &step_ops, step, &mut steps, frame, ctx)?;
-                    for l in 0..lc.lanes {
-                        if lc.live & bit(l) == 0 {
-                            continue;
-                        }
+                    let mut max_trip = 0u64;
+                    for_lanes(lc.lanes, lc.live, |l| {
                         let (s, e, st) = (starts[l], ends[l], steps[l]);
                         if st <= 0 {
                             return Err(ctx.lane_err(l, ExecError::NonPositiveStep(st)));
@@ -596,24 +568,17 @@ impl Lowerer<'_> {
                         } else {
                             ((e - s) + st - 1) as u64 / st as u64
                         };
-                    }
+                        max_trip = max_trip.max(trips[l]);
+                        Ok(())
+                    })?;
                     let entered = lc.live.count_ones();
-                    let max_trip = (0..lc.lanes)
-                        .filter(|&l| lc.live & bit(l) != 0)
-                        .map(|l| trips[l])
-                        .max()
-                        .unwrap_or(0);
                     for kk in 0..max_trip {
                         let mut round = 0u32;
-                        #[allow(clippy::needless_range_loop)] // lane indexing reads clearer
-                        for l in 0..lc.lanes {
-                            if lc.live & bit(l) != 0
-                                && kk < trips[l]
-                                && frame.returned & bit(l) == 0
-                            {
+                        each_lane(lc.lanes, lc.live & !frame.returned, |l| {
+                            if kk < trips[l] {
                                 round |= bit(l);
                             }
-                        }
+                        });
                         if round == 0 {
                             break;
                         }
@@ -622,12 +587,10 @@ impl Lowerer<'_> {
                         if round.count_ones() < entered {
                             ctx.acct.diverged();
                         }
-                        for l in 0..lc.lanes {
-                            if round & bit(l) != 0 {
-                                let v = Value::Int((starts[l] + kk as i64 * steps[l]) as i32);
-                                vm.rf.set_reg(lc.base, lc.lanes, var, l, v);
-                            }
-                        }
+                        each_lane(lc.lanes, round, |l| {
+                            let v = Value::Int((starts[l] + kk as i64 * steps[l]) as i32);
+                            vm.rf.set_reg(lc.base, lc.lanes, var, l, v);
+                        });
                         vm.rf.bound[lc.bbase + var] |= round;
                         run_ops(
                             vm, &body_ops, lc.lanes, round, lc.base, lc.bbase, frame, ctx,
@@ -647,11 +610,9 @@ impl Lowerer<'_> {
                         run_ops(
                             vm, &val_ops, lc.lanes, lc.live, lc.base, lc.bbase, frame, ctx,
                         )?;
-                        for l in 0..lc.lanes {
-                            if lc.live & bit(l) != 0 {
-                                frame.ret[l] = vm.rf.reg(lc.base, lc.lanes, r, l);
-                            }
-                        }
+                        each_lane(lc.lanes, lc.live, |l| {
+                            frame.ret[l] = vm.rf.reg(lc.base, lc.lanes, r, l)
+                        });
                     }
                     frame.returned |= lc.live;
                     Ok(())

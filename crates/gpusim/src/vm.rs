@@ -17,7 +17,18 @@
 //!   walker's per-lane `Env` occupancy (reads of never-assigned variables
 //!   raise `UnboundVariable` on exactly the same lane);
 //! * fixed `[_; 32]` stack scratch replaces per-node heap allocation for
-//!   inner-loop bounds, touched-lane sets, and return values.
+//!   inner-loop bounds, touched-lane sets, and return values;
+//! * **one lane loop** (`warp::for_lanes`): every per-lane loop, here and
+//!   in the sweeps, is a plain `0..lanes` loop over the contiguous row when
+//!   the whole warp is live and a walk over the mask's set bits otherwise;
+//! * **typed sweeps**: an operator, negation, cast, declaration or
+//!   assignment whose operand rows hold one type on every live lane, and
+//!   which cannot fail on it, runs as one unboxed pass (or a row move); the
+//!   first lane that does not fit hands the instruction to the lane-by-lane
+//!   path, which owns every error;
+//! * **one gather per warp load**: when every lane names the same array and
+//!   the memory hands it out (`LaneMemory::plain`), a load is one typed
+//!   gather from it, bounds-checked in lane order.
 //!
 //! The register file and every straight-line lane sweep (moves, operators,
 //! casts, memory accesses) live in `warp.rs`, shared with the native tier;
@@ -27,7 +38,9 @@ use crate::config::DeviceConfig;
 use crate::memory::LaneMemory;
 use crate::simt::SimtError;
 use crate::stats::WarpStats;
-use crate::warp::{bit, Accounting, Frame, LaneCounts, LaneCtx, LaneRegs, WarpCtx, WarpIssue};
+use crate::warp::{
+    bit, each_lane, for_lanes, Accounting, Frame, LaneCounts, LaneCtx, LaneRegs, WarpCtx, WarpIssue,
+};
 use japonica_ir::bytecode::{CompiledKernel, Instr, Reg};
 use japonica_ir::{BinOp, Env, ExecError, LoopBounds, OpClass, Value, VarId};
 
@@ -326,35 +339,30 @@ impl SimtVm {
                         .resize(nbase + c.num_regs as usize * lanes, Value::Int(0));
                     self.rf.bound.resize(nbbase + c.num_vars as usize, 0);
                     // Lane-major binding, like the walker's per-lane envs.
-                    let mut bind_err = None;
-                    'bind: for l in 0..lanes {
-                        if live & bit(l) == 0 {
-                            continue;
-                        }
+                    let bound = for_lanes(lanes, live, |l| {
                         for (i, (preg, pty)) in c.params.iter().enumerate() {
                             let raw = self.reg(base, lanes, args[i], l);
                             let v = match pty {
-                                japonica_ir::ParamTy::Scalar(t) => match raw.cast(*t) {
-                                    Some(v) => v,
-                                    None => {
-                                        bind_err = Some(ctx.lane_err(
+                                japonica_ir::ParamTy::Scalar(t) => {
+                                    raw.cast(*t).ok_or_else(|| {
+                                        ctx.lane_err(
                                             l,
                                             ExecError::TypeMismatch {
                                                 expected: t.to_string(),
                                                 found: format!("{raw}"),
                                             },
-                                        ));
-                                        break 'bind;
-                                    }
-                                },
+                                        )
+                                    })?
+                                }
                                 japonica_ir::ParamTy::Array(_) => raw,
                             };
                             self.set_reg(nbase, lanes, *preg, l, v);
                         }
-                    }
-                    let res = match bind_err {
-                        Some(e) => Err(e),
-                        None => {
+                        Ok(())
+                    });
+                    let res = match bound {
+                        Err(e) => Err(e),
+                        Ok(()) => {
                             for (preg, _) in &c.params {
                                 self.rf.bound[nbbase + *preg as usize] = live;
                             }
@@ -378,22 +386,16 @@ impl SimtVm {
                     self.rf.regs.truncate(nbase);
                     self.rf.bound.truncate(nbbase);
                     let callee_frame = res?;
-                    if c.check_returned {
-                        for l in 0..lanes {
-                            if live & bit(l) != 0 && callee_frame.returned & bit(l) == 0 {
-                                return Err(SimtError::Unsupported(format!(
-                                    "`{}` completed without returning on some lane",
-                                    c.fn_name
-                                )));
-                            }
-                        }
+                    if c.check_returned && live & !callee_frame.returned != 0 {
+                        return Err(SimtError::Unsupported(format!(
+                            "`{}` completed without returning on some lane",
+                            c.fn_name
+                        )));
                     }
                     if let Some(dst) = dst {
-                        for l in 0..lanes {
-                            if live & bit(l) != 0 {
-                                self.set_reg(base, lanes, *dst, l, callee_frame.ret[l]);
-                            }
-                        }
+                        each_lane(lanes, live, |l| {
+                            self.set_reg(base, lanes, *dst, l, callee_frame.ret[l])
+                        });
                     }
                 }
                 Instr::Sc {
@@ -429,17 +431,10 @@ impl SimtVm {
                         )?;
                         rtruth = self.rf.truth_mask(lc, *rhs as usize, need_rhs, ctx)?;
                     }
-                    for l in 0..lanes {
-                        if live & bit(l) == 0 {
-                            continue;
-                        }
-                        let b = if need_rhs & bit(l) != 0 {
-                            rtruth & bit(l) != 0
-                        } else {
-                            truth & bit(l) != 0
-                        };
-                        self.set_reg(base, lanes, *dst, l, Value::Bool(b));
-                    }
+                    let result = (need_rhs & rtruth) | (short & truth);
+                    each_lane(lanes, live, |l| {
+                        self.set_reg(base, lanes, *dst, l, Value::Bool(result & bit(l) != 0))
+                    });
                 }
                 Instr::Ternary {
                     dst,
@@ -466,14 +461,11 @@ impl SimtVm {
                             k, ci, f_range.0, f_range.1, lanes, f_mask, base, bbase, frame, ctx,
                         )?;
                     }
-                    for l in 0..lanes {
-                        if live & bit(l) == 0 {
-                            continue;
-                        }
+                    each_lane(lanes, live, |l| {
                         let src = if t_mask & bit(l) != 0 { *t_dst } else { *f_dst };
                         let v = self.reg(base, lanes, src, l);
                         self.set_reg(base, lanes, *dst, l, v);
-                    }
+                    });
                 }
                 Instr::Decl { var, ty, init } => {
                     self.rf
@@ -603,11 +595,7 @@ impl SimtVm {
                         vm.run(
                             k, ci, range.0, range.1, lanes, live, base, bbase, frame, ctx,
                         )?;
-                        #[allow(clippy::needless_range_loop)] // lane indexing reads clearer
-                        for l in 0..lanes {
-                            if live & bit(l) == 0 {
-                                continue;
-                            }
+                        for_lanes(lanes, live, |l| {
                             let v = vm.reg(base, lanes, r, l);
                             out[l] = v.as_i64().ok_or_else(|| {
                                 ctx.lane_err(
@@ -618,17 +606,15 @@ impl SimtVm {
                                     },
                                 )
                             })?;
-                        }
-                        Ok(())
+                            Ok(())
+                        })
                     };
                     bound_of(self, start_range, *start, &mut starts, ctx)?;
                     let mut ends = [0i64; 32];
                     bound_of(self, end_range, *end, &mut ends, ctx)?;
                     bound_of(self, step_range, *step, &mut steps, ctx)?;
-                    for l in 0..lanes {
-                        if live & bit(l) == 0 {
-                            continue;
-                        }
+                    let mut max_trip = 0u64;
+                    for_lanes(lanes, live, |l| {
                         let (s, e, st) = (starts[l], ends[l], steps[l]);
                         if st <= 0 {
                             return Err(ctx.lane_err(l, ExecError::NonPositiveStep(st)));
@@ -638,21 +624,17 @@ impl SimtVm {
                         } else {
                             ((e - s) + st - 1) as u64 / st as u64
                         };
-                    }
+                        max_trip = max_trip.max(trips[l]);
+                        Ok(())
+                    })?;
                     let entered = live.count_ones();
-                    let max_trip = (0..lanes)
-                        .filter(|&l| live & bit(l) != 0)
-                        .map(|l| trips[l])
-                        .max()
-                        .unwrap_or(0);
                     for kk in 0..max_trip {
                         let mut round = 0u32;
-                        #[allow(clippy::needless_range_loop)] // lane indexing reads clearer
-                        for l in 0..lanes {
-                            if live & bit(l) != 0 && kk < trips[l] && frame.returned & bit(l) == 0 {
+                        each_lane(lanes, live & !frame.returned, |l| {
+                            if kk < trips[l] {
                                 round |= bit(l);
                             }
-                        }
+                        });
                         if round == 0 {
                             break;
                         }
@@ -665,12 +647,10 @@ impl SimtVm {
                         if round.count_ones() < entered {
                             ctx.acct.diverged();
                         }
-                        for l in 0..lanes {
-                            if round & bit(l) != 0 {
-                                let v = Value::Int((starts[l] + kk as i64 * steps[l]) as i32);
-                                self.set_reg(base, lanes, *var, l, v);
-                            }
-                        }
+                        each_lane(lanes, round, |l| {
+                            let v = Value::Int((starts[l] + kk as i64 * steps[l]) as i32);
+                            self.set_reg(base, lanes, *var, l, v);
+                        });
                         self.rf.bound[bbase + *var as usize] |= round;
                         self.run(
                             k,
@@ -703,11 +683,7 @@ impl SimtVm {
                             frame,
                             ctx,
                         )?;
-                        for l in 0..lanes {
-                            if live & bit(l) != 0 {
-                                frame.ret[l] = self.reg(base, lanes, *r, l);
-                            }
-                        }
+                        each_lane(lanes, live, |l| frame.ret[l] = self.reg(base, lanes, *r, l));
                     }
                     frame.returned |= live;
                 }

@@ -5,6 +5,15 @@
 //! and per-lane error selection both must replay from the tree walker in
 //! `simt.rs` bit for bit. Written once so the two tiers cannot drift.
 //!
+//! Every sweep works on the whole warp: its lane loop is [`for_lanes`], a
+//! plain loop over the contiguous register row when every lane is live;
+//! a row of one type on which the instruction cannot fail runs as one
+//! typed pass ([`sweep`]) or a row move; a load from one array that the
+//! memory hands out ([`LaneMemory::plain`]) is one typed [`gather`]. What
+//! a fast form cannot take — a lane of another type, a zero divisor, an
+//! index out of bounds, a recording memory — falls through to the
+//! lane-by-lane path inside the same sweep, which owns every error.
+//!
 //! What an instruction *costs* is an [`Accounting`] policy the sweeps are
 //! monomorphised over: [`WarpIssue`] is the GPU's (one issue per warp
 //! instruction, coalesced memory transactions), [`LaneCounts`] the CPU
@@ -16,12 +25,12 @@ use crate::memory::{AccessCtx, LaneMemory};
 use crate::simt::SimtError;
 use crate::stats::WarpStats;
 use japonica_ir::{
-    ops, ArrayId, BinOp, Env, ExecError, Intrinsic, LoopBounds, OpClass, OpCounts, Ty, UnOp, Value,
-    VarId,
+    ops, ArrayData, ArrayId, BinOp, Env, ExecError, Intrinsic, LoopBounds, OpClass, OpCounts, Ty,
+    UnOp, Value, VarId,
 };
-use std::convert::identity;
+use std::convert::{identity, Infallible};
 use std::num::Wrapping;
-use std::ops::{Add, Div, Mul, Range, Rem, Sub};
+use std::ops::{Add, BitAnd, BitOr, BitXor, Mul, Neg, Not, Range, Sub};
 
 #[inline]
 fn is_float(v: Value) -> bool {
@@ -147,9 +156,7 @@ impl LaneCounts {
         self.full = full_mask(lanes);
         self.sweeps_left = sweeps;
         self.uniform = OpCounts::new();
-        for l in lanes_of(self.partial) {
-            self.rows[l] = OpCounts::new();
-        }
+        each_lane(32, self.partial, |l| self.rows[l] = OpCounts::new());
         self.partial = 0;
     }
 
@@ -160,18 +167,15 @@ impl LaneCounts {
             self.uniform.record(cls);
         } else {
             self.partial |= live;
-            for l in lanes_of(live) {
-                self.rows[l].record(cls);
-            }
+            each_lane(32, live, |l| self.rows[l].record(cls));
         }
     }
 
     /// Add everything lanes `lanes` of the last batch executed to `into`.
     pub fn fold(&self, lanes: Range<usize>, into: &mut OpCounts) {
         into.merge_scaled(&self.uniform, lanes.len() as u64);
-        for l in lanes_of(self.partial & full_mask(lanes.end) & !full_mask(lanes.start)) {
-            into.merge(&self.rows[l]);
-        }
+        let mask = self.partial & full_mask(lanes.end) & !full_mask(lanes.start);
+        each_lane(32, mask, |l| into.merge(&self.rows[l]));
     }
 }
 
@@ -213,16 +217,38 @@ pub(crate) fn full_mask(lanes: usize) -> u32 {
     }
 }
 
-/// The set lanes of `mask`, ascending.
-#[inline]
-fn lanes_of(mut mask: u32) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (mask != 0).then(|| {
-            let l = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            l
-        })
-    })
+/// The one lane loop: run `f` on every lane of `mask` (a subset of
+/// `0..lanes`) in ascending order, stopping at the first error. A full mask
+/// is a plain `0..lanes` loop over the contiguous register row; a partial
+/// one walks its set bits. Every sweep and every per-lane loop of the
+/// decode loops goes through here.
+#[inline(always)]
+pub(crate) fn for_lanes<E>(
+    lanes: usize,
+    mask: u32,
+    mut f: impl FnMut(usize) -> Result<(), E>,
+) -> Result<(), E> {
+    if mask == full_mask(lanes) {
+        for l in 0..lanes {
+            f(l)?;
+        }
+    } else {
+        let mut m = mask;
+        while m != 0 {
+            f(m.trailing_zeros() as usize)?;
+            m &= m - 1;
+        }
+    }
+    Ok(())
+}
+
+/// [`for_lanes`] for a body that cannot fail.
+#[inline(always)]
+pub(crate) fn each_lane(lanes: usize, mask: u32, mut f: impl FnMut(usize)) {
+    let Ok(()) = for_lanes::<Infallible>(lanes, mask, |l| {
+        f(l);
+        Ok(())
+    });
 }
 
 /// Execution context threaded through a warp's instruction walk. `M` is a
@@ -267,21 +293,29 @@ pub(crate) struct LaneCtx {
 
 impl LaneCtx {
     /// Is every lane of the warp live?
+    #[inline]
     fn all_live(self) -> bool {
-        self.live.count_ones() as usize == self.lanes
+        self.live == full_mask(self.lanes)
     }
 
-    /// The live lanes, ascending.
-    fn live_lanes(self) -> impl Iterator<Item = usize> + Clone {
-        (0..self.lanes).filter(move |&l| self.live & bit(l) != 0)
+    /// [`for_lanes`] over the live lanes.
+    #[inline(always)]
+    fn try_each<E>(self, f: impl FnMut(usize) -> Result<(), E>) -> Result<(), E> {
+        for_lanes(self.lanes, self.live, f)
+    }
+
+    /// [`each_lane`] over the live lanes.
+    #[inline(always)]
+    fn each(self, f: impl FnMut(usize)) {
+        each_lane(self.lanes, self.live, f)
     }
 }
 
 /// Charge one coalesced warp memory access over the given per-lane
 /// `(lane, array, index)` triples: one transaction per distinct memory
-/// segment (sort + dedup yields the distinct-segment count of a set),
-/// plus the memory wrapper's per-access overhead. An array's placement is
-/// resolved once per run of lanes touching it — in practice once per warp.
+/// segment ([`distinct`]), plus the memory wrapper's per-access overhead.
+/// An array's placement is resolved once per run of lanes touching it — in
+/// practice once per warp.
 pub(crate) fn charge_coalesced<M: LaneMemory + ?Sized>(
     seg_scratch: &mut Vec<u64>,
     touched: &[(usize, ArrayId, i64)],
@@ -308,9 +342,7 @@ pub(crate) fn charge_coalesced<M: LaneMemory + ?Sized>(
             _ => uncoalesced += 1,
         }
     }
-    seg_scratch.sort_unstable();
-    seg_scratch.dedup();
-    let segs = seg_scratch.len() as u64 + uncoalesced;
+    let segs = distinct(seg_scratch) + uncoalesced;
     if segs > 0 {
         stats.charge_mem(segs, cfg.mem_tx_cycles);
     }
@@ -320,27 +352,55 @@ pub(crate) fn charge_coalesced<M: LaneMemory + ?Sized>(
     }
 }
 
-/// A numeric lane type the whole-warp sweep unboxes: integers as
-/// `Wrapping` so the std operators are `ops::binary`'s wrapping ones.
-trait Num:
-    Copy
-    + PartialOrd
-    + Add<Output = Self>
-    + Sub<Output = Self>
-    + Mul<Output = Self>
-    + Div<Output = Self>
-    + Rem<Output = Self>
-{
-    /// Division and remainder are total (no zero-divisor error).
-    const FLOAT: bool;
+/// How many distinct ids `segs` holds. Ids that arrive non-decreasing —
+/// stride-1 and uniform lanes — are counted in one scan; any other order is
+/// sorted first.
+fn distinct(segs: &mut [u64]) -> u64 {
+    if !segs.is_sorted() {
+        segs.sort_unstable();
+    }
+    segs.chunk_by(|a, b| a == b).count() as u64
+}
+
+/// A lane type the typed sweeps unbox.
+trait Lane: Copy {
     fn of(v: Value) -> Option<Self>;
     fn val(self) -> Value;
 }
 
-macro_rules! impl_num {
-    ($t:ty, $V:ident, $float:literal, $wrap:expr, $unwrap:expr) => {
-        impl Num for $t {
-            const FLOAT: bool = $float;
+/// A numeric lane type: integers as `Wrapping` so the std operators are
+/// `ops::binary`'s wrapping ones.
+trait Num:
+    Lane
+    + PartialOrd
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Neg<Output = Self>
+{
+    /// `self / y`; `None` where `ops::binary` raises `DivisionByZero`.
+    fn checked_div(self, y: Self) -> Option<Self>;
+    /// `self % y`; `None` where `ops::binary` raises `DivisionByZero`.
+    fn checked_rem(self, y: Self) -> Option<Self>;
+}
+
+/// An integral lane type.
+trait Int:
+    Num + BitAnd<Output = Self> + BitOr<Output = Self> + BitXor<Output = Self> + Not<Output = Self>
+{
+    /// The value as a shift count, before masking.
+    fn count(self) -> i64;
+    /// Java's `<<`: the count masked to the type's width.
+    fn shl_masked(self, count: i64) -> Self;
+    /// Java's `>>`.
+    fn shr_masked(self, count: i64) -> Self;
+    /// Java's `>>>`.
+    fn ushr_masked(self, count: i64) -> Self;
+}
+
+macro_rules! impl_lane {
+    ($t:ty, $V:ident, $wrap:expr, $unwrap:expr) => {
+        impl Lane for $t {
             #[inline]
             fn of(v: Value) -> Option<$t> {
                 match v {
@@ -356,52 +416,204 @@ macro_rules! impl_num {
     };
 }
 
-impl_num!(Wrapping<i32>, Int, false, Wrapping, |w: Wrapping<i32>| w.0);
-impl_num!(Wrapping<i64>, Long, false, Wrapping, |w: Wrapping<i64>| w.0);
-impl_num!(f32, Float, true, identity, identity);
-impl_num!(f64, Double, true, identity, identity);
+impl_lane!(bool, Bool, identity, identity);
+impl_lane!(Wrapping<i32>, Int, Wrapping, |w: Wrapping<i32>| w.0);
+impl_lane!(Wrapping<i64>, Long, Wrapping, |w: Wrapping<i64>| w.0);
+impl_lane!(f32, Float, identity, identity);
+impl_lane!(f64, Double, identity, identity);
 
-/// The whole-warp typed sweep: when both operand rows hold `T` on every
-/// live lane — checked once — `dst = a op b` runs as a tight unboxed loop
-/// with no per-lane tag dispatch and no error path. Covers the operators
-/// that cannot fail on `T`; returns `false` (nothing written) for anything
-/// else, which the caller then executes lane by lane through
-/// `ops::binary`. Value for value the same function as `ops::binary`'s
-/// same-type path, so results and cost classes are unchanged.
-fn sweep<T: Num>(
-    regs: &mut [Value],
-    (oa, ob, od): (usize, usize, usize),
-    lc: LaneCtx,
-    op: BinOp,
-) -> bool {
-    let uniform = lc
-        .live_lanes()
-        .all(|l| T::of(regs[oa + l]).is_some() && T::of(regs[ob + l]).is_some());
-    if !uniform {
-        return false;
-    }
-    let mut run = |f: fn(T, T) -> Value| {
-        for l in lc.live_lanes() {
-            if let (Some(x), Some(y)) = (T::of(regs[oa + l]), T::of(regs[ob + l])) {
-                regs[od + l] = f(x, y);
+macro_rules! impl_float {
+    ($t:ty) => {
+        impl Num for $t {
+            #[inline]
+            fn checked_div(self, y: $t) -> Option<$t> {
+                Some(self / y)
+            }
+            #[inline]
+            fn checked_rem(self, y: $t) -> Option<$t> {
+                Some(self % y)
             }
         }
     };
-    match op {
-        BinOp::Add => run(|x, y| (x + y).val()),
-        BinOp::Sub => run(|x, y| (x - y).val()),
-        BinOp::Mul => run(|x, y| (x * y).val()),
-        BinOp::Div if T::FLOAT => run(|x, y| (x / y).val()),
-        BinOp::Rem if T::FLOAT => run(|x, y| (x % y).val()),
-        BinOp::Lt => run(|x, y| Value::Bool(x < y)),
-        BinOp::Le => run(|x, y| Value::Bool(x <= y)),
-        BinOp::Gt => run(|x, y| Value::Bool(x > y)),
-        BinOp::Ge => run(|x, y| Value::Bool(x >= y)),
-        BinOp::Eq => run(|x, y| Value::Bool(x == y)),
-        BinOp::Ne => run(|x, y| Value::Bool(x != y)),
-        _ => return false,
+}
+
+impl_float!(f32);
+impl_float!(f64);
+
+macro_rules! impl_int {
+    ($s:ty, $u:ty, $mask:literal) => {
+        impl Num for Wrapping<$s> {
+            #[inline]
+            fn checked_div(self, y: Self) -> Option<Self> {
+                (y.0 != 0).then(|| Wrapping(self.0.wrapping_div(y.0)))
+            }
+            #[inline]
+            fn checked_rem(self, y: Self) -> Option<Self> {
+                (y.0 != 0).then(|| Wrapping(self.0.wrapping_rem(y.0)))
+            }
+        }
+
+        impl Int for Wrapping<$s> {
+            #[inline]
+            fn count(self) -> i64 {
+                self.0 as i64
+            }
+            #[inline]
+            fn shl_masked(self, count: i64) -> Self {
+                Wrapping(self.0.wrapping_shl((count & $mask) as u32))
+            }
+            #[inline]
+            fn shr_masked(self, count: i64) -> Self {
+                Wrapping(self.0.wrapping_shr((count & $mask) as u32))
+            }
+            #[inline]
+            fn ushr_masked(self, count: i64) -> Self {
+                Wrapping((self.0 as $u).wrapping_shr((count & $mask) as u32) as $s)
+            }
+        }
+    };
+}
+
+impl_int!(i32, u32, 0x1f);
+impl_int!(i64, u64, 0x3f);
+
+/// The typed sweep: `dst = f(a, b)` on every live lane as one unboxed pass
+/// that checks each lane's operands are `A` and `B` as it goes — no
+/// per-lane tag dispatch, no error path. The first lane whose operands are
+/// not, or on which `f` declines (`None`), abandons the sweep with nothing
+/// written and `false` returned, and the caller executes the instruction
+/// lane by lane through `ops::*`, which owns every error. A unary sweep
+/// passes its operand row twice.
+#[inline(always)]
+fn sweep<A: Lane, B: Lane>(
+    regs: &mut [Value],
+    (oa, ob, od): (usize, usize, usize),
+    lc: LaneCtx,
+    f: impl Fn(A, B) -> Option<Value>,
+) -> bool {
+    // Results go through a scratch row: `dst` may be an operand row, and a
+    // sweep abandoned halfway must leave the operands for the fallback.
+    let mut out = [Value::Int(0); 32];
+    let typed = lc.try_each(|l| -> Result<(), ()> {
+        let (x, y) = (
+            A::of(regs[oa + l]).ok_or(())?,
+            B::of(regs[ob + l]).ok_or(())?,
+        );
+        out[l] = f(x, y).ok_or(())?;
+        Ok(())
+    });
+    if typed.is_err() {
+        return false;
+    }
+    if lc.all_live() {
+        regs[od..od + lc.lanes].copy_from_slice(&out[..lc.lanes]);
+    } else {
+        lc.each(|l| regs[od + l] = out[l]);
     }
     true
+}
+
+/// `dst = a op b` as a [`sweep`] over operands of one numeric type, for
+/// the operators every numeric type has; `false` (nothing written) for the
+/// rest. Value for value `ops::binary`'s same-type fast path, so results
+/// and cost classes are unchanged.
+fn num_sweep<T: Num>(
+    regs: &mut [Value],
+    rows: (usize, usize, usize),
+    lc: LaneCtx,
+    op: BinOp,
+) -> bool {
+    match op {
+        BinOp::Add => sweep(regs, rows, lc, |x: T, y: T| Some((x + y).val())),
+        BinOp::Sub => sweep(regs, rows, lc, |x: T, y: T| Some((x - y).val())),
+        BinOp::Mul => sweep(regs, rows, lc, |x: T, y: T| Some((x * y).val())),
+        BinOp::Div => sweep(regs, rows, lc, |x: T, y| x.checked_div(y).map(T::val)),
+        BinOp::Rem => sweep(regs, rows, lc, |x: T, y| x.checked_rem(y).map(T::val)),
+        BinOp::Lt => sweep(regs, rows, lc, |x: T, y: T| Some(Value::Bool(x < y))),
+        BinOp::Le => sweep(regs, rows, lc, |x: T, y: T| Some(Value::Bool(x <= y))),
+        BinOp::Gt => sweep(regs, rows, lc, |x: T, y: T| Some(Value::Bool(x > y))),
+        BinOp::Ge => sweep(regs, rows, lc, |x: T, y: T| Some(Value::Bool(x >= y))),
+        BinOp::Eq => sweep(regs, rows, lc, |x: T, y: T| Some(Value::Bool(x == y))),
+        BinOp::Ne => sweep(regs, rows, lc, |x: T, y: T| Some(Value::Bool(x != y))),
+        _ => false,
+    }
+}
+
+/// [`num_sweep`] plus the bitwise operators and shifts of an integral type.
+fn int_sweep<T: Int>(
+    regs: &mut [Value],
+    rows: (usize, usize, usize),
+    lc: LaneCtx,
+    op: BinOp,
+) -> bool {
+    match op {
+        BinOp::And | BinOp::LAnd => sweep(regs, rows, lc, |x: T, y: T| Some((x & y).val())),
+        BinOp::Or | BinOp::LOr => sweep(regs, rows, lc, |x: T, y: T| Some((x | y).val())),
+        BinOp::Xor => sweep(regs, rows, lc, |x: T, y: T| Some((x ^ y).val())),
+        BinOp::Shl | BinOp::Shr | BinOp::UShr => shift_sweep::<T, T>(regs, rows, lc, op),
+        _ => num_sweep::<T>(regs, rows, lc, op),
+    }
+}
+
+/// A shift of `T` lanes by counts of integral type `C` (a shift keeps its
+/// left operand's type); `false` for any other operator.
+fn shift_sweep<T: Int, C: Int>(
+    regs: &mut [Value],
+    rows: (usize, usize, usize),
+    lc: LaneCtx,
+    op: BinOp,
+) -> bool {
+    match op {
+        BinOp::Shl => sweep(regs, rows, lc, |x: T, c: C| {
+            Some(x.shl_masked(c.count()).val())
+        }),
+        BinOp::Shr => sweep(regs, rows, lc, |x: T, c: C| {
+            Some(x.shr_masked(c.count()).val())
+        }),
+        BinOp::UShr => sweep(regs, rows, lc, |x: T, c: C| {
+            Some(x.ushr_masked(c.count()).val())
+        }),
+        _ => false,
+    }
+}
+
+/// `dst = -src` as a [`sweep`] (the operand row passed twice).
+fn neg_sweep<T: Num>(regs: &mut [Value], rows: (usize, usize, usize), lc: LaneCtx) -> bool {
+    sweep(regs, rows, lc, |x: T, _: T| Some((-x).val()))
+}
+
+/// `dst = ~src` as a [`sweep`].
+fn not_sweep<T: Int>(regs: &mut [Value], rows: (usize, usize, usize), lc: LaneCtx) -> bool {
+    sweep(regs, rows, lc, |x: T, _: T| Some((!x).val()))
+}
+
+/// One typed gather: `row[l] = data[i]` for the `(lane, _, index)` triples
+/// in order, up to the first index out of bounds. Returns how many triples
+/// it loaded; the caller loads the rest lane by lane, which raises the
+/// error.
+fn gather(data: &ArrayData, touched: &[(usize, ArrayId, i64)], row: &mut [Value]) -> usize {
+    #[inline(always)]
+    fn run<T: Copy>(
+        elems: &[T],
+        touched: &[(usize, ArrayId, i64)],
+        row: &mut [Value],
+        val: impl Fn(T) -> Value,
+    ) -> usize {
+        for (k, &(l, _, i)) in touched.iter().enumerate() {
+            match usize::try_from(i).ok().and_then(|i| elems.get(i)) {
+                Some(&x) => row[l] = val(x),
+                None => return k,
+            }
+        }
+        touched.len()
+    }
+    match data {
+        ArrayData::Bool(v) => run(v, touched, row, Value::Bool),
+        ArrayData::Int(v) => run(v, touched, row, Value::Int),
+        ArrayData::Long(v) => run(v, touched, row, Value::Long),
+        ArrayData::Float(v) => run(v, touched, row, Value::Float),
+        ArrayData::Double(v) => run(v, touched, row, Value::Double),
+    }
 }
 
 /// Per-lane class selection: charge an operator `cls_f` on the live lanes
@@ -412,10 +624,12 @@ fn charge_per_lane<A: Accounting>(
     (cls_i, cls_f): (OpClass, OpClass),
     float: impl Fn(usize) -> bool,
 ) {
-    let fmask = lc
-        .live_lanes()
-        .filter(|&l| float(l))
-        .fold(0u32, |m, l| m | bit(l));
+    let mut fmask = 0u32;
+    lc.each(|l| {
+        if float(l) {
+            fmask |= bit(l);
+        }
+    });
     for (cls, mask) in [(cls_f, fmask), (cls_i, lc.live & !fmask)] {
         if mask != 0 {
             acct.op(cls, mask);
@@ -481,15 +695,36 @@ impl LaneRegs {
         self.regs[base + r * lanes + l] = v;
     }
 
+    /// Does every live lane of the row at offset `off` hold a `ty`?
+    #[inline]
+    fn row_is(&self, lc: LaneCtx, off: usize, ty: Ty) -> bool {
+        lc.try_each(|l| {
+            if self.regs[off + l].ty() == Some(ty) {
+                Ok(())
+            } else {
+                Err(())
+            }
+        })
+        .is_ok()
+    }
+
+    /// The row at offset `od` takes the row at `os` on every live lane.
+    #[inline]
+    fn move_row(&mut self, lc: LaneCtx, od: usize, os: usize) {
+        if lc.all_live() {
+            self.regs.copy_within(os..os + lc.lanes, od);
+        } else {
+            lc.each(|l| self.regs[od + l] = self.regs[os + l]);
+        }
+    }
+
     /// `dst = v` on every live lane.
     pub fn fill(&mut self, lc: LaneCtx, dst: usize, v: Value) {
         let od = lc.base + dst * lc.lanes;
         if lc.all_live() {
             self.regs[od..od + lc.lanes].fill(v);
         } else {
-            for l in lc.live_lanes() {
-                self.regs[od + l] = v;
-            }
+            lc.each(|l| self.regs[od + l] = v);
         }
     }
 
@@ -508,14 +743,7 @@ impl LaneRegs {
             return Err(ctx.lane_err(l, ExecError::UnboundVariable(VarId(src as u32))));
         }
         let n = lc.lanes;
-        let (os, od) = (lc.base + src * n, lc.base + dst * n);
-        if lc.all_live() {
-            self.regs.copy_within(os..os + n, od);
-        } else {
-            for l in lc.live_lanes() {
-                self.regs[od + l] = self.regs[os + l];
-            }
-        }
+        self.move_row(lc, lc.base + dst * n, lc.base + src * n);
         Ok(())
     }
 
@@ -529,11 +757,9 @@ impl LaneRegs {
         ctx: &WarpCtx<'_, M, A>,
     ) -> Result<u32, SimtError> {
         let mut truth = 0u32;
-        for l in 0..lc.lanes {
-            if sub & bit(l) == 0 {
-                continue;
-            }
-            match self.reg(lc.base, lc.lanes, r, l) {
+        let or = lc.base + r * lc.lanes;
+        for_lanes(lc.lanes, sub, |l| {
+            match self.regs[or + l] {
                 Value::Bool(true) => truth |= bit(l),
                 Value::Bool(false) => {}
                 other => {
@@ -546,7 +772,8 @@ impl LaneRegs {
                     ))
                 }
             }
-        }
+            Ok(())
+        })?;
         Ok(truth)
     }
 
@@ -563,22 +790,41 @@ impl LaneRegs {
         (cls_i, cls_f): (OpClass, OpClass),
         ctx: &mut WarpCtx<'_, M, A>,
     ) -> Result<(), SimtError> {
-        let os = lc.base + src * lc.lanes;
+        let n = lc.lanes;
+        let (os, od) = (lc.base + src * n, lc.base + dst * n);
+        let first = self.regs[os + lc.live.trailing_zeros() as usize];
+        let cls = if is_float(first) { cls_f } else { cls_i };
+        let rows = (os, os, od);
+        let regs = &mut self.regs;
+        let swept = match (op, first) {
+            (UnOp::Neg, Value::Int(_)) => neg_sweep::<Wrapping<i32>>(regs, rows, lc),
+            (UnOp::Neg, Value::Long(_)) => neg_sweep::<Wrapping<i64>>(regs, rows, lc),
+            (UnOp::Neg, Value::Float(_)) => neg_sweep::<f32>(regs, rows, lc),
+            (UnOp::Neg, Value::Double(_)) => neg_sweep::<f64>(regs, rows, lc),
+            (UnOp::Not, Value::Bool(_)) => {
+                sweep(regs, rows, lc, |x: bool, _: bool| Some((!x).val()))
+            }
+            (UnOp::BitNot, Value::Int(_)) => not_sweep::<Wrapping<i32>>(regs, rows, lc),
+            (UnOp::BitNot, Value::Long(_)) => not_sweep::<Wrapping<i64>>(regs, rows, lc),
+            _ => false,
+        };
+        if swept {
+            // Every live lane held the first lane's operand type.
+            ctx.acct.op(cls, lc.live);
+            return Ok(());
+        }
         if A::PER_LANE_CLASS {
             charge_per_lane(&mut ctx.acct, lc, (cls_i, cls_f), |l| {
                 is_float(self.regs[os + l])
             });
         } else {
-            let fl = lc.live.trailing_zeros() as usize;
-            let float = is_float(self.regs[os + fl]);
-            ctx.acct.op(if float { cls_f } else { cls_i }, lc.live);
+            ctx.acct.op(cls, lc.live);
         }
-        for l in lc.live_lanes() {
-            let v = self.reg(lc.base, lc.lanes, src, l);
-            let r = ops::unary(op, v).map_err(|er| ctx.lane_err(l, er))?;
-            self.set_reg(lc.base, lc.lanes, dst, l, r);
-        }
-        Ok(())
+        lc.try_each(|l| {
+            let r = ops::unary(op, self.regs[os + l]).map_err(|er| ctx.lane_err(l, er))?;
+            self.regs[od + l] = r;
+            Ok(())
+        })
     }
 
     /// `dst = a op b` on every live lane, errors in lane order.
@@ -593,47 +839,51 @@ impl LaneRegs {
         (cls_i, cls_f): (OpClass, OpClass),
         ctx: &mut WarpCtx<'_, M, A>,
     ) -> Result<(), SimtError> {
-        let fl = lc.live.trailing_zeros() as usize;
-        let float = is_float(self.reg(lc.base, lc.lanes, a, fl))
-            || is_float(self.reg(lc.base, lc.lanes, b, fl));
-        let cls = if float { cls_f } else { cls_i };
-        if !A::PER_LANE_CLASS {
-            ctx.acct.op(cls, lc.live);
-        }
         let n = lc.lanes;
         let rows = (lc.base + a * n, lc.base + b * n, lc.base + dst * n);
-        let swept = match (self.regs[rows.0 + fl], self.regs[rows.1 + fl]) {
-            (Value::Double(_), Value::Double(_)) => sweep::<f64>(&mut self.regs, rows, lc, op),
-            (Value::Int(_), Value::Int(_)) => sweep::<Wrapping<i32>>(&mut self.regs, rows, lc, op),
-            (Value::Long(_), Value::Long(_)) => {
-                sweep::<Wrapping<i64>>(&mut self.regs, rows, lc, op)
+        let fl = lc.live.trailing_zeros() as usize;
+        let (va, vb) = (self.regs[rows.0 + fl], self.regs[rows.1 + fl]);
+        let cls = if is_float(va) || is_float(vb) {
+            cls_f
+        } else {
+            cls_i
+        };
+        let regs = &mut self.regs;
+        let swept = match (va, vb) {
+            (Value::Double(_), Value::Double(_)) => num_sweep::<f64>(regs, rows, lc, op),
+            (Value::Int(_), Value::Int(_)) => int_sweep::<Wrapping<i32>>(regs, rows, lc, op),
+            (Value::Long(_), Value::Long(_)) => int_sweep::<Wrapping<i64>>(regs, rows, lc, op),
+            (Value::Float(_), Value::Float(_)) => num_sweep::<f32>(regs, rows, lc, op),
+            (Value::Long(_), Value::Int(_)) => {
+                shift_sweep::<Wrapping<i64>, Wrapping<i32>>(regs, rows, lc, op)
             }
-            (Value::Float(_), Value::Float(_)) => sweep::<f32>(&mut self.regs, rows, lc, op),
+            (Value::Int(_), Value::Long(_)) => {
+                shift_sweep::<Wrapping<i32>, Wrapping<i64>>(regs, rows, lc, op)
+            }
             _ => false,
         };
-        if A::PER_LANE_CLASS {
-            if swept {
-                // Every live lane holds the first lane's operand types.
-                ctx.acct.op(cls, lc.live);
-            } else {
-                charge_per_lane(&mut ctx.acct, lc, (cls_i, cls_f), |l| {
-                    is_float(self.regs[rows.0 + l]) || is_float(self.regs[rows.1 + l])
-                });
-            }
-        }
         if swept {
+            // Every live lane held the first lane's operand types.
+            ctx.acct.op(cls, lc.live);
             return Ok(());
         }
-        for l in lc.live_lanes() {
-            let va = self.regs[rows.0 + l];
-            let vb = self.regs[rows.1 + l];
+        if A::PER_LANE_CLASS {
+            charge_per_lane(&mut ctx.acct, lc, (cls_i, cls_f), |l| {
+                is_float(self.regs[rows.0 + l]) || is_float(self.regs[rows.1 + l])
+            });
+        } else {
+            ctx.acct.op(cls, lc.live);
+        }
+        lc.try_each(|l| {
+            let (va, vb) = (self.regs[rows.0 + l], self.regs[rows.1 + l]);
             let r = ops::binary(op, va, vb).map_err(|er| ctx.lane_err(l, er))?;
             self.regs[rows.2 + l] = r;
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
-    /// `dst = (ty) src` on every live lane.
+    /// `dst = (ty) src` on every live lane: a row move when every live lane
+    /// already holds a `ty`.
     pub fn cast<M: LaneMemory + ?Sized, A: Accounting>(
         &mut self,
         lc: LaneCtx,
@@ -643,8 +893,13 @@ impl LaneRegs {
         ctx: &mut WarpCtx<'_, M, A>,
     ) -> Result<(), SimtError> {
         ctx.acct.op(OpClass::Cast, lc.live);
-        for l in lc.live_lanes() {
-            let v = self.reg(lc.base, lc.lanes, src, l);
+        let (os, od) = (lc.base + src * lc.lanes, lc.base + dst * lc.lanes);
+        if self.row_is(lc, os, ty) {
+            self.move_row(lc, od, os);
+            return Ok(());
+        }
+        lc.try_each(|l| {
+            let v = self.regs[os + l];
             let r = v.cast(ty).ok_or_else(|| {
                 ctx.lane_err(
                     l,
@@ -654,9 +909,9 @@ impl LaneRegs {
                     },
                 )
             })?;
-            self.set_reg(lc.base, lc.lanes, dst, l, r);
-        }
-        Ok(())
+            self.regs[od + l] = r;
+            Ok(())
+        })
     }
 
     /// `dst = arr.length` on every live lane.
@@ -669,7 +924,7 @@ impl LaneRegs {
         ctx: &mut WarpCtx<'_, M, A>,
     ) -> Result<(), SimtError> {
         ctx.acct.op(OpClass::Move, lc.live);
-        for l in lc.live_lanes() {
+        lc.try_each(|l| {
             if self.bound[lc.bbase + arr] & bit(l) == 0 {
                 return Err(ctx.lane_err(l, ExecError::UnboundVariable(var)));
             }
@@ -687,8 +942,8 @@ impl LaneRegs {
                 })?;
             let len = ctx.mem.array_len(a).map_err(|er| ctx.lane_err(l, er))?;
             self.set_reg(lc.base, lc.lanes, dst, l, Value::Int(len as i32));
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// `dst = f(args..)` on every live lane.
@@ -701,7 +956,7 @@ impl LaneRegs {
         ctx: &mut WarpCtx<'_, M, A>,
     ) -> Result<(), SimtError> {
         ctx.acct.op(cls, lc.live);
-        for l in lc.live_lanes() {
+        lc.try_each(|l| {
             let mut buf = [Value::Int(0); 4];
             let mut n = 0;
             for r in args.clone() {
@@ -710,11 +965,12 @@ impl LaneRegs {
             }
             let v = ops::intrinsic(f, &buf[..n]).map_err(|er| ctx.lane_err(l, er))?;
             self.set_reg(lc.base, lc.lanes, dst, l, v);
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// `ty var = init` (or the type's zero) on every live lane; binds `var`.
+    /// A row move when every live lane's `init` already is a `ty`.
     pub fn decl<M: LaneMemory + ?Sized, A: Accounting>(
         &mut self,
         lc: LaneCtx,
@@ -724,23 +980,29 @@ impl LaneRegs {
         ctx: &mut WarpCtx<'_, M, A>,
     ) -> Result<(), SimtError> {
         ctx.acct.op(OpClass::Move, lc.live);
-        for l in lc.live_lanes() {
-            let v = match init {
-                Some(r) => {
-                    let raw = self.reg(lc.base, lc.lanes, r, l);
-                    raw.cast(ty).ok_or_else(|| {
-                        ctx.lane_err(
-                            l,
-                            ExecError::TypeMismatch {
-                                expected: ty.to_string(),
-                                found: format!("{raw}"),
-                            },
-                        )
-                    })?
+        let ov = lc.base + var * lc.lanes;
+        match init {
+            None => self.fill(lc, var, ty.zero()),
+            Some(r) => {
+                let os = lc.base + r * lc.lanes;
+                if self.row_is(lc, os, ty) {
+                    self.move_row(lc, ov, os);
+                } else {
+                    lc.try_each(|l| -> Result<(), SimtError> {
+                        let raw = self.regs[os + l];
+                        self.regs[ov + l] = raw.cast(ty).ok_or_else(|| {
+                            ctx.lane_err(
+                                l,
+                                ExecError::TypeMismatch {
+                                    expected: ty.to_string(),
+                                    found: format!("{raw}"),
+                                },
+                            )
+                        })?;
+                        Ok(())
+                    })?;
                 }
-                None => ty.zero(),
-            };
-            self.set_reg(lc.base, lc.lanes, var, l, v);
+            }
         }
         self.bound[lc.bbase + var] |= lc.live;
         Ok(())
@@ -748,6 +1010,8 @@ impl LaneRegs {
 
     /// `var = src` on every live lane, converting to the type `var`
     /// already holds on that lane (Java assignment conversion); binds `var`.
+    /// A row move when no live lane converts: `var` is unbound on every
+    /// live lane, or bound on all of them with the type `src` holds.
     pub fn assign<M: LaneMemory + ?Sized, A: Accounting>(
         &mut self,
         lc: LaneCtx,
@@ -756,22 +1020,34 @@ impl LaneRegs {
         ctx: &mut WarpCtx<'_, M, A>,
     ) -> Result<(), SimtError> {
         ctx.acct.op(OpClass::Move, lc.live);
-        for l in lc.live_lanes() {
-            let mut v = self.reg(lc.base, lc.lanes, src, l);
-            if self.bound[lc.bbase + var] & bit(l) != 0 {
-                if let Some(ty) = self.reg(lc.base, lc.lanes, var, l).ty() {
-                    v = v.cast(ty).ok_or_else(|| {
-                        ctx.lane_err(
-                            l,
-                            ExecError::TypeMismatch {
-                                expected: ty.to_string(),
-                                found: format!("{v}"),
-                            },
-                        )
-                    })?;
+        let (ov, os) = (lc.base + var * lc.lanes, lc.base + src * lc.lanes);
+        let bound = self.bound[lc.bbase + var] & lc.live;
+        let identity = bound == 0
+            || (bound == lc.live
+                && self.regs[os + lc.live.trailing_zeros() as usize]
+                    .ty()
+                    .is_some_and(|t| self.row_is(lc, os, t) && self.row_is(lc, ov, t)));
+        if identity {
+            self.move_row(lc, ov, os);
+        } else {
+            lc.try_each(|l| -> Result<(), SimtError> {
+                let mut v = self.regs[os + l];
+                if bound & bit(l) != 0 {
+                    if let Some(ty) = self.regs[ov + l].ty() {
+                        v = v.cast(ty).ok_or_else(|| {
+                            ctx.lane_err(
+                                l,
+                                ExecError::TypeMismatch {
+                                    expected: ty.to_string(),
+                                    found: format!("{v}"),
+                                },
+                            )
+                        })?;
+                    }
                 }
-            }
-            self.set_reg(lc.base, lc.lanes, var, l, v);
+                self.regs[ov + l] = v;
+                Ok(())
+            })?;
         }
         self.bound[lc.bbase + var] |= lc.live;
         Ok(())
@@ -793,44 +1069,44 @@ impl LaneRegs {
         out: &mut [(usize, ArrayId, i64); 32],
     ) -> Result<usize, SimtError> {
         ctx.acct.op(cls, lc.live);
+        let (oa, oi) = (lc.base + arr * lc.lanes, lc.base + idx * lc.lanes);
+        let unbound = lc.live & !self.bound[lc.bbase + arr];
         let mut n = 0usize;
-        for l in lc.live_lanes() {
-            if self.bound[lc.bbase + arr] & bit(l) == 0 {
+        lc.try_each(|l| {
+            if unbound & bit(l) != 0 {
                 return Err(ctx.lane_err(l, ExecError::UnboundVariable(var)));
             }
-            let a = self
-                .reg(lc.base, lc.lanes, arr, l)
-                .as_array()
-                .ok_or_else(|| {
-                    ctx.lane_err(
-                        l,
-                        ExecError::TypeMismatch {
-                            expected: "array".into(),
-                            found: format!("{var}"),
-                        },
-                    )
-                })?;
-            let i = self
-                .reg(lc.base, lc.lanes, idx, l)
-                .as_i64()
-                .ok_or_else(|| {
-                    ctx.lane_err(
-                        l,
-                        ExecError::TypeMismatch {
-                            expected: "int index".into(),
-                            found: "non-integer".into(),
-                        },
-                    )
-                })?;
+            let a = self.regs[oa + l].as_array().ok_or_else(|| {
+                ctx.lane_err(
+                    l,
+                    ExecError::TypeMismatch {
+                        expected: "array".into(),
+                        found: format!("{var}"),
+                    },
+                )
+            })?;
+            let i = self.regs[oi + l].as_i64().ok_or_else(|| {
+                ctx.lane_err(
+                    l,
+                    ExecError::TypeMismatch {
+                        expected: "int index".into(),
+                        found: "non-integer".into(),
+                    },
+                )
+            })?;
             out[n] = (l, a, i);
             n += 1;
-        }
+            Ok(())
+        })?;
         ctx.acct
             .mem_access(&mut self.seg_scratch, &out[..n], &*ctx.mem);
         Ok(n)
     }
 
-    /// `dst = arr[idx]` on every live lane.
+    /// `dst = arr[idx]` on every live lane: one typed gather when every
+    /// lane names the same array and the memory hands it out
+    /// ([`LaneMemory::plain`]), lane by lane otherwise and from the first
+    /// lane the gather could not load.
     pub fn load<M: LaneMemory + ?Sized, A: Accounting>(
         &mut self,
         lc: LaneCtx,
@@ -842,10 +1118,19 @@ impl LaneRegs {
     ) -> Result<(), SimtError> {
         let mut touched = [(0usize, ArrayId(0), 0i64); 32];
         let n = self.touch(lc, OpClass::Load, arr, var, idx, ctx, &mut touched)?;
-        for &(l, a, i) in &touched[..n] {
+        let touched = &touched[..n];
+        let od = lc.base + dst * lc.lanes;
+        let one = touched[0].1;
+        let gathered = match ctx.mem.plain(one) {
+            Some(data) if touched.iter().all(|&(_, a, _)| a == one) => {
+                gather(data, touched, &mut self.regs[od..od + lc.lanes])
+            }
+            _ => 0,
+        };
+        for &(l, a, i) in &touched[gathered..] {
             let actx = ctx.access_ctx(l);
             let v = ctx.mem.load(actx, a, i).map_err(|er| ctx.lane_err(l, er))?;
-            self.set_reg(lc.base, lc.lanes, dst, l, v);
+            self.regs[od + l] = v;
         }
         Ok(())
     }
@@ -876,7 +1161,10 @@ impl LaneRegs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::DeviceMemory;
+    use crate::memory::{AccessCtx, DeviceMemory, JournaledMemory};
+    use japonica_ir::Heap;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     const OPS: [BinOp; 19] = [
         BinOp::Add,
@@ -1098,5 +1386,440 @@ mod tests {
             &rf.regs[4..],
             &[Value::Long(9), Value::Int(2), Value::Long(9), Value::Int(4)]
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        #[test]
+        fn distinct_counts_what_sort_and_dedup_count(
+            seed in any::<u64>(),
+            shape in 0u64..4,
+            len in 0usize..33,
+        ) {
+            let mut rng = TestRng::from_seed(seed);
+            let (base, stride) = (rng.below(1 << 20), rng.below(4));
+            let mut row: Vec<u64> = (0..len as u64)
+                .map(|l| match shape {
+                    0 => rng.below(12),
+                    1 => base + l * stride,
+                    2 => base + l / (1 + stride),
+                    _ => base,
+                })
+                .collect();
+            if shape == 0 && rng.below(2) == 0 {
+                row.sort_unstable();
+            }
+            let mut want = row.clone();
+            want.sort_unstable();
+            want.dedup();
+            prop_assert_eq!(distinct(&mut row), want.len() as u64);
+        }
+    }
+
+    /// A memory that hides [`LaneMemory::plain`], so every load goes lane
+    /// by lane: the reference the gather is checked against.
+    struct PerLane<'m, M: ?Sized>(&'m mut M);
+
+    impl<M: LaneMemory + ?Sized> LaneMemory for PerLane<'_, M> {
+        fn load(&mut self, ctx: AccessCtx, arr: ArrayId, idx: i64) -> Result<Value, ExecError> {
+            self.0.load(ctx, arr, idx)
+        }
+        fn store(
+            &mut self,
+            ctx: AccessCtx,
+            arr: ArrayId,
+            idx: i64,
+            v: Value,
+        ) -> Result<(), ExecError> {
+            self.0.store(ctx, arr, idx, v)
+        }
+        fn array_len(&self, arr: ArrayId) -> Result<usize, ExecError> {
+            self.0.array_len(arr)
+        }
+        fn placement(&self, arr: ArrayId) -> Option<(u64, u64)> {
+            self.0.placement(arr)
+        }
+        fn overhead_cycles(&self) -> f64 {
+            self.0.overhead_cycles()
+        }
+    }
+
+    /// One instruction of the fast-path proptest.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Load,
+        Store,
+        Binary(BinOp),
+        Unary(UnOp),
+        Cast(Ty),
+        Decl(Ty, bool),
+        Assign,
+    }
+
+    /// Register rows of a case; each doubles as the variable of its index.
+    const ARR: usize = 0;
+    const IDX: usize = 1;
+    const A: usize = 2;
+    const B: usize = 3;
+    const DST: usize = 4;
+    const VAR: usize = 5;
+    /// Elements of each of the case's two arrays.
+    const LEN: i64 = 48;
+    const CLASSES: (OpClass, OpClass) = (OpClass::IntAlu, OpClass::FpAlu);
+
+    /// A random warp: lane count, live mask, register rows, boundness.
+    #[derive(Debug)]
+    struct Case {
+        lanes: usize,
+        live: u32,
+        regs: Vec<Value>,
+        bound: Vec<u32>,
+    }
+
+    fn value(rng: &mut TestRng, kind: u64) -> Value {
+        let pick = rng.below(8) as usize;
+        match kind {
+            0 => Value::Int([0, 1, -1, 7, 33, i32::MIN, i32::MAX, 5][pick]),
+            1 => Value::Long([0, 1, -1, 63, 65, 1 << 40, i64::MIN, i64::MAX][pick]),
+            2 => Value::Float([0.0, -0.0, 1.5, -2.25, f32::NAN, f32::INFINITY, 1e-40, 3.0][pick]),
+            3 => Value::Double([0.0, -0.0, 1.5, -2.25, f64::NAN, f64::MAX, 3e9, 7.0][pick]),
+            _ => Value::Bool(pick.is_multiple_of(2)),
+        }
+    }
+
+    /// A row of one random type, one lane of another now and then.
+    fn row(rng: &mut TestRng, lanes: usize) -> Vec<Value> {
+        let kind = rng.below(5);
+        let mut row: Vec<Value> = (0..lanes).map(|_| value(rng, kind)).collect();
+        if rng.below(4) == 0 {
+            let other = rng.below(5);
+            row[rng.below(lanes as u64) as usize] = value(rng, other);
+        }
+        row
+    }
+
+    fn case(seed: u64) -> Case {
+        let mut rng = TestRng::from_seed(seed);
+        let lanes = 1 + rng.below(32) as usize;
+        let full = full_mask(lanes);
+        let mut live = match rng.below(3) {
+            0 => full,
+            _ => rng.next_u64() as u32 & full,
+        };
+        if live == 0 {
+            live = bit(rng.below(lanes as u64) as usize);
+        }
+        let middle = |rng: &mut TestRng| rng.below(lanes as u64) as usize;
+        // Array 0 on every lane; now and then array 1 on some lanes, or a
+        // lane holding no array at all.
+        let mut arrs = vec![Value::Array(ArrayId(0)); lanes];
+        if rng.below(3) == 0 {
+            let m = rng.next_u64();
+            for (l, a) in arrs.iter_mut().enumerate() {
+                if m >> l & 1 == 1 {
+                    *a = Value::Array(ArrayId(1));
+                }
+            }
+        }
+        if rng.below(8) == 0 {
+            arrs[middle(&mut rng)] = Value::Int(0);
+        }
+        // Strided indices, some running off the end; now and then one
+        // middle lane out of bounds, longs, or a non-integer index.
+        let (base, stride) = (rng.below(8) as i64, rng.below(3) as i64);
+        let long = rng.below(4) == 0;
+        let mut idx: Vec<Value> = (0..lanes as i64)
+            .map(|l| match long {
+                true => Value::Long(base + stride * l),
+                false => Value::Int((base + stride * l) as i32),
+            })
+            .collect();
+        match rng.below(6) {
+            0 | 1 => {
+                idx[middle(&mut rng)] = Value::Int([-1, LEN as i32, 1000][rng.below(3) as usize])
+            }
+            2 => idx[middle(&mut rng)] = Value::Double(1.0),
+            _ => {}
+        }
+        let regs = [
+            arrs,
+            idx,
+            row(&mut rng, lanes),
+            row(&mut rng, lanes),
+            vec![Value::Bool(false); lanes],
+            row(&mut rng, lanes),
+        ]
+        .concat();
+        let mut bound = vec![full; 6];
+        if rng.below(8) == 0 {
+            bound[ARR] &= !bit(middle(&mut rng));
+        }
+        bound[VAR] = [0, full, rng.next_u64() as u32 & full][rng.below(3) as usize];
+        Case {
+            lanes,
+            live,
+            regs,
+            bound,
+        }
+    }
+
+    /// Device memory holding array 0 (`double[LEN]`) and array 1
+    /// (`int[LEN]`).
+    fn device() -> DeviceMemory {
+        let mut heap = Heap::new();
+        let a = heap.alloc_doubles(&(0..LEN).map(|i| i as f64 * 0.5).collect::<Vec<_>>());
+        let b = heap.alloc_ints(&(0..LEN as i32).map(|i| i * 3 - 7).collect::<Vec<_>>());
+        let mut dev = DeviceMemory::new();
+        let cfg = DeviceConfig::default();
+        for id in [a, b] {
+            dev.copy_in(&heap, id, 0, LEN as usize, &cfg).unwrap();
+        }
+        dev
+    }
+
+    fn exec<M: LaneMemory + ?Sized, A: Accounting>(
+        op: Op,
+        rf: &mut LaneRegs,
+        lc: LaneCtx,
+        ctx: &mut WarpCtx<'_, M, A>,
+    ) -> Result<(), SimtError> {
+        let arr = VarId(ARR as u32);
+        match op {
+            Op::Load => rf.load(lc, DST, ARR, arr, IDX, ctx),
+            Op::Store => rf.store(lc, ARR, arr, IDX, A, ctx),
+            Op::Binary(o) => rf.binary(lc, o, DST, A, B, CLASSES, ctx),
+            Op::Unary(o) => rf.unary(lc, o, DST, A, CLASSES, ctx),
+            Op::Cast(ty) => rf.cast(lc, ty, DST, A, ctx),
+            Op::Decl(ty, init) => rf.decl(lc, DST, ty, init.then_some(A), ctx),
+            Op::Assign => rf.assign(lc, VAR, A, ctx),
+        }
+    }
+
+    /// What one execution leaves: its outcome, registers, boundness, and
+    /// device memory, floats as bits.
+    type Trace = (
+        Result<(), SimtError>,
+        Vec<(u8, u64)>,
+        Vec<u32>,
+        Vec<(u8, u64)>,
+    );
+
+    fn trace(res: Result<(), SimtError>, rf: &LaneRegs, dev: &DeviceMemory) -> Trace {
+        let mem = (0..2)
+            .flat_map(|a| (0..LEN as usize).map(move |i| (a, i)))
+            .map(|(a, i)| bits(dev.array(ArrayId(a)).unwrap().get(i)))
+            .collect();
+        (
+            res,
+            rf.regs.iter().map(|v| bits(*v)).collect(),
+            rf.bound.clone(),
+            mem,
+        )
+    }
+
+    /// `op` on the case under the GPU's accounting and under the CPU's,
+    /// each against a fresh copy of [`device`] behind `wrap`. Returns both
+    /// traces, the GPU's stats, and the CPU's counts lane by lane.
+    fn run(
+        op: Op,
+        c: &Case,
+        wrap: impl Fn(&mut DeviceMemory, &mut dyn FnMut(&mut dyn LaneMemory)),
+    ) -> (Trace, WarpStats, Trace, Vec<OpCounts>) {
+        let cfg = DeviceConfig::default();
+        let iters: Vec<u64> = (100..100 + c.lanes as u64).collect();
+        let lc = LaneCtx {
+            lanes: c.lanes,
+            live: c.live,
+            base: 0,
+            bbase: 0,
+        };
+        let fresh = || LaneRegs {
+            regs: c.regs.clone(),
+            bound: c.bound.clone(),
+            ..LaneRegs::default()
+        };
+        let (mut stats, mut tally) = (WarpStats::new(), LaneCounts::new());
+        tally.begin(c.lanes, u64::MAX);
+        let (mut gpu_rf, mut cpu_rf) = (fresh(), fresh());
+        let (mut gpu_dev, mut cpu_dev) = (device(), device());
+        let mut gpu_res = Ok(());
+        wrap(&mut gpu_dev, &mut |mem| {
+            let acct = WarpIssue {
+                stats: &mut stats,
+                cfg: &cfg,
+            };
+            let mut ctx = WarpCtx {
+                mem,
+                acct,
+                iters: &iters,
+                warp_id: 3,
+            };
+            gpu_res = exec(op, &mut gpu_rf, lc, &mut ctx);
+        });
+        let mut cpu_res = Ok(());
+        wrap(&mut cpu_dev, &mut |mem| {
+            let mut ctx = WarpCtx {
+                mem,
+                acct: &mut tally,
+                iters: &iters,
+                warp_id: 0,
+            };
+            cpu_res = exec(op, &mut cpu_rf, lc, &mut ctx);
+        });
+        let per_lane = (0..c.lanes)
+            .map(|l| {
+                let mut one = OpCounts::new();
+                tally.fold(l..l + 1, &mut one);
+                one
+            })
+            .collect();
+        (
+            trace(gpu_res, &gpu_rf, &gpu_dev),
+            stats,
+            trace(cpu_res, &cpu_rf, &cpu_dev),
+            per_lane,
+        )
+    }
+
+    /// The lane-by-lane semantics of a register instruction: `ops::*` and
+    /// the walker's conversions, lane by lane in order, the first error
+    /// winning; with the GPU's one issue and the CPU's per-lane class.
+    fn by_lane(op: Op, c: &Case) -> (Trace, WarpStats, Vec<OpCounts>) {
+        let cfg = DeviceConfig::default();
+        let n = c.lanes;
+        let mut regs = c.regs.clone();
+        let mut bound = c.bound.clone();
+        let row = |r: usize, l: usize| r * n + l;
+        let live: Vec<usize> = (0..n).filter(|&l| c.live & bit(l) != 0).collect();
+        let float = |l: usize| match op {
+            Op::Binary(_) => is_float(regs[row(A, l)]) || is_float(regs[row(B, l)]),
+            _ => is_float(regs[row(A, l)]),
+        };
+        let cls = |l: usize| match op {
+            Op::Cast(_) => OpClass::Cast,
+            Op::Decl(..) | Op::Assign => OpClass::Move,
+            _ if float(l) => CLASSES.1,
+            _ => CLASSES.0,
+        };
+        let mut stats = WarpStats::new();
+        stats.charge(cls(live[0]), &cfg.cost);
+        let per_lane = (0..n)
+            .map(|l| {
+                let mut one = OpCounts::new();
+                if c.live & bit(l) != 0 {
+                    one.record(cls(l));
+                }
+                one
+            })
+            .collect();
+        let mut res = Ok(());
+        for &l in &live {
+            let v = regs[row(A, l)];
+            let out = match op {
+                Op::Binary(o) => ops::binary(o, v, regs[row(B, l)]).map(|r| (DST, r)),
+                Op::Unary(o) => ops::unary(o, v).map(|r| (DST, r)),
+                Op::Cast(ty) => v.cast(ty).map(|r| (DST, r)).ok_or(ExecError::InvalidCast {
+                    from: format!("{v}"),
+                    to: ty,
+                }),
+                Op::Decl(ty, false) => Ok((DST, ty.zero())),
+                Op::Decl(ty, true) => v.cast(ty).map(|r| (DST, r)).ok_or(ExecError::TypeMismatch {
+                    expected: ty.to_string(),
+                    found: format!("{v}"),
+                }),
+                Op::Assign => match regs[row(VAR, l)].ty() {
+                    Some(ty) if c.bound[VAR] & bit(l) != 0 => {
+                        v.cast(ty).map(|r| (VAR, r)).ok_or(ExecError::TypeMismatch {
+                            expected: ty.to_string(),
+                            found: format!("{v}"),
+                        })
+                    }
+                    _ => Ok((VAR, v)),
+                },
+                Op::Load | Op::Store => unreachable!("memory ops run against `PerLane`"),
+            };
+            match out {
+                Ok((r, v)) => regs[row(r, l)] = v,
+                Err(error) => {
+                    res = Err(SimtError::Lane {
+                        iter: 100 + l as u64,
+                        error,
+                    });
+                    break;
+                }
+            }
+        }
+        if res.is_ok() {
+            match op {
+                Op::Decl(..) => bound[DST] |= c.live,
+                Op::Assign => bound[VAR] |= c.live,
+                _ => {}
+            }
+        }
+        let rf = LaneRegs {
+            regs,
+            bound,
+            ..LaneRegs::default()
+        };
+        (trace(res, &rf, &device()), stats, per_lane)
+    }
+
+    fn random_op(rng: &mut TestRng) -> Op {
+        let ty = [Ty::Int, Ty::Long, Ty::Float, Ty::Double, Ty::Bool][rng.below(5) as usize];
+        match rng.below(8) {
+            0 | 1 => Op::Load,
+            2 => Op::Store,
+            3 => Op::Binary(OPS[rng.below(OPS.len() as u64) as usize]),
+            4 => Op::Unary([UnOp::Neg, UnOp::Not, UnOp::BitNot][rng.below(3) as usize]),
+            5 => Op::Cast(ty),
+            6 => Op::Decl(ty, rng.below(4) != 0),
+            _ => Op::Assign,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+
+        /// The whole-warp fast paths — the typed sweeps and the one-gather
+        /// load — against the lane-by-lane path, under random masks,
+        /// mixed-type rows, two arrays in one warp and bad indices on a
+        /// middle lane: the same registers, memory, accounting, failing
+        /// lane and error text, on device memory and a journal over it.
+        #[test]
+        fn fast_paths_equal_the_lane_by_lane_path(seed in any::<u64>()) {
+            let c = case(seed);
+            let op = random_op(&mut TestRng::from_seed(!seed));
+            for journaled in [false, true] {
+                let direct = |dev: &mut DeviceMemory, f: &mut dyn FnMut(&mut dyn LaneMemory)| {
+                    match journaled {
+                        false => f(dev),
+                        true => f(&mut JournaledMemory::new(dev)),
+                    }
+                };
+                let (gpu, stats, cpu, counts) = run(op, &c, direct);
+                let (want, want_stats, want_counts) = match op {
+                    Op::Load | Op::Store => {
+                        let per_lane = |dev: &mut DeviceMemory, f: &mut dyn FnMut(&mut dyn LaneMemory)| {
+                            match journaled {
+                                false => f(&mut PerLane(dev)),
+                                true => f(&mut PerLane(&mut JournaledMemory::new(dev))),
+                            }
+                        };
+                        let (want, want_stats, want_cpu, want_counts) = run(op, &c, per_lane);
+                        prop_assert_eq!(&cpu, &want_cpu, "{:?} cpu, journaled {}", op, journaled);
+                        (want, want_stats, want_counts)
+                    }
+                    _ => by_lane(op, &c),
+                };
+                prop_assert_eq!(&gpu, &want, "{:?} gpu, journaled {}", op, journaled);
+                prop_assert_eq!(&cpu.0, &want.0, "{:?} cpu outcome", op);
+                if want.0.is_ok() {
+                    prop_assert_eq!(&cpu, &want, "{:?} cpu, journaled {}", op, journaled);
+                    prop_assert_eq!(&counts, &want_counts, "{:?} cpu counts", op);
+                    prop_assert_eq!(&stats, &want_stats, "{:?} gpu stats", op);
+                }
+            }
+        }
     }
 }

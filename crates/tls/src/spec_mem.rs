@@ -888,6 +888,50 @@ mod tests {
         assert_eq!(sm.entries(), 3);
     }
 
+    /// The lane sweeps load a whole warp in one gather only from a memory
+    /// that hands its arrays out; speculative memory must not, or the
+    /// loads a warp issues would go unrecorded and a cross-lane read of an
+    /// earlier lane's store would pass the DC phase.
+    #[test]
+    fn a_speculative_warp_records_every_lane_load() {
+        let program = japonica_frontend::compile_source(
+            "static void f(long[] a, int n) {
+                /* acc parallel */
+                for (int i = 1; i < n; i++) { a[i] = a[i - 1] + 1; }
+            }",
+        )
+        .unwrap();
+        let f = &program.functions[0];
+        let loop_ = f.all_loops()[0].clone();
+        let kernel = japonica_ir::compile_kernel(&program, &loop_).unwrap();
+        let (mut dev, a) = device_with_array(&[0; 9]);
+        let mut env = japonica_ir::Env::with_slots(f.num_vars);
+        env.set(f.params[0].var, Value::Array(a));
+        env.set(f.params[1].var, Value::Int(9));
+        let bounds = japonica_ir::LoopBounds {
+            start: 1,
+            end: 9,
+            step: 1,
+        };
+        let iters: Vec<u64> = (0..8).collect();
+        let mut sm = SpeculativeMemory::new(&mut dev, 8.0);
+        assert!(sm.plain(a).is_none());
+        japonica_gpusim::SimtVm::new()
+            .run_warp(
+                &kernel,
+                loop_.var,
+                &bounds,
+                &iters,
+                &env,
+                0,
+                &mut sm,
+                &DeviceConfig::default(),
+            )
+            .unwrap();
+        assert_eq!(sm.entries(), 16, "eight loads and eight stores");
+        assert_eq!(sm.check().violating_iters, (1..8).collect::<Vec<u64>>());
+    }
+
     #[test]
     fn oob_store_faults_during_se() {
         let (mut dev, a) = device_with_array(&[0; 2]);
