@@ -20,9 +20,11 @@
 //! it on the scalar path — the owner of every error.
 
 use crate::executor::Independence;
-use japonica_gpusim::{AccessCtx, JournaledMemory, LaneCounts, LaneMemory, LanePlan, SimtVm};
+use japonica_gpusim::{
+    gather_warp, AccessCtx, JournaledMemory, LaneCounts, LaneMemory, LanePlan, SimtVm, WarpAccess,
+};
 use japonica_ir::{
-    ArrayData, ArrayId, CompiledKernel, Env, ExecError, Heap, LoopBounds, OpCounts, Value, VarId,
+    ArrayId, CompiledKernel, Env, ExecError, Heap, LoopBounds, OpCounts, Value, VarId,
 };
 use std::hash::{BuildHasher, RandomState};
 use std::ops::Range;
@@ -88,8 +90,8 @@ impl LaneMemory for HeapLanes<'_> {
     }
 
     /// Loads read the heap as it is; only stores are logged.
-    fn plain(&self, arr: ArrayId) -> Option<&ArrayData> {
-        self.heap.array(arr).ok()
+    fn load_warp(&mut self, acc: &WarpAccess<'_>, row: &mut [Value]) -> usize {
+        gather_warp(acc, row, |arr| self.heap.array(arr).ok())
     }
 }
 
@@ -284,10 +286,10 @@ impl<M: UndoLanes> LaneMemory for Checked<M> {
     }
 
     /// A checked batch must see every load; a proven one reads through.
-    fn plain(&self, arr: ArrayId) -> Option<&ArrayData> {
+    fn load_warp(&mut self, acc: &WarpAccess<'_>, row: &mut [Value]) -> usize {
         match self.touched {
-            Some(_) => None,
-            None => self.mem.plain(arr),
+            Some(_) => 0,
+            None => self.mem.load_warp(acc, row),
         }
     }
 }
@@ -580,7 +582,12 @@ mod tests {
             let runs = [Independence::Proven, Independence::Unproven].map(|independence| {
                 let (mut heap, mut env) = (heap.clone(), env.clone());
                 let mut mem = Checked::new(HeapLanes::new(&mut heap), independence);
-                let gathers = ids.iter().all(|&a| mem.plain(a).is_some());
+                let iters = [0u64; 2];
+                let gathers = ids.iter().all(|&a| {
+                    let lanes = [(0, a, 0), (1, a, 1)];
+                    let acc = WarpAccess { warp: 0, iters: &iters, lanes: &lanes };
+                    mem.load_warp(&acc, &mut [Value::Int(0); 2]) == 2
+                });
                 if let Some(touched) = &mut mem.touched {
                     touched.next_batch();
                 }

@@ -35,8 +35,8 @@ pub use kernel::{
     launch_loop_par_with, KernelReport,
 };
 pub use memory::{
-    AccessCtx, DeviceMemory, JournaledMemory, LaneMemory, ParallelLaneMemory, ShadowView, Transfer,
-    WriteList,
+    gather_warp, AccessCtx, DeviceMemory, JournaledMemory, LaneMemory, ParallelLaneMemory,
+    ShadowView, Transfer, WarpAccess, WriteList,
 };
 pub use native::{compile_native_warp, NativeSimtVm, NativeWarpKernel};
 pub use simt::{SimtError, SimtExec};

@@ -55,16 +55,127 @@ pub trait LaneMemory {
     fn overhead_cycles(&self) -> f64 {
         0.0
     }
-    /// The array behind `arr`, when loading from it is nothing but reading
-    /// it: for every `ctx` and every in-bounds `idx`, [`load`](LaneMemory::load)
-    /// returns `Ok(element idx)` of what this returns, and has no other
-    /// effect. The lane sweeps then load a whole warp from one array in a
-    /// single typed gather. A memory that records, buffers or redirects
-    /// loads must keep the default, `None`, which sends every load through
-    /// [`load`](LaneMemory::load).
-    fn plain(&self, _arr: ArrayId) -> Option<&ArrayData> {
-        None
+    /// Load a prefix of a warp access's lanes, in lane order, into
+    /// `row[lane]`; returns how many lanes it loaded. It stops before the
+    /// first lane whose [`load`](LaneMemory::load) would fail, so loading the
+    /// remaining lanes one by one raises exactly that lane's error, and
+    /// whatever it records or buffers is exactly what calling `load` on each
+    /// loaded lane in order records or buffers. [`WarpAccess::load`] is the
+    /// one caller. The default loads nothing: every lane goes through `load`.
+    fn load_warp(&mut self, _acc: &WarpAccess<'_>, _row: &mut [Value]) -> usize {
+        0
     }
+    /// [`load_warp`](LaneMemory::load_warp) for stores: store `row[lane]`
+    /// for a prefix of the lanes, in lane order, stopping before the first
+    /// lane whose [`store`](LaneMemory::store) would fail.
+    fn store_warp(&mut self, _acc: &WarpAccess<'_>, _row: &[Value]) -> usize {
+        0
+    }
+}
+
+/// One warp memory access as the lane sweeps hand it to a [`LaneMemory`]:
+/// every accessing lane's `(lane, array, index)`, lanes ascending, and the
+/// iterations the lanes run.
+#[derive(Debug, Clone, Copy)]
+pub struct WarpAccess<'a> {
+    /// Global warp index within the kernel.
+    pub warp: u32,
+    /// The loop iteration of every lane of the warp, indexed by lane.
+    pub iters: &'a [u64],
+    /// `(lane, array, index)` of each accessing lane, lanes ascending.
+    pub lanes: &'a [(usize, ArrayId, i64)],
+}
+
+impl<'a> WarpAccess<'a> {
+    /// The context of lane `lane`'s access.
+    #[inline]
+    fn ctx(&self, lane: usize) -> AccessCtx {
+        AccessCtx {
+            lane: lane as u32,
+            warp: self.warp,
+            iter: self.iters[lane],
+        }
+    }
+
+    /// Runs of consecutive lanes naming one array, in lane order — in
+    /// practice the whole warp is one run.
+    pub fn runs(&self) -> impl Iterator<Item = (ArrayId, &'a [(usize, ArrayId, i64)])> {
+        self.lanes
+            .chunk_by(|a, b| a.1 == b.1)
+            .map(|run| (run[0].1, run))
+    }
+
+    /// Load every lane into `row[lane]`: the memory's
+    /// [`load_warp`](LaneMemory::load_warp), then lane by lane from the
+    /// first lane it left. The first lane that fails ends the access with
+    /// its lane and error.
+    pub fn load<M: LaneMemory + ?Sized>(
+        &self,
+        mem: &mut M,
+        row: &mut [Value],
+    ) -> Result<(), (usize, ExecError)> {
+        let done = mem.load_warp(self, row);
+        for &(l, arr, idx) in &self.lanes[done..] {
+            row[l] = mem.load(self.ctx(l), arr, idx).map_err(|e| (l, e))?;
+        }
+        Ok(())
+    }
+
+    /// Store `row[lane]` on every lane: [`store_warp`](LaneMemory::store_warp),
+    /// then lane by lane, like [`load`](WarpAccess::load).
+    pub fn store<M: LaneMemory + ?Sized>(
+        &self,
+        mem: &mut M,
+        row: &[Value],
+    ) -> Result<(), (usize, ExecError)> {
+        let done = mem.store_warp(self, row);
+        for &(l, arr, idx) in &self.lanes[done..] {
+            mem.store(self.ctx(l), arr, idx, row[l])
+                .map_err(|e| (l, e))?;
+        }
+        Ok(())
+    }
+}
+
+/// [`LaneMemory::load_warp`] for a memory whose loads are nothing but
+/// reads of the arrays `array` resolves: one typed gather per run of lanes
+/// naming one array, up to the first unknown array or index out of bounds.
+pub fn gather_warp<'d>(
+    acc: &WarpAccess<'_>,
+    row: &mut [Value],
+    array: impl Fn(ArrayId) -> Option<&'d ArrayData>,
+) -> usize {
+    #[inline(always)]
+    fn run<T: Copy>(
+        elems: &[T],
+        lanes: &[(usize, ArrayId, i64)],
+        row: &mut [Value],
+        val: impl Fn(T) -> Value,
+    ) -> usize {
+        for (k, &(l, _, i)) in lanes.iter().enumerate() {
+            match usize::try_from(i).ok().and_then(|i| elems.get(i)) {
+                Some(&x) => row[l] = val(x),
+                None => return k,
+            }
+        }
+        lanes.len()
+    }
+    let mut done = 0;
+    for (arr, lanes) in acc.runs() {
+        let Some(data) = array(arr) else { break };
+        let n = match data {
+            ArrayData::Bool(v) => run(v, lanes, row, Value::Bool),
+            ArrayData::Int(v) => run(v, lanes, row, Value::Int),
+            ArrayData::Long(v) => run(v, lanes, row, Value::Long),
+            ArrayData::Float(v) => run(v, lanes, row, Value::Float),
+            ArrayData::Double(v) => run(v, lanes, row, Value::Double),
+        };
+        done += n;
+        if n < lanes.len() {
+            break;
+        }
+    }
+    done
 }
 
 /// Lane memory that can hand each warp an independent, sendable view for
@@ -347,8 +458,8 @@ impl LaneMemory for DeviceMemory {
     }
 
     #[inline]
-    fn plain(&self, arr: ArrayId) -> Option<&ArrayData> {
-        self.array(arr).ok()
+    fn load_warp(&mut self, acc: &WarpAccess<'_>, row: &mut [Value]) -> usize {
+        gather_warp(acc, row, |arr| self.array(arr).ok())
     }
 }
 
@@ -525,8 +636,8 @@ impl LaneMemory for JournaledMemory<'_> {
 
     /// Loads read device memory as it is; only stores are journaled.
     #[inline]
-    fn plain(&self, arr: ArrayId) -> Option<&ArrayData> {
-        self.dev.plain(arr)
+    fn load_warp(&mut self, acc: &WarpAccess<'_>, row: &mut [Value]) -> usize {
+        self.dev.load_warp(acc, row)
     }
 }
 
@@ -762,22 +873,48 @@ mod tests {
     }
 
     #[test]
-    fn plain_hands_out_resident_arrays_and_never_a_buffered_view() {
+    fn load_warp_gathers_resident_arrays_and_never_through_a_buffered_view() {
         let mut host = Heap::new();
         let a = host.alloc_ints(&[1, 2, 3]);
+        let b = host.alloc_doubles(&[0.5, 1.5]);
         let mut dev = DeviceMemory::new();
-        dev.copy_in(&host, a, 0, 3, &DeviceConfig::default())
-            .unwrap();
+        let cfg = DeviceConfig::default();
+        dev.copy_in(&host, a, 0, 3, &cfg).unwrap();
+        dev.copy_in(&host, b, 0, 2, &cfg).unwrap();
         let missing = ArrayId(7);
-        assert_eq!(dev.plain(a), Some(dev.array(a).unwrap()));
-        assert_eq!(dev.plain(missing), None);
-        // A shadow view answers from its overlay first.
-        assert_eq!(dev.fork().plain(a), None);
-        // A journal logs stores, not loads.
+        let iters = [10u64, 11, 12, 13];
+        let warp = |lanes| WarpAccess {
+            warp: 0,
+            iters: &iters,
+            lanes,
+        };
+        let mut row = [Value::Bool(false); 4];
+        // Runs of two arrays gather up to the unknown array; the lane by
+        // lane tail raises its error on that lane.
+        let mixed = [(0, a, 2), (1, b, 1), (2, missing, 0), (3, a, 1)];
+        assert_eq!(dev.load_warp(&warp(&mixed), &mut row), 2);
+        assert_eq!(row[..2], [Value::Int(3), Value::Double(1.5)]);
+        assert_eq!(
+            warp(&mixed).load(&mut dev, &mut row),
+            Err((2, ExecError::UnknownArray(missing)))
+        );
+        // An index out of bounds on a middle lane stops the gather there.
+        let oob = [(0, a, 0), (2, a, 3), (3, a, 1)];
+        assert_eq!(dev.load_warp(&warp(&oob), &mut row), 1);
+        assert!(matches!(
+            warp(&oob).load(&mut dev, &mut row),
+            Err((2, ExecError::IndexOutOfBounds { index: 3, .. }))
+        ));
+        // A shadow view answers from its overlay first: lane by lane.
+        let whole = [(0, a, 1), (1, a, 2)];
+        assert_eq!(dev.fork().load_warp(&warp(&whole), &mut row), 0);
+        // A journal logs stores, not loads: it gathers what it wrote through.
         let mut j = JournaledMemory::new(&mut dev);
         j.store(ctx(), a, 1, Value::Int(20)).unwrap();
-        assert_eq!(j.plain(a).map(|d| d.get(1)), Some(Value::Int(20)));
-        assert_eq!(j.plain(missing), None);
+        assert_eq!(j.load_warp(&warp(&whole), &mut row), 2);
+        assert_eq!(row[..2], [Value::Int(20), Value::Int(3)]);
+        // No memory here buffers stores: every lane goes through `store`.
+        assert_eq!(j.store_warp(&warp(&whole), &row), 0);
     }
 
     #[test]

@@ -23,7 +23,9 @@ use crate::config::DeviceConfig;
 use crate::memory::LaneMemory;
 use crate::simt::SimtError;
 use crate::stats::WarpStats;
-use crate::warp::{bit, each_lane, for_lanes, Accounting, Frame, LaneCtx, LaneRegs, WarpIssue};
+use crate::warp::{
+    bit, each_lane, for_lanes, Access, Accounting, Frame, LaneCtx, LaneRegs, WarpIssue,
+};
 use japonica_ir::bytecode::{CompiledKernel, Instr};
 use japonica_ir::{BinOp, Env, ExecError, LoopBounds, OpClass, ParamTy, Value, VarId};
 
@@ -269,8 +271,13 @@ impl Lowerer<'_> {
             // arrays and indices per lane at the access itself.
             Instr::GuardArray { .. } | Instr::CheckIdx { .. } => Box::new(|_, _, _, _| Ok(())),
             Instr::Load { dst, arr, var, idx } => {
-                let (dst, arr, var, idx) = (*dst as usize, *arr as usize, *var, *idx as usize);
-                Box::new(move |vm, lc, _f, ctx| vm.rf.load(lc, dst, arr, var, idx, ctx))
+                let dst = *dst as usize;
+                let at = Access {
+                    arr: *arr as usize,
+                    var: *var,
+                    idx: *idx as usize,
+                };
+                Box::new(move |vm, lc, _f, ctx| vm.rf.load(lc, dst, at, ctx))
             }
             Instr::Len { dst, arr, var } => {
                 let (dst, arr, var) = (*dst as usize, *arr as usize, *var);
@@ -291,12 +298,8 @@ impl Lowerer<'_> {
                 Box::new(move |vm, lc, _f, ctx| {
                     ctx.acct.op(OpClass::Call, lc.live);
                     let c = &callee;
-                    let nbase = vm.rf.regs.len();
-                    let nbbase = vm.rf.bound.len();
-                    vm.rf
-                        .regs
-                        .resize(nbase + c.num_regs * lc.lanes, Value::Int(0));
-                    vm.rf.bound.resize(nbbase + c.num_vars, 0);
+                    let frame_at = vm.rf.push_frame((c.num_regs, c.num_vars), lc.lanes);
+                    let (nbase, nbbase) = frame_at;
                     // Lane-major binding, like the walker's per-lane envs.
                     let bound = for_lanes(lc.lanes, lc.live, |l| {
                         for (i, (preg, pty)) in c.params.iter().enumerate() {
@@ -337,8 +340,7 @@ impl Lowerer<'_> {
                             .map(|()| callee_frame)
                         }
                     };
-                    vm.rf.regs.truncate(nbase);
-                    vm.rf.bound.truncate(nbbase);
+                    vm.rf.pop_frame(frame_at);
                     let callee_frame = res?;
                     if c.check_returned && lc.live & !callee_frame.returned != 0 {
                         return Err(SimtError::Unsupported(format!(
@@ -433,8 +435,13 @@ impl Lowerer<'_> {
                 Box::new(move |vm, lc, _f, ctx| vm.rf.assign(lc, var, src, ctx))
             }
             Instr::Store { arr, var, idx, val } => {
-                let (arr, var, idx, val) = (*arr as usize, *var, *idx as usize, *val as usize);
-                Box::new(move |vm, lc, _f, ctx| vm.rf.store(lc, arr, var, idx, val, ctx))
+                let val = *val as usize;
+                let at = Access {
+                    arr: *arr as usize,
+                    var: *var,
+                    idx: *idx as usize,
+                };
+                Box::new(move |vm, lc, _f, ctx| vm.rf.store(lc, at, val, ctx))
             }
             Instr::NewArray { .. } => Box::new(|_, _, _, _| {
                 Err(SimtError::Unsupported(

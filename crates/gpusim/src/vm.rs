@@ -26,9 +26,13 @@
 //!   which cannot fail on it, runs as one unboxed pass (or a row move); the
 //!   first lane that does not fit hands the instruction to the lane-by-lane
 //!   path, which owns every error;
-//! * **one gather per warp load**: when every lane names the same array and
-//!   the memory hands it out (`LaneMemory::plain`), a load is one typed
-//!   gather from it, bounds-checked in lane order.
+//! * **one warp memory hook**: a load or store reads its array and index
+//!   rows typed once per warp and hands every lane to the memory at once
+//!   (`LaneMemory::load_warp` / `store_warp`) — a typed gather for memories
+//!   that read arrays as they are, one pass per warp for the speculative
+//!   ones — which completes a lane-order prefix; the rest go lane by lane;
+//! * **register frames without zero-fill**: a call's register window is
+//!   carved from a stack that keeps its length, and nothing clears it.
 //!
 //! The register file and every straight-line lane sweep (moves, operators,
 //! casts, memory accesses) live in `warp.rs`, shared with the native tier;
@@ -39,7 +43,8 @@ use crate::memory::LaneMemory;
 use crate::simt::SimtError;
 use crate::stats::WarpStats;
 use crate::warp::{
-    bit, each_lane, for_lanes, Accounting, Frame, LaneCounts, LaneCtx, LaneRegs, WarpCtx, WarpIssue,
+    bit, each_lane, for_lanes, Access, Accounting, Frame, LaneCounts, LaneCtx, LaneRegs, WarpCtx,
+    WarpIssue,
 };
 use japonica_ir::bytecode::{CompiledKernel, Instr, Reg};
 use japonica_ir::{BinOp, Env, ExecError, LoopBounds, OpClass, Value, VarId};
@@ -315,8 +320,12 @@ impl SimtVm {
                 // arrays and indices per lane at the access itself.
                 Instr::GuardArray { .. } | Instr::CheckIdx { .. } => {}
                 Instr::Load { dst, arr, var, idx } => {
-                    self.rf
-                        .load(lc, *dst as usize, *arr as usize, *var, *idx as usize, ctx)?
+                    let at = Access {
+                        arr: *arr as usize,
+                        var: *var,
+                        idx: *idx as usize,
+                    };
+                    self.rf.load(lc, *dst as usize, at, ctx)?
                 }
                 Instr::Len { dst, arr, var } => {
                     self.rf.len(lc, *dst as usize, *arr as usize, *var, ctx)?
@@ -332,12 +341,10 @@ impl SimtVm {
                     ctx.acct.op(OpClass::Call, live);
                     let callee = *chunk as usize;
                     let c = &k.chunks[callee];
-                    let nbase = self.rf.regs.len();
-                    let nbbase = self.rf.bound.len();
-                    self.rf
-                        .regs
-                        .resize(nbase + c.num_regs as usize * lanes, Value::Int(0));
-                    self.rf.bound.resize(nbbase + c.num_vars as usize, 0);
+                    let frame_at = self
+                        .rf
+                        .push_frame((c.num_regs as usize, c.num_vars as usize), lanes);
+                    let (nbase, nbbase) = frame_at;
                     // Lane-major binding, like the walker's per-lane envs.
                     let bound = for_lanes(lanes, live, |l| {
                         for (i, (preg, pty)) in c.params.iter().enumerate() {
@@ -383,8 +390,7 @@ impl SimtVm {
                             .map(|()| callee_frame)
                         }
                     };
-                    self.rf.regs.truncate(nbase);
-                    self.rf.bound.truncate(nbbase);
+                    self.rf.pop_frame(frame_at);
                     let callee_frame = res?;
                     if c.check_returned && live & !callee_frame.returned != 0 {
                         return Err(SimtError::Unsupported(format!(
@@ -475,8 +481,12 @@ impl SimtVm {
                     self.rf.assign(lc, *var as usize, *src as usize, ctx)?
                 }
                 Instr::Store { arr, var, idx, val } => {
-                    self.rf
-                        .store(lc, *arr as usize, *var, *idx as usize, *val as usize, ctx)?
+                    let at = Access {
+                        arr: *arr as usize,
+                        var: *var,
+                        idx: *idx as usize,
+                    };
+                    self.rf.store(lc, at, *val as usize, ctx)?
                 }
                 Instr::NewArray { .. } => {
                     return Err(SimtError::Unsupported(
@@ -748,9 +758,14 @@ mod tests {
             end: n,
             step: 1,
         };
-        run_both(&p, &l, &bounds, &heap, &ids, &env);
+        let mut vms = (SimtVm::new(), crate::native::NativeSimtVm::new());
+        run_both(&p, &l, &bounds, &heap, &ids, &env, &mut vms);
     }
 
+    /// Run one warp of `l` at 1, 5 and 32 lanes through the tree walker and
+    /// through the bytecode and native VMs of `vms` — which keep whatever
+    /// register stacks earlier warps left — asserting bit-identical stats,
+    /// device memory, and error text.
     fn run_both(
         p: &Program,
         l: &ForLoop,
@@ -758,6 +773,7 @@ mod tests {
         heap: &Heap,
         ids: &[(ArrayId, usize)],
         env: &Env,
+        (vm, native_vm): &mut (SimtVm, crate::native::NativeSimtVm),
     ) {
         let cfg = DeviceConfig::default();
         let kernel = compile_kernel(p, l).expect("kernel should compile");
@@ -778,10 +794,8 @@ mod tests {
             }
             let iters: Vec<u64> = (0..lanes as u64).collect();
             let walker = SimtExec::new(p, &cfg).run_warp(l, bounds, &iters, env, 7, &mut dev_w);
-            let vm =
-                SimtVm::new().run_warp(&kernel, l.var, bounds, &iters, env, 7, &mut dev_v, &cfg);
-            let nat = crate::native::NativeSimtVm::new()
-                .run_warp(&native, l.var, bounds, &iters, env, 7, &mut dev_n, &cfg);
+            let vm = vm.run_warp(&kernel, l.var, bounds, &iters, env, 7, &mut dev_v, &cfg);
+            let nat = native_vm.run_warp(&native, l.var, bounds, &iters, env, 7, &mut dev_n, &cfg);
             for (name, other, dev) in [("bytecode", &vm, &dev_v), ("native", &nat, &dev_n)] {
                 match (&walker, other) {
                     (Ok(sw), Ok(sv)) => {
@@ -956,6 +970,85 @@ mod tests {
             end: 32,
             step: 1,
         };
-        run_both(&p, &l, &bounds, &heap, &[(ia, 64), (ib, 64)], &env);
+        let mut vms = (SimtVm::new(), crate::native::NativeSimtVm::new());
+        run_both(
+            &p,
+            &l,
+            &bounds,
+            &heap,
+            &[(ia, 64), (ib, 64)],
+            &env,
+            &mut vms,
+        );
+    }
+
+    /// Register windows are not cleared when they open. Run a kernel with
+    /// many registers, then — on the same VMs, over what it left — a kernel
+    /// that calls a helper twice per iteration under divergent masks, and
+    /// one that declares a variable on some lanes only: every result,
+    /// charge and error equals the walker's.
+    #[test]
+    fn stale_register_windows_are_never_read() {
+        let p = compile_source(
+            "static double helper(double x, int k) {
+                double t = x * 2.0;
+                if (k % 3 == 0) { return t + 1.0; }
+                double u = t - x;
+                return u * 0.5 + Math.sqrt(Math.abs(u));
+            }
+            static void wide(double[] a, double[] b, int n) {
+                /* acc parallel */
+                for (int i = 0; i < n; i++) {
+                    double p = a[i] * 1.5;
+                    double q = p + 2.0;
+                    double r = q * p - 1.0;
+                    double s = (r + q) * (p - r) / (q + 3.0);
+                    double t = Math.exp(s * 0.001) + Math.max(p, q) - Math.min(r, s);
+                    b[i] = ((p + q) * (r - s)) / (t + 1.0) + (p * q - r * s) * (t - p);
+                }
+            }
+            static void calls(double[] a, double[] b, int n) {
+                /* acc parallel */
+                for (int i = 0; i < n; i++) {
+                    double y = 0.0;
+                    if (i % 2 == 0) { y = helper(a[i], i); } else { y = helper(a[i] + 1.0, i + 1); }
+                    b[i] = helper(y, i) + y;
+                }
+            }
+            static void divergent_decl(double[] a, double[] b, int n) {
+                /* acc parallel */
+                for (int i = 0; i < n; i++) {
+                    if (i % 4 != 3) { double z = a[i]; b[i] = z; }
+                    b[i] = b[i] + helper(a[i], i);
+                }
+            }",
+        )
+        .unwrap();
+        let a: Vec<f64> = (0..32).map(|i| i as f64 * 0.75 - 9.0).collect();
+        let mut heap = Heap::new();
+        let (ia, ib) = (heap.alloc_doubles(&a), heap.alloc_doubles(&[0.0; 32]));
+        let bounds = LoopBounds {
+            start: 0,
+            end: 32,
+            step: 1,
+        };
+        let mut vms = (SimtVm::new(), crate::native::NativeSimtVm::new());
+        for name in ["wide", "calls", "wide", "divergent_decl"] {
+            let (_, f) = p.function_by_name(name).unwrap();
+            let l = f.all_loops()[0].clone();
+            let mut env = Env::with_slots(f.num_vars);
+            env.set(f.params[0].var, Value::Array(ia));
+            env.set(f.params[1].var, Value::Array(ib));
+            env.set(f.params[2].var, Value::Int(32));
+            run_both(
+                &p,
+                &l,
+                &bounds,
+                &heap,
+                &[(ia, 32), (ib, 32)],
+                &env,
+                &mut vms,
+            );
+        }
     }
 }

@@ -8,11 +8,13 @@
 //! Every sweep works on the whole warp: its lane loop is [`for_lanes`], a
 //! plain loop over the contiguous register row when every lane is live;
 //! a row of one type on which the instruction cannot fail runs as one
-//! typed pass ([`sweep`]) or a row move; a load from one array that the
-//! memory hands out ([`LaneMemory::plain`]) is one typed [`gather`]. What
-//! a fast form cannot take — a lane of another type, a zero divisor, an
-//! index out of bounds, a recording memory — falls through to the
-//! lane-by-lane path inside the same sweep, which owns every error.
+//! typed pass ([`sweep`]) or a row move — operators, casts, moves and the
+//! math intrinsics alike; a memory access reads its array and index rows
+//! typed once per warp ([`LaneRegs::touch`]) and hands the whole warp to
+//! the memory's warp hook ([`WarpAccess`]). What a fast form cannot take —
+//! a lane of another type, a zero divisor, an index out of bounds, a lane
+//! the hook stopped before — falls through to the lane-by-lane path inside
+//! the same sweep, which owns every error.
 //!
 //! What an instruction *costs* is an [`Accounting`] policy the sweeps are
 //! monomorphised over: [`WarpIssue`] is the GPU's (one issue per warp
@@ -21,13 +23,14 @@
 //! these same sweeps via [`crate::vm::SimtVm::run_lanes`].
 
 use crate::config::DeviceConfig;
-use crate::memory::{AccessCtx, LaneMemory};
+use crate::memory::{LaneMemory, WarpAccess};
 use crate::simt::SimtError;
 use crate::stats::WarpStats;
 use japonica_ir::{
-    ops, ArrayData, ArrayId, BinOp, Env, ExecError, Intrinsic, LoopBounds, OpClass, OpCounts, Ty,
-    UnOp, Value, VarId,
+    ops, ArrayId, BinOp, Env, ExecError, Intrinsic, LoopBounds, OpClass, OpCounts, Ty, UnOp, Value,
+    VarId,
 };
+use std::cmp::Ordering;
 use std::convert::{identity, Infallible};
 use std::num::Wrapping;
 use std::ops::{Add, BitAnd, BitOr, BitXor, Mul, Neg, Not, Range, Sub};
@@ -263,21 +266,22 @@ pub(crate) struct WarpCtx<'a, M: LaneMemory + ?Sized, A: Accounting> {
 }
 
 impl<M: LaneMemory + ?Sized, A: Accounting> WarpCtx<'_, M, A> {
-    #[inline]
-    pub fn access_ctx(&self, lane: usize) -> AccessCtx {
-        AccessCtx {
-            lane: lane as u32,
-            warp: self.warp_id,
-            iter: self.iters[lane],
-        }
-    }
-
     pub fn lane_err(&self, lane: usize, error: ExecError) -> SimtError {
         SimtError::Lane {
             iter: self.iters[lane],
             error,
         }
     }
+}
+
+/// Where a warp memory access finds its operands: the array variable's
+/// register (also its boundness slot), that variable (for error text), and
+/// the index register.
+#[derive(Clone, Copy)]
+pub(crate) struct Access {
+    pub arr: usize,
+    pub var: VarId,
+    pub idx: usize,
 }
 
 /// Per-instruction execution geometry: lane count, the live mask (already
@@ -324,22 +328,28 @@ pub(crate) fn charge_coalesced<M: LaneMemory + ?Sized>(
     cfg: &DeviceConfig,
 ) {
     seg_scratch.clear();
+    let seg_bytes = cfg.mem_segment_bytes as u64;
+    // A power-of-two segment size — every device model's — divides by a
+    // shift.
+    let shift = seg_bytes
+        .is_power_of_two()
+        .then_some(seg_bytes.trailing_zeros());
     let mut uncoalesced = 0u64;
-    let mut resolved: Option<(ArrayId, Option<(u64, u64)>)> = None;
-    for &(_, arr, idx) in touched {
-        let placement = match resolved {
-            Some((a, p)) if a == arr => p,
-            _ => {
-                let p = mem.placement(arr);
-                resolved = Some((arr, p));
-                p
-            }
+    for run in touched.chunk_by(|a, b| a.1 == b.1) {
+        let Some((base, elem)) = mem.placement(run[0].1) else {
+            uncoalesced += run.len() as u64;
+            continue;
         };
-        match placement {
-            Some((base, elem)) if idx >= 0 => {
-                seg_scratch.push((base + idx as u64 * elem) / cfg.mem_segment_bytes as u64)
+        for &(_, _, idx) in run {
+            if idx < 0 {
+                uncoalesced += 1;
+                continue;
             }
-            _ => uncoalesced += 1,
+            let addr = base + idx as u64 * elem;
+            seg_scratch.push(match shift {
+                Some(s) => addr >> s,
+                None => addr / seg_bytes,
+            });
         }
     }
     let segs = distinct(seg_scratch) + uncoalesced;
@@ -480,10 +490,10 @@ impl_int!(i64, u64, 0x3f);
 /// The typed sweep: `dst = f(a, b)` on every live lane as one unboxed pass
 /// that checks each lane's operands are `A` and `B` as it goes — no
 /// per-lane tag dispatch, no error path. The first lane whose operands are
-/// not, or on which `f` declines (`None`), abandons the sweep with nothing
-/// written and `false` returned, and the caller executes the instruction
-/// lane by lane through `ops::*`, which owns every error. A unary sweep
-/// passes its operand row twice.
+/// not, or on which `f` declines (`None`), abandons the sweep with `false`
+/// returned and the operands intact, and the caller executes the
+/// instruction lane by lane through `ops::*`, which owns every error. A
+/// unary sweep passes its operand row twice.
 #[inline(always)]
 fn sweep<A: Lane, B: Lane>(
     regs: &mut [Value],
@@ -491,15 +501,23 @@ fn sweep<A: Lane, B: Lane>(
     lc: LaneCtx,
     f: impl Fn(A, B) -> Option<Value>,
 ) -> bool {
-    // Results go through a scratch row: `dst` may be an operand row, and a
-    // sweep abandoned halfway must leave the operands for the fallback.
+    let lane = |regs: &[Value], l: usize| f(A::of(regs[oa + l])?, B::of(regs[ob + l])?);
+    if od != oa && od != ob {
+        // A destination apart from the operands is written in place: a
+        // sweep abandoned at lane `k` wrote only live lanes below `k`, to
+        // the values the fallback writes there again.
+        return lc
+            .try_each(|l| -> Result<(), ()> {
+                regs[od + l] = lane(regs, l).ok_or(())?;
+                Ok(())
+            })
+            .is_ok();
+    }
+    // Otherwise results go through a scratch row, so that a sweep abandoned
+    // halfway leaves the operands for the fallback.
     let mut out = [Value::Int(0); 32];
     let typed = lc.try_each(|l| -> Result<(), ()> {
-        let (x, y) = (
-            A::of(regs[oa + l]).ok_or(())?,
-            B::of(regs[ob + l]).ok_or(())?,
-        );
-        out[l] = f(x, y).ok_or(())?;
+        out[l] = lane(regs, l).ok_or(())?;
         Ok(())
     });
     if typed.is_err() {
@@ -587,32 +605,96 @@ fn not_sweep<T: Int>(regs: &mut [Value], rows: (usize, usize, usize), lc: LaneCt
     sweep(regs, rows, lc, |x: T, _: T| Some((!x).val()))
 }
 
-/// One typed gather: `row[l] = data[i]` for the `(lane, _, index)` triples
-/// in order, up to the first index out of bounds. Returns how many triples
-/// it loaded; the caller loads the rest lane by lane, which raises the
-/// error.
-fn gather(data: &ArrayData, touched: &[(usize, ArrayId, i64)], row: &mut [Value]) -> usize {
-    #[inline(always)]
-    fn run<T: Copy>(
-        elems: &[T],
-        touched: &[(usize, ArrayId, i64)],
-        row: &mut [Value],
-        val: impl Fn(T) -> Value,
-    ) -> usize {
-        for (k, &(l, _, i)) in touched.iter().enumerate() {
-            match usize::try_from(i).ok().and_then(|i| elems.get(i)) {
-                Some(&x) => row[l] = val(x),
-                None => return k,
-            }
-        }
-        touched.len()
+/// `dst = g(src)` as a [`sweep`] over a `double` row.
+#[inline(always)]
+fn f64_sweep(
+    regs: &mut [Value],
+    rows: (usize, usize, usize),
+    lc: LaneCtx,
+    g: impl Fn(f64) -> f64,
+) -> bool {
+    sweep(regs, rows, lc, |x: f64, _: f64| Some(Value::Double(g(x))))
+}
+
+/// `Math.max` (`max`) or `Math.min` as `ops::intrinsic` picks: the first
+/// operand unless the second is strictly greater (max) or strictly smaller
+/// (min), so unordered and equal operands — NaN, `-0.0` against `0.0` —
+/// give the first.
+#[inline]
+fn pick<T: PartialOrd>(max: bool, x: T, y: T) -> T {
+    let take_x = match x.partial_cmp(&y) {
+        Some(Ordering::Greater) => max,
+        Some(Ordering::Less) => !max,
+        _ => true,
+    };
+    if take_x {
+        x
+    } else {
+        y
     }
-    match data {
-        ArrayData::Bool(v) => run(v, touched, row, Value::Bool),
-        ArrayData::Int(v) => run(v, touched, row, Value::Int),
-        ArrayData::Long(v) => run(v, touched, row, Value::Long),
-        ArrayData::Float(v) => run(v, touched, row, Value::Float),
-        ArrayData::Double(v) => run(v, touched, row, Value::Double),
+}
+
+/// `Math.max` / `Math.min` as a [`sweep`] over two rows of one type `T`.
+fn pick_sweep<T: Lane + PartialOrd>(
+    regs: &mut [Value],
+    rows: (usize, usize, usize),
+    lc: LaneCtx,
+    max: bool,
+) -> bool {
+    sweep(regs, rows, lc, |x: T, y: T| Some(pick(max, x, y).val()))
+}
+
+/// `dst = f(args)` as a [`sweep`]: the one-operand functions over a
+/// `double` row, `pow` / `max` / `min` over two, and `abs` / `max` / `min`
+/// over `int` or `long` rows, each calling what `ops::intrinsic` calls for
+/// those types; `false` (nothing written) for anything else.
+fn intrinsic_sweep(
+    regs: &mut [Value],
+    lc: LaneCtx,
+    f: Intrinsic,
+    dst: usize,
+    args: &[usize],
+) -> bool {
+    let row = |r: usize| lc.base + r * lc.lanes;
+    let rows = match *args {
+        [a] if f.arity() == 1 => (row(a), row(a), row(dst)),
+        [a, b] if f.arity() == 2 => (row(a), row(b), row(dst)),
+        _ => return false,
+    };
+    let first = regs[rows.0 + lc.live.trailing_zeros() as usize];
+    let max = f == Intrinsic::Max;
+    match (f, first) {
+        (Intrinsic::Exp, Value::Double(_)) => f64_sweep(regs, rows, lc, f64::exp),
+        (Intrinsic::Log, Value::Double(_)) => f64_sweep(regs, rows, lc, f64::ln),
+        (Intrinsic::Sqrt, Value::Double(_)) => f64_sweep(regs, rows, lc, f64::sqrt),
+        (Intrinsic::Sin, Value::Double(_)) => f64_sweep(regs, rows, lc, f64::sin),
+        (Intrinsic::Cos, Value::Double(_)) => f64_sweep(regs, rows, lc, f64::cos),
+        (Intrinsic::Floor, Value::Double(_)) => f64_sweep(regs, rows, lc, f64::floor),
+        (Intrinsic::Ceil, Value::Double(_)) => f64_sweep(regs, rows, lc, f64::ceil),
+        (Intrinsic::Abs, Value::Double(_)) => f64_sweep(regs, rows, lc, f64::abs),
+        (Intrinsic::Abs, Value::Int(_)) => {
+            sweep(regs, rows, lc, |x: Wrapping<i32>, _: Wrapping<i32>| {
+                Some(Value::Int(x.0.wrapping_abs()))
+            })
+        }
+        (Intrinsic::Abs, Value::Long(_)) => {
+            sweep(regs, rows, lc, |x: Wrapping<i64>, _: Wrapping<i64>| {
+                Some(Value::Long(x.0.wrapping_abs()))
+            })
+        }
+        (Intrinsic::Pow, Value::Double(_)) => sweep(regs, rows, lc, |x: f64, y: f64| {
+            Some(Value::Double(x.powf(y)))
+        }),
+        (Intrinsic::Max | Intrinsic::Min, Value::Double(_)) => {
+            pick_sweep::<f64>(regs, rows, lc, max)
+        }
+        (Intrinsic::Max | Intrinsic::Min, Value::Int(_)) => {
+            pick_sweep::<Wrapping<i32>>(regs, rows, lc, max)
+        }
+        (Intrinsic::Max | Intrinsic::Min, Value::Long(_)) => {
+            pick_sweep::<Wrapping<i64>>(regs, rows, lc, max)
+        }
+        _ => false,
     }
 }
 
@@ -638,13 +720,22 @@ fn charge_per_lane<A: Accounting>(
 }
 
 /// The SoA lane register file: register `r` of lane `l` lives at
-/// `frame_base + r * lanes + l` in one flat arena reused across warps and
-/// grown only by call frames; per-variable boundness is a lane bitmask
-/// (the walker's per-lane `Env` occupancy).
+/// `frame_base + r * lanes + l` in one flat arena reused across warps;
+/// per-variable boundness is a lane bitmask (the walker's per-lane `Env`
+/// occupancy).
+///
+/// Frames are windows of a register stack that never shrinks, and no
+/// window is cleared when it opens: what an earlier warp or call left there
+/// is never read. A variable is read only on the lanes its `bound` mask
+/// says wrote it (and every frame's masks start clear); a temporary is
+/// written by the instruction that produces it, under the mask of every
+/// later read.
 #[derive(Debug, Default)]
 pub(crate) struct LaneRegs {
     pub regs: Vec<Value>,
     pub bound: Vec<u32>,
+    /// End of the innermost frame's window in `regs`.
+    top: usize,
     /// Reusable distinct-segment scratch for coalescing charges.
     seg_scratch: Vec<u64>,
 }
@@ -664,10 +755,9 @@ impl LaneRegs {
         assert!(warp_iters.len() <= 32, "register VM lanes bounded at 32");
         let lanes = warp_iters.len();
         let full = full_mask(lanes);
-        self.regs.clear();
-        self.regs.resize(num_regs * lanes, Value::Int(0));
+        self.top = 0;
         self.bound.clear();
-        self.bound.resize(num_vars, 0);
+        self.push_frame((num_regs, num_vars), lanes);
         for v in 0..num_vars {
             let vid = VarId(v as u32);
             if base_env.is_set(vid) {
@@ -683,6 +773,30 @@ impl LaneRegs {
         }
         self.bound[vi] = full;
         full
+    }
+
+    /// Open a frame of `num_regs` registers and `num_vars` variables, all
+    /// unbound, above the innermost one; returns its register and
+    /// boundness bases. The stack grows only past its high-water mark.
+    pub fn push_frame(
+        &mut self,
+        (num_regs, num_vars): (usize, usize),
+        lanes: usize,
+    ) -> (usize, usize) {
+        let bases = (self.top, self.bound.len());
+        self.top += num_regs * lanes;
+        if self.regs.len() < self.top {
+            self.regs.resize(self.top, Value::Int(0));
+        }
+        self.bound.resize(bases.1 + num_vars, 0);
+        bases
+    }
+
+    /// Close the frame [`push_frame`](LaneRegs::push_frame) returned
+    /// `bases` for.
+    pub fn pop_frame(&mut self, (base, bbase): (usize, usize)) {
+        self.top = base;
+        self.bound.truncate(bbase);
     }
 
     #[inline]
@@ -946,22 +1060,32 @@ impl LaneRegs {
         })
     }
 
-    /// `dst = f(args..)` on every live lane.
+    /// `dst = f(args..)` on every live lane: one typed sweep
+    /// ([`intrinsic_sweep`]) when the argument rows allow it, lane by lane
+    /// through `ops::intrinsic` otherwise.
     pub fn intrinsic<M: LaneMemory + ?Sized, A: Accounting>(
         &mut self,
         lc: LaneCtx,
         (f, cls): (Intrinsic, OpClass),
         dst: usize,
-        args: impl Iterator<Item = usize> + Clone,
+        args: impl Iterator<Item = usize>,
         ctx: &mut WarpCtx<'_, M, A>,
     ) -> Result<(), SimtError> {
         ctx.acct.op(cls, lc.live);
+        let mut arg_regs = [0usize; 4];
+        let mut n = 0;
+        for r in args {
+            arg_regs[n] = r;
+            n += 1;
+        }
+        let args = &arg_regs[..n];
+        if intrinsic_sweep(&mut self.regs, lc, f, dst, args) {
+            return Ok(());
+        }
         lc.try_each(|l| {
             let mut buf = [Value::Int(0); 4];
-            let mut n = 0;
-            for r in args.clone() {
-                buf[n] = self.reg(lc.base, lc.lanes, r, l);
-                n += 1;
+            for (v, &r) in buf.iter_mut().zip(args) {
+                *v = self.reg(lc.base, lc.lanes, r, l);
             }
             let v = ops::intrinsic(f, &buf[..n]).map_err(|er| ctx.lane_err(l, er))?;
             self.set_reg(lc.base, lc.lanes, dst, l, v);
@@ -1053,24 +1177,68 @@ impl LaneRegs {
         Ok(())
     }
 
-    /// The common front of a warp memory access: charge the issue, gather
-    /// per-lane `(lane, array, index)` triples (raising the walker's
-    /// per-lane errors in lane order), charge the coalesced transactions.
-    /// Returns how many lanes of `out` are filled.
-    #[allow(clippy::too_many_arguments)]
+    /// The front of a warp memory access: charge the issue, read each live
+    /// lane's `(lane, array, index)` into `out` — typed once per warp
+    /// ([`uniform_access`](LaneRegs::uniform_access)), lane by lane raising
+    /// the walker's per-lane errors in lane order otherwise — and charge the
+    /// coalesced transactions. Returns how many lanes of `out` are filled.
     fn touch<M: LaneMemory + ?Sized, A: Accounting>(
         &mut self,
         lc: LaneCtx,
         cls: OpClass,
-        arr: usize,
-        var: VarId,
-        idx: usize,
+        at: Access,
         ctx: &mut WarpCtx<'_, M, A>,
         out: &mut [(usize, ArrayId, i64); 32],
     ) -> Result<usize, SimtError> {
         ctx.acct.op(cls, lc.live);
-        let (oa, oi) = (lc.base + arr * lc.lanes, lc.base + idx * lc.lanes);
-        let unbound = lc.live & !self.bound[lc.bbase + arr];
+        let n = match self.uniform_access(lc, at, out) {
+            Some(n) => n,
+            None => self.access_by_lane(lc, at, ctx, out)?,
+        };
+        ctx.acct
+            .mem_access(&mut self.seg_scratch, &out[..n], &*ctx.mem);
+        Ok(n)
+    }
+
+    /// The typed front end: the array variable bound on every live lane
+    /// and naming one array, every index an `int` or a `long`. `None`, with
+    /// nothing but `out` written, for anything else.
+    fn uniform_access(
+        &self,
+        lc: LaneCtx,
+        at: Access,
+        out: &mut [(usize, ArrayId, i64); 32],
+    ) -> Option<usize> {
+        if lc.live & !self.bound[lc.bbase + at.arr] != 0 {
+            return None;
+        }
+        let (oa, oi) = (lc.base + at.arr * lc.lanes, lc.base + at.idx * lc.lanes);
+        let one = self.regs[oa + lc.live.trailing_zeros() as usize].as_array()?;
+        let mut n = 0usize;
+        lc.try_each(|l| match (self.regs[oa + l], self.regs[oi + l].as_i64()) {
+            (Value::Array(a), Some(i)) if a == one => {
+                out[n] = (l, one, i);
+                n += 1;
+                Ok(())
+            }
+            _ => Err(()),
+        })
+        .ok()?;
+        Some(n)
+    }
+
+    /// The lane-by-lane front: per live lane in order, the array variable
+    /// bound and holding an array, the index integral.
+    fn access_by_lane<M: LaneMemory + ?Sized, A: Accounting>(
+        &self,
+        lc: LaneCtx,
+        at: Access,
+        ctx: &WarpCtx<'_, M, A>,
+        out: &mut [(usize, ArrayId, i64); 32],
+    ) -> Result<usize, SimtError> {
+        let (oa, oi) = (lc.base + at.arr * lc.lanes, lc.base + at.idx * lc.lanes);
+        let unbound = lc.live & !self.bound[lc.bbase + at.arr];
+        let var = at.var;
         let mut n = 0usize;
         lc.try_each(|l| {
             if unbound & bit(l) != 0 {
@@ -1098,63 +1266,49 @@ impl LaneRegs {
             n += 1;
             Ok(())
         })?;
-        ctx.acct
-            .mem_access(&mut self.seg_scratch, &out[..n], &*ctx.mem);
         Ok(n)
     }
 
-    /// `dst = arr[idx]` on every live lane: one typed gather when every
-    /// lane names the same array and the memory hands it out
-    /// ([`LaneMemory::plain`]), lane by lane otherwise and from the first
-    /// lane the gather could not load.
+    /// `dst = arr[idx]` on every live lane, through the memory's warp hook
+    /// ([`WarpAccess::load`]).
     pub fn load<M: LaneMemory + ?Sized, A: Accounting>(
         &mut self,
         lc: LaneCtx,
         dst: usize,
-        arr: usize,
-        var: VarId,
-        idx: usize,
+        at: Access,
         ctx: &mut WarpCtx<'_, M, A>,
     ) -> Result<(), SimtError> {
-        let mut touched = [(0usize, ArrayId(0), 0i64); 32];
-        let n = self.touch(lc, OpClass::Load, arr, var, idx, ctx, &mut touched)?;
-        let touched = &touched[..n];
-        let od = lc.base + dst * lc.lanes;
-        let one = touched[0].1;
-        let gathered = match ctx.mem.plain(one) {
-            Some(data) if touched.iter().all(|&(_, a, _)| a == one) => {
-                gather(data, touched, &mut self.regs[od..od + lc.lanes])
-            }
-            _ => 0,
+        let mut lanes = [(0usize, ArrayId(0), 0i64); 32];
+        let n = self.touch(lc, OpClass::Load, at, ctx, &mut lanes)?;
+        let acc = WarpAccess {
+            warp: ctx.warp_id,
+            iters: ctx.iters,
+            lanes: &lanes[..n],
         };
-        for &(l, a, i) in &touched[gathered..] {
-            let actx = ctx.access_ctx(l);
-            let v = ctx.mem.load(actx, a, i).map_err(|er| ctx.lane_err(l, er))?;
-            self.regs[od + l] = v;
-        }
-        Ok(())
+        let od = lc.base + dst * lc.lanes;
+        acc.load(ctx.mem, &mut self.regs[od..od + lc.lanes])
+            .map_err(|(l, er)| ctx.lane_err(l, er))
     }
 
-    /// `arr[idx] = val` on every live lane.
+    /// `arr[idx] = val` on every live lane, through the memory's warp hook
+    /// ([`WarpAccess::store`]).
     pub fn store<M: LaneMemory + ?Sized, A: Accounting>(
         &mut self,
         lc: LaneCtx,
-        arr: usize,
-        var: VarId,
-        idx: usize,
+        at: Access,
         val: usize,
         ctx: &mut WarpCtx<'_, M, A>,
     ) -> Result<(), SimtError> {
-        let mut touched = [(0usize, ArrayId(0), 0i64); 32];
-        let n = self.touch(lc, OpClass::Store, arr, var, idx, ctx, &mut touched)?;
-        for &(l, a, i) in &touched[..n] {
-            let v = self.reg(lc.base, lc.lanes, val, l);
-            let actx = ctx.access_ctx(l);
-            ctx.mem
-                .store(actx, a, i, v)
-                .map_err(|er| ctx.lane_err(l, er))?;
-        }
-        Ok(())
+        let mut lanes = [(0usize, ArrayId(0), 0i64); 32];
+        let n = self.touch(lc, OpClass::Store, at, ctx, &mut lanes)?;
+        let acc = WarpAccess {
+            warp: ctx.warp_id,
+            iters: ctx.iters,
+            lanes: &lanes[..n],
+        };
+        let ov = lc.base + val * lc.lanes;
+        acc.store(ctx.mem, &self.regs[ov..ov + lc.lanes])
+            .map_err(|(l, er)| ctx.lane_err(l, er))
     }
 }
 
@@ -1413,12 +1567,47 @@ mod tests {
             let mut want = row.clone();
             want.sort_unstable();
             want.dedup();
-            prop_assert_eq!(distinct(&mut row), want.len() as u64);
+            prop_assert_eq!(distinct(&mut row.clone()), want.len() as u64);
+            // The same ids as segments of a `double` array (16 elements to
+            // a 128-byte segment, any of them) through `charge_coalesced`;
+            // now and then a negative index, or a run of lanes on an array
+            // that is not resident, each a transaction of its own.
+            let dev = device();
+            let mut touched: Vec<(usize, ArrayId, i64)> = row
+                .iter()
+                .enumerate()
+                .map(|(l, &s)| (l, ArrayId(0), (s * 16 + rng.below(16)) as i64))
+                .collect();
+            let mut lone = 0u64;
+            if len > 0 && rng.below(3) == 0 {
+                let l = rng.below(len as u64) as usize;
+                touched[l].2 = -1;
+                lone += 1;
+            }
+            if len > 1 && rng.below(3) == 0 {
+                let from = 1 + rng.below(len as u64 - 1) as usize;
+                for t in &mut touched[from..] {
+                    lone += u64::from(t.2 >= 0);
+                    t.1 = ArrayId(7);
+                }
+            }
+            let mut segs: Vec<u64> = touched
+                .iter()
+                .filter(|t| t.1 == ArrayId(0) && t.2 >= 0)
+                .map(|t| dev.address_of(t.1, t.2).unwrap() / 128)
+                .collect();
+            segs.sort_unstable();
+            segs.dedup();
+            let mut stats = WarpStats::new();
+            let cfg = DeviceConfig::default();
+            charge_coalesced(&mut Vec::new(), &touched, &dev, &mut stats, &cfg);
+            prop_assert_eq!(stats.mem_segments, segs.len() as u64 + lone);
         }
     }
 
-    /// A memory that hides [`LaneMemory::plain`], so every load goes lane
-    /// by lane: the reference the gather is checked against.
+    /// A memory that hides the warp hooks ([`LaneMemory::load_warp`],
+    /// [`LaneMemory::store_warp`]), so every access goes lane by lane: the
+    /// reference the hooks are checked against.
     struct PerLane<'m, M: ?Sized>(&'m mut M);
 
     impl<M: LaneMemory + ?Sized> LaneMemory for PerLane<'_, M> {
@@ -1455,6 +1644,7 @@ mod tests {
         Cast(Ty),
         Decl(Ty, bool),
         Assign,
+        Intrinsic(Intrinsic),
     }
 
     /// Register rows of a case; each doubles as the variable of its index.
@@ -1467,6 +1657,19 @@ mod tests {
     /// Elements of each of the case's two arrays.
     const LEN: i64 = 48;
     const CLASSES: (OpClass, OpClass) = (OpClass::IntAlu, OpClass::FpAlu);
+    const INTRINSICS: [Intrinsic; 11] = [
+        Intrinsic::Exp,
+        Intrinsic::Log,
+        Intrinsic::Sqrt,
+        Intrinsic::Pow,
+        Intrinsic::Sin,
+        Intrinsic::Cos,
+        Intrinsic::Abs,
+        Intrinsic::Max,
+        Intrinsic::Min,
+        Intrinsic::Floor,
+        Intrinsic::Ceil,
+    ];
 
     /// A random warp: lane count, live mask, register rows, boundness.
     #[derive(Debug)]
@@ -1483,7 +1686,22 @@ mod tests {
             0 => Value::Int([0, 1, -1, 7, 33, i32::MIN, i32::MAX, 5][pick]),
             1 => Value::Long([0, 1, -1, 63, 65, 1 << 40, i64::MIN, i64::MAX][pick]),
             2 => Value::Float([0.0, -0.0, 1.5, -2.25, f32::NAN, f32::INFINITY, 1e-40, 3.0][pick]),
-            3 => Value::Double([0.0, -0.0, 1.5, -2.25, f64::NAN, f64::MAX, 3e9, 7.0][pick]),
+            // Negative inputs give `log` / `sqrt` a NaN, infinities an
+            // infinite or NaN result, and `max` / `min` meet every order.
+            3 => Value::Double(
+                [
+                    0.0,
+                    -0.0,
+                    1.5,
+                    -2.25,
+                    f64::NAN,
+                    f64::MAX,
+                    3e9,
+                    7.0,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                ][pick + 2 * rng.below(2) as usize],
+            ),
             _ => Value::Bool(pick.is_multiple_of(2)),
         }
     }
@@ -1535,11 +1753,18 @@ mod tests {
                 false => Value::Int((base + stride * l) as i32),
             })
             .collect();
-        match rng.below(6) {
+        match rng.below(7) {
             0 | 1 => {
                 idx[middle(&mut rng)] = Value::Int([-1, LEN as i32, 1000][rng.below(3) as usize])
             }
             2 => idx[middle(&mut rng)] = Value::Double(1.0),
+            // An in-bounds index of the other integral type.
+            3 => {
+                idx[middle(&mut rng)] = match long {
+                    true => Value::Int(base as i32),
+                    false => Value::Long(base),
+                }
+            }
             _ => {}
         }
         let regs = [
@@ -1584,15 +1809,23 @@ mod tests {
         lc: LaneCtx,
         ctx: &mut WarpCtx<'_, M, A>,
     ) -> Result<(), SimtError> {
-        let arr = VarId(ARR as u32);
+        let at = Access {
+            arr: ARR,
+            var: VarId(ARR as u32),
+            idx: IDX,
+        };
         match op {
-            Op::Load => rf.load(lc, DST, ARR, arr, IDX, ctx),
-            Op::Store => rf.store(lc, ARR, arr, IDX, A, ctx),
+            Op::Load => rf.load(lc, DST, at, ctx),
+            Op::Store => rf.store(lc, at, A, ctx),
             Op::Binary(o) => rf.binary(lc, o, DST, A, B, CLASSES, ctx),
             Op::Unary(o) => rf.unary(lc, o, DST, A, CLASSES, ctx),
             Op::Cast(ty) => rf.cast(lc, ty, DST, A, ctx),
             Op::Decl(ty, init) => rf.decl(lc, DST, ty, init.then_some(A), ctx),
             Op::Assign => rf.assign(lc, VAR, A, ctx),
+            Op::Intrinsic(f) => {
+                let args = [A, B].into_iter().take(f.arity());
+                rf.intrinsic(lc, (f, OpClass::Special), DST, args, ctx)
+            }
         }
     }
 
@@ -1699,6 +1932,7 @@ mod tests {
         let cls = |l: usize| match op {
             Op::Cast(_) => OpClass::Cast,
             Op::Decl(..) | Op::Assign => OpClass::Move,
+            Op::Intrinsic(_) => OpClass::Special,
             _ if float(l) => CLASSES.1,
             _ => CLASSES.0,
         };
@@ -1737,6 +1971,10 @@ mod tests {
                     }
                     _ => Ok((VAR, v)),
                 },
+                Op::Intrinsic(f) => {
+                    let args = [v, regs[row(B, l)]];
+                    ops::intrinsic(f, &args[..f.arity()]).map(|r| (DST, r))
+                }
                 Op::Load | Op::Store => unreachable!("memory ops run against `PerLane`"),
             };
             match out {
@@ -1767,13 +2005,14 @@ mod tests {
 
     fn random_op(rng: &mut TestRng) -> Op {
         let ty = [Ty::Int, Ty::Long, Ty::Float, Ty::Double, Ty::Bool][rng.below(5) as usize];
-        match rng.below(8) {
+        match rng.below(10) {
             0 | 1 => Op::Load,
             2 => Op::Store,
             3 => Op::Binary(OPS[rng.below(OPS.len() as u64) as usize]),
             4 => Op::Unary([UnOp::Neg, UnOp::Not, UnOp::BitNot][rng.below(3) as usize]),
             5 => Op::Cast(ty),
             6 => Op::Decl(ty, rng.below(4) != 0),
+            7 | 8 => Op::Intrinsic(INTRINSICS[rng.below(INTRINSICS.len() as u64) as usize]),
             _ => Op::Assign,
         }
     }
@@ -1781,11 +2020,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
 
-        /// The whole-warp fast paths — the typed sweeps and the one-gather
-        /// load — against the lane-by-lane path, under random masks,
-        /// mixed-type rows, two arrays in one warp and bad indices on a
-        /// middle lane: the same registers, memory, accounting, failing
-        /// lane and error text, on device memory and a journal over it.
+        /// The whole-warp fast paths — the typed sweeps of operators and
+        /// intrinsics, the typed access front end and the warp memory hook —
+        /// against the lane-by-lane path, under random masks, mixed-type
+        /// rows, two arrays in one warp, `int` and `long` index rows and bad
+        /// indices on a middle lane: the same registers, memory, accounting,
+        /// failing lane and error text, on device memory and a journal over
+        /// it.
         #[test]
         fn fast_paths_equal_the_lane_by_lane_path(seed in any::<u64>()) {
             let c = case(seed);

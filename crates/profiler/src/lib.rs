@@ -9,11 +9,15 @@
 //! model of von Praun et al. the paper cites: the fraction of iterations
 //! that carry a (true) dependence on an earlier iteration.
 //!
-//! The profiling run buffers writes and commits them in iteration order, so
-//! when the loop turns out to carry *no* true dependence the profiling
-//! execution's results are already correct and the work is not repeated —
-//! matching the paper's design where the profiler "gathers the dynamic
-//! information by executing the loops ... on GPU in parallel".
+//! The profiler "gathers the dynamic information by executing the loops ...
+//! on GPU in parallel" (the paper's design). [`profile_loop`] buffers the
+//! run's writes and, when the loop turns out to carry *no* true dependence,
+//! commits them in iteration order to the device memory it was handed
+//! ([`LoopProfile::committed`]). The runtime hands it a scratch device,
+//! staged for the profile and dropped after it, so nothing the profile
+//! commits reaches the program's heap: the loop then executes in full
+//! through the scheduler, with the measured densities in hand, and the
+//! profiled iterations run twice.
 
 use japonica_gpusim::{launch_loop_guarded_with, DeviceConfig, DeviceMemory, SimtError};
 use japonica_ir::{Env, ForLoop, KernelCache, LoopBounds, LoopId, OpCounts, Program};
@@ -54,8 +58,9 @@ pub struct LoopProfile {
     pub counts: OpCounts,
     /// Simulated seconds the profiling run itself took on the GPU.
     pub profiling_time_s: f64,
-    /// Whether the profiling execution's results were committed (true when
-    /// no true dependence was observed — the work is already done).
+    /// Whether the profiling execution's results were committed to the
+    /// device memory the profile ran on (true when no true dependence was
+    /// observed).
     pub committed: bool,
 }
 
@@ -75,18 +80,17 @@ impl LoopProfile {
     pub fn describe(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
-        writeln!(
+        // Writing into a String is infallible; discard the Ok(()).
+        let _ = writeln!(
             out,
             "{}: {} iterations, TD density {:.4}, FD density {:.4}",
             self.loop_id, self.iterations, self.td_density, self.fd_density
-        )
-        .unwrap();
-        writeln!(
+        );
+        let _ = writeln!(
             out,
             "  pairs: RAW {} (intra-warp {}, inter-warp {}), WAR {}, WAW {}",
             self.raw_pairs, self.intra_warp_td, self.inter_warp_td, self.war_pairs, self.waw_pairs
-        )
-        .unwrap();
+        );
         if !self.td_distances.is_empty() {
             let dists: Vec<String> = self
                 .td_distances
@@ -94,12 +98,11 @@ impl LoopProfile {
                 .take(8)
                 .map(|(d, c)| format!("{d}:{c}"))
                 .collect();
-            writeln!(
+            let _ = writeln!(
                 out,
                 "  TD distance histogram (dist:count): {}",
                 dists.join(" ")
-            )
-            .unwrap();
+            );
         }
         out
     }

@@ -18,7 +18,7 @@
 //! bit-identical to the map-based reference (see `MapModel` in the tests).
 
 pub use japonica_gpusim::WriteList;
-use japonica_gpusim::{AccessCtx, DeviceMemory, LaneMemory, ParallelLaneMemory};
+use japonica_gpusim::{AccessCtx, DeviceMemory, LaneMemory, ParallelLaneMemory, WarpAccess};
 use japonica_ir::{ArrayId, ExecError, Value};
 use std::collections::BTreeSet;
 use std::ops::{Deref, DerefMut};
@@ -245,6 +245,48 @@ struct ArrayMeta {
     n_readers: u64,
 }
 
+impl ArrayMeta {
+    /// Note a read of element `idx` by iteration `iter` of warp `warp`.
+    fn read(&mut self, nodes: &mut Vec<Node>, idx: usize, iter: u64, warp: u32) {
+        let next = self.readers[idx];
+        self.readers[idx] = push_node(nodes, Node { iter, warp, next });
+        self.touched_r.set(idx);
+        self.n_readers += 1;
+    }
+
+    /// Note `(iter, warp)` in element `idx`'s writer set.
+    fn write(&mut self, nodes: &mut Vec<Node>, idx: usize, iter: u64, warp: u32) {
+        let (mut prev, mut cur) = (0u32, self.writers[idx]);
+        while cur != 0 {
+            let n = nodes[cur as usize - 1];
+            match (n.iter, n.warp).cmp(&(iter, warp)) {
+                std::cmp::Ordering::Equal => return,
+                std::cmp::Ordering::Less => break,
+                std::cmp::Ordering::Greater => (prev, cur) = (cur, n.next),
+            }
+        }
+        let new = push_node(
+            nodes,
+            Node {
+                iter,
+                warp,
+                next: cur,
+            },
+        );
+        match prev {
+            0 => self.writers[idx] = new,
+            p => nodes[p as usize - 1].next = new,
+        }
+        self.touched_w.set(idx);
+        self.n_writers += 1;
+    }
+}
+
+fn push_node(nodes: &mut Vec<Node>, node: Node) -> u32 {
+    nodes.push(node);
+    u32::try_from(nodes.len()).expect("metadata pool outgrew its u32 links")
+}
+
 /// The reusable allocation behind a [`SpeculativeMemory`]: write buffers,
 /// dense per-array metadata tables and the node pool. See
 /// [`SpeculativeMemory::with_arena`].
@@ -318,45 +360,28 @@ impl SpecArena {
         m
     }
 
-    fn push_node(nodes: &mut Vec<Node>, node: Node) -> u32 {
-        nodes.push(node);
-        u32::try_from(nodes.len()).expect("metadata pool outgrew its u32 links")
-    }
-
     fn record_read(&mut self, arr: ArrayId, idx: usize, len: usize, iter: u64, warp: u32) {
-        let m = Self::meta_for(&mut self.meta, arr, len);
-        let next = m.readers[idx];
-        m.readers[idx] = Self::push_node(&mut self.nodes, Node { iter, warp, next });
-        m.touched_r.set(idx);
-        m.n_readers += 1;
+        Self::meta_for(&mut self.meta, arr, len).read(&mut self.nodes, idx, iter, warp);
     }
 
     /// Note `(iter, warp)` in element `idx`'s writer set.
     fn note_write(&mut self, arr: ArrayId, idx: usize, len: usize, iter: u64, warp: u32) {
-        let m = Self::meta_for(&mut self.meta, arr, len);
-        let (mut prev, mut cur) = (0u32, m.writers[idx]);
-        while cur != 0 {
-            let n = self.nodes[cur as usize - 1];
-            match (n.iter, n.warp).cmp(&(iter, warp)) {
-                std::cmp::Ordering::Equal => return,
-                std::cmp::Ordering::Less => break,
-                std::cmp::Ordering::Greater => (prev, cur) = (cur, n.next),
-            }
-        }
-        let new = Self::push_node(
-            &mut self.nodes,
-            Node {
-                iter,
-                warp,
-                next: cur,
-            },
-        );
-        match prev {
-            0 => m.writers[idx] = new,
-            p => self.nodes[p as usize - 1].next = new,
-        }
-        m.touched_w.set(idx);
-        m.n_writers += 1;
+        Self::meta_for(&mut self.meta, arr, len).write(&mut self.nodes, idx, iter, warp);
+    }
+
+    /// The arena's metadata tables as a [`Record`].
+    fn recorder(&mut self) -> (&mut IterBufs, MetaRecord<'_>) {
+        let SpecArena {
+            writes,
+            meta,
+            nodes,
+        } = self;
+        let rec = MetaRecord {
+            meta,
+            nodes,
+            open: 0,
+        };
+        (writes, rec)
     }
 
     fn check(&self) -> DcOutcome {
@@ -444,6 +469,131 @@ impl SpecArena {
         st.fd_iters = fd.iter_ones().map(|off| lo + off as u64).collect();
         st
     }
+}
+
+/// Where the one-pass warp hooks of the speculative memories
+/// ([`load_pass`], [`store_pass`]) record the global accesses they make.
+trait Record {
+    /// Get ready for accesses to `arr`, `len` elements long: once per run
+    /// of lanes naming one array.
+    fn open(&mut self, arr: ArrayId, len: usize);
+    /// An access to element `idx` of the open array.
+    fn note(&mut self, idx: usize, iter: u64, warp: u32, write: bool);
+}
+
+/// A [`SpecArena`]'s metadata tables, the open array's resolved.
+struct MetaRecord<'a> {
+    meta: &'a mut Vec<ArrayMeta>,
+    nodes: &'a mut Vec<Node>,
+    open: usize,
+}
+
+impl Record for MetaRecord<'_> {
+    fn open(&mut self, arr: ArrayId, len: usize) {
+        SpecArena::meta_for(self.meta, arr, len);
+        self.open = arr.0 as usize;
+    }
+
+    #[inline]
+    fn note(&mut self, idx: usize, iter: u64, warp: u32, write: bool) {
+        let m = &mut self.meta[self.open];
+        match write {
+            true => m.write(self.nodes, idx, iter, warp),
+            false => m.read(self.nodes, idx, iter, warp),
+        }
+    }
+}
+
+/// A [`SpecView`]'s access log.
+struct LogRecord<'a> {
+    log: &'a mut Vec<Access>,
+    open: ArrayId,
+}
+
+impl Record for LogRecord<'_> {
+    fn open(&mut self, arr: ArrayId, _len: usize) {
+        self.open = arr;
+    }
+
+    #[inline]
+    fn note(&mut self, idx: usize, iter: u64, warp: u32, write: bool) {
+        self.log.push(Access {
+            arr: self.open,
+            idx,
+            iter,
+            warp,
+            write,
+        });
+    }
+}
+
+/// [`LaneMemory::load_warp`] of a speculative memory that reads `base`
+/// under its buffered `writes` and records its global reads in `rec`
+/// (`None`: records nothing). Per run of lanes naming one array, the array
+/// is resolved and `rec` opened once; then, lane by lane in one pass, the
+/// own-write lookup, the read record and the load — exactly what the
+/// memory's `load` does called lane by lane.
+fn load_pass(
+    writes: &IterBufs,
+    base: &DeviceMemory,
+    mut rec: Option<impl Record>,
+    acc: &WarpAccess<'_>,
+    row: &mut [Value],
+) -> usize {
+    let mut done = 0;
+    for (arr, lanes) in acc.runs() {
+        let Ok(data) = base.array(arr) else { break };
+        if let Some(rec) = &mut rec {
+            rec.open(arr, data.len());
+        }
+        for &(l, _, idx) in lanes {
+            let iter = acc.iters[l];
+            row[l] = match writes.read_own(iter, arr, idx) {
+                Some(v) => v,
+                None => {
+                    let Ok(i) = data.index_of(arr, idx) else {
+                        return done;
+                    };
+                    if let Some(rec) = &mut rec {
+                        rec.note(i, iter, acc.warp, false);
+                    }
+                    data.get(i)
+                }
+            };
+            done += 1;
+        }
+    }
+    done
+}
+
+/// [`LaneMemory::store_warp`] of a speculative memory, in one pass like
+/// [`load_pass`]: bounds check, write record, buffered write, lane by lane.
+fn store_pass(
+    writes: &mut IterBufs,
+    base: &DeviceMemory,
+    mut rec: Option<impl Record>,
+    acc: &WarpAccess<'_>,
+    row: &[Value],
+) -> usize {
+    let mut done = 0;
+    for (arr, lanes) in acc.runs() {
+        let Ok(data) = base.array(arr) else { break };
+        if let Some(rec) = &mut rec {
+            rec.open(arr, data.len());
+        }
+        for &(l, _, idx) in lanes {
+            let Ok(i) = data.index_of(arr, idx) else {
+                return done;
+            };
+            let iter = acc.iters[l];
+            if let Some(rec) = &mut rec {
+                rec.note(i, iter, acc.warp, true);
+            }
+            writes.write(iter, (arr, idx), row[l]);
+            done += 1;
+        }
+    }
+    done
 }
 
 /// A [`SpeculativeMemory`]'s arena: its own, or one lent by the caller.
@@ -678,6 +828,34 @@ impl LaneMemory for SpecView<'_> {
     fn overhead_cycles(&self) -> f64 {
         self.overhead_cycles
     }
+
+    fn load_warp(&mut self, acc: &WarpAccess<'_>, row: &mut [Value]) -> usize {
+        let rec = LogRecord {
+            log: &mut self.log,
+            open: ArrayId(0),
+        };
+        load_pass(
+            &self.writes,
+            self.base,
+            self.tracked.then_some(rec),
+            acc,
+            row,
+        )
+    }
+
+    fn store_warp(&mut self, acc: &WarpAccess<'_>, row: &[Value]) -> usize {
+        let rec = LogRecord {
+            log: &mut self.log,
+            open: ArrayId(0),
+        };
+        store_pass(
+            &mut self.writes,
+            self.base,
+            self.tracked.then_some(rec),
+            acc,
+            row,
+        )
+    }
 }
 
 impl ParallelLaneMemory for SpeculativeMemory<'_> {
@@ -758,6 +936,16 @@ impl LaneMemory for SpeculativeMemory<'_> {
     fn overhead_cycles(&self) -> f64 {
         self.overhead_cycles
     }
+
+    fn load_warp(&mut self, acc: &WarpAccess<'_>, row: &mut [Value]) -> usize {
+        let (writes, rec) = self.core.recorder();
+        load_pass(writes, self.base, self.tracked.then_some(rec), acc, row)
+    }
+
+    fn store_warp(&mut self, acc: &WarpAccess<'_>, row: &[Value]) -> usize {
+        let (writes, rec) = self.core.recorder();
+        store_pass(writes, self.base, self.tracked.then_some(rec), acc, row)
+    }
 }
 
 #[cfg(test)]
@@ -766,6 +954,7 @@ mod tests {
     use japonica_gpusim::DeviceConfig;
     use japonica_ir::Heap;
     use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
     use std::collections::BTreeMap;
 
     /// One recorded global-memory read of the reference model.
@@ -888,10 +1077,9 @@ mod tests {
         assert_eq!(sm.entries(), 3);
     }
 
-    /// The lane sweeps load a whole warp in one gather only from a memory
-    /// that hands its arrays out; speculative memory must not, or the
-    /// loads a warp issues would go unrecorded and a cross-lane read of an
-    /// earlier lane's store would pass the DC phase.
+    /// The lane sweeps hand a whole warp's loads to the memory's warp hook
+    /// at once; speculative memory must record every lane of it, or a
+    /// cross-lane read of an earlier lane's store would pass the DC phase.
     #[test]
     fn a_speculative_warp_records_every_lane_load() {
         let program = japonica_frontend::compile_source(
@@ -915,7 +1103,6 @@ mod tests {
         };
         let iters: Vec<u64> = (0..8).collect();
         let mut sm = SpeculativeMemory::new(&mut dev, 8.0);
-        assert!(sm.plain(a).is_none());
         japonica_gpusim::SimtVm::new()
             .run_warp(
                 &kernel,
@@ -1258,6 +1445,214 @@ mod tests {
             let model = model_of(&arrs, &in_warp_order);
             let copied = check_and_commit(par, &model, upto)?;
             assert_committed(&dev, &model, (&arrs, 10), upto, copied)?;
+        }
+    }
+
+    /// Elements of each array of the warp-hook proptest.
+    const WARP_LEN: usize = 12;
+
+    /// One warp access of the warp-hook proptest: the warp, whether it
+    /// stores, and each accessing lane's `(lane, array #, index)` — array
+    /// # 3 is not resident.
+    #[derive(Debug, Clone)]
+    struct WarpOp {
+        warp: u32,
+        store: bool,
+        lanes: Vec<(usize, usize, i64)>,
+    }
+
+    /// Lane `l` of warp `w` runs iteration `8 w + l`.
+    fn iters_of(warp: u32) -> Vec<u64> {
+        (0..8).map(|l| u64::from(warp) * 8 + l).collect()
+    }
+
+    /// Random warps over three arrays: random masks, one array or a mix,
+    /// indices a function of the iteration (so a load re-reads what the same
+    /// iteration stored), one index for the warp or random ones, and now
+    /// and then a middle lane out of bounds or on an array that is not
+    /// resident.
+    fn warp_stream(seed: u64) -> Vec<WarpOp> {
+        let mut rng = TestRng::from_seed(seed);
+        let mut shift = 0i64;
+        (0..1 + rng.below(24))
+            .map(|_| {
+                let warp = rng.below(4) as u32;
+                let mask = (rng.next_u64() as u32 & 0xff).max(1);
+                if rng.below(2) == 0 {
+                    shift = rng.below(4) as i64;
+                }
+                let (mixed, shape) = (rng.below(3) == 0, rng.below(3));
+                let one = rng.below(3) as usize;
+                let mut lanes: Vec<(usize, usize, i64)> = (0..8)
+                    .filter(|l| mask >> l & 1 == 1)
+                    .map(|l| {
+                        let iter = i64::from(warp) * 8 + l as i64;
+                        let idx = match shape {
+                            0 => (iter + shift) % WARP_LEN as i64,
+                            1 => shift,
+                            _ => rng.below(WARP_LEN as u64) as i64,
+                        };
+                        let arr = if mixed { rng.below(3) as usize } else { one };
+                        (l, arr, idx)
+                    })
+                    .collect();
+                let middle = rng.below(lanes.len() as u64) as usize;
+                match rng.below(8) {
+                    0 => lanes[middle].2 = [-1, WARP_LEN as i64][rng.below(2) as usize],
+                    1 => lanes[middle].1 = 3,
+                    _ => {}
+                }
+                WarpOp {
+                    warp,
+                    store: rng.below(2) == 0,
+                    lanes,
+                }
+            })
+            .collect()
+    }
+
+    /// What one warp access left: its outcome and the loaded row.
+    type WarpResult = (Result<(), (usize, ExecError)>, Vec<Value>);
+
+    /// Feed `ops` to `mem` through the warp hooks (`hooks`) or lane by lane,
+    /// each access stopping at its first failing lane; every lane access
+    /// that went through is appended to `done` as a model op.
+    fn drive(
+        mem: &mut impl LaneMemory,
+        arrs: &[ArrayId],
+        ops: &[WarpOp],
+        hooks: bool,
+        done: &mut Vec<Op>,
+    ) -> Vec<WarpResult> {
+        let array = |ai: usize| arrs.get(ai).copied().unwrap_or(ArrayId(99));
+        ops.iter()
+            .map(|op| {
+                let iters = iters_of(op.warp);
+                let lanes: Vec<(usize, ArrayId, i64)> = op
+                    .lanes
+                    .iter()
+                    .map(|&(l, ai, i)| (l, array(ai), i))
+                    .collect();
+                let mut row = vec![Value::Int(0); 8];
+                if op.store {
+                    for &(l, _, i) in &lanes {
+                        row[l] = match i {
+                            0.. => value_of(iters[l], i),
+                            _ => Value::Long(i),
+                        };
+                    }
+                }
+                let acc = WarpAccess {
+                    warp: op.warp,
+                    iters: &iters,
+                    lanes: &lanes,
+                };
+                let res = match (hooks, op.store) {
+                    (true, false) => acc.load(mem, &mut row),
+                    (true, true) => acc.store(mem, &row),
+                    (false, _) => lanes.iter().try_for_each(|&(l, arr, i)| {
+                        let at = ctx(iters[l], op.warp);
+                        match op.store {
+                            true => mem.store(at, arr, i, row[l]),
+                            false => mem.load(at, arr, i).map(|v| row[l] = v),
+                        }
+                        .map_err(|e| (l, e))
+                    }),
+                };
+                let failed = res.as_ref().err().map_or(usize::MAX, |&(l, _)| l);
+                for &(l, ai, i) in op.lanes.iter().filter(|&&(l, ..)| l < failed) {
+                    done.push((iters[l], op.warp, ai, i, op.store));
+                }
+                (res, row)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// The warp hooks record, buffer, load and fail exactly like the
+        /// lane-by-lane calls they replace: on fresh memories, on arenas
+        /// reused across rounds and on buffer-only memories, the same loaded
+        /// values and failing lane and error, and then the same DC outcome,
+        /// dependence stats, entries and commit order as the map-based
+        /// model of the lane accesses that went through.
+        #[test]
+        fn warp_hooks_record_what_lane_by_lane_calls_record(
+            first in any::<u64>(),
+            second in any::<u64>(),
+            upto in 0u64..40,
+        ) {
+            let mut arenas = (SpecArena::default(), SpecArena::default());
+            for (round, seed) in [first, first, second, second].into_iter().enumerate() {
+                let ops = warp_stream(seed);
+                let (mut dev_w, arrs) = device_with_arrays(3, WARP_LEN);
+                let (mut dev_l, _) = device_with_arrays(3, WARP_LEN);
+                let (mut hooked, mut by_lane) = match round {
+                    0 => (
+                        SpeculativeMemory::new(&mut dev_w, 8.0),
+                        SpeculativeMemory::new(&mut dev_l, 8.0),
+                    ),
+                    1 | 2 => (
+                        SpeculativeMemory::with_arena(&mut dev_w, 8.0, &mut arenas.0),
+                        SpeculativeMemory::with_arena(&mut dev_l, 8.0, &mut arenas.1),
+                    ),
+                    _ => (
+                        SpeculativeMemory::buffer_only(&mut dev_w, 8.0, &mut arenas.0),
+                        SpeculativeMemory::buffer_only(&mut dev_l, 8.0, &mut arenas.1),
+                    ),
+                };
+                let mut done = Vec::new();
+                let got = drive(&mut hooked, &arrs, &ops, true, &mut Vec::new());
+                let want = drive(&mut by_lane, &arrs, &ops, false, &mut done);
+                prop_assert_eq!(&got, &want, "round {}", round);
+                let model = model_of(&arrs, &done);
+                if round < 3 {
+                    let copied = check_and_commit(hooked, &model, upto)?;
+                    prop_assert_eq!(check_and_commit(by_lane, &model, upto)?, copied);
+                    assert_committed(&dev_w, &model, (&arrs, WARP_LEN), upto, copied)?;
+                    assert_committed(&dev_l, &model, (&arrs, WARP_LEN), upto, copied)?;
+                } else {
+                    prop_assert_eq!(hooked.entries(), 0);
+                    let order: WriteList =
+                        model.commit_order().into_iter().map(|(_, loc, v)| (loc, v)).collect();
+                    prop_assert_eq!(hooked.commit_all_collect().unwrap(), order.clone());
+                    prop_assert_eq!(by_lane.commit_all_collect().unwrap(), order);
+                }
+            }
+        }
+
+        /// The same through warp views: each warp's accesses go to a view
+        /// forked for it, hooked or lane by lane, and the deltas are
+        /// absorbed in warp order.
+        #[test]
+        fn warp_hooks_on_views_absorb_what_lane_by_lane_calls_absorb(
+            seed in any::<u64>(),
+            upto in 0u64..40,
+        ) {
+            let ops = warp_stream(seed);
+            let (mut dev_w, arrs) = device_with_arrays(3, WARP_LEN);
+            let (mut dev_l, _) = device_with_arrays(3, WARP_LEN);
+            let mut hooked = SpeculativeMemory::new(&mut dev_w, 8.0);
+            let mut by_lane = SpeculativeMemory::new(&mut dev_l, 8.0);
+            let mut done = Vec::new();
+            for w in 0..4u32 {
+                let slice: Vec<WarpOp> = ops.iter().filter(|op| op.warp == w).cloned().collect();
+                let mut view = hooked.fork();
+                let got = drive(&mut view, &arrs, &slice, true, &mut Vec::new());
+                let delta = SpeculativeMemory::harvest(view);
+                hooked.absorb(delta).unwrap();
+                let mut view = by_lane.fork();
+                let want = drive(&mut view, &arrs, &slice, false, &mut done);
+                let delta = SpeculativeMemory::harvest(view);
+                by_lane.absorb(delta).unwrap();
+                prop_assert_eq!(&got, &want, "warp {}", w);
+            }
+            let model = model_of(&arrs, &done);
+            let copied = check_and_commit(hooked, &model, upto)?;
+            prop_assert_eq!(check_and_commit(by_lane, &model, upto)?, copied);
+            assert_committed(&dev_w, &model, (&arrs, WARP_LEN), upto, copied)?;
+            assert_committed(&dev_l, &model, (&arrs, WARP_LEN), upto, copied)?;
         }
     }
 
