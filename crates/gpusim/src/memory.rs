@@ -89,7 +89,7 @@ pub struct WarpAccess<'a> {
 impl<'a> WarpAccess<'a> {
     /// The context of lane `lane`'s access.
     #[inline]
-    fn ctx(&self, lane: usize) -> AccessCtx {
+    pub fn ctx(&self, lane: usize) -> AccessCtx {
         AccessCtx {
             lane: lane as u32,
             warp: self.warp,
