@@ -329,11 +329,6 @@ pub(crate) fn charge_coalesced<M: LaneMemory + ?Sized>(
 ) {
     seg_scratch.clear();
     let seg_bytes = cfg.mem_segment_bytes as u64;
-    // A power-of-two segment size — every device model's — divides by a
-    // shift.
-    let shift = seg_bytes
-        .is_power_of_two()
-        .then_some(seg_bytes.trailing_zeros());
     let mut uncoalesced = 0u64;
     for run in touched.chunk_by(|a, b| a.1 == b.1) {
         let Some((base, elem)) = mem.placement(run[0].1) else {
@@ -345,11 +340,7 @@ pub(crate) fn charge_coalesced<M: LaneMemory + ?Sized>(
                 uncoalesced += 1;
                 continue;
             }
-            let addr = base + idx as u64 * elem;
-            seg_scratch.push(match shift {
-                Some(s) => addr >> s,
-                None => addr / seg_bytes,
-            });
+            seg_scratch.push((base + idx as u64 * elem) / seg_bytes);
         }
     }
     let segs = distinct(seg_scratch) + uncoalesced;
@@ -491,9 +482,14 @@ impl_int!(i64, u64, 0x3f);
 /// that checks each lane's operands are `A` and `B` as it goes — no
 /// per-lane tag dispatch, no error path. The first lane whose operands are
 /// not, or on which `f` declines (`None`), abandons the sweep with `false`
-/// returned and the operands intact, and the caller executes the
-/// instruction lane by lane through `ops::*`, which owns every error. A
-/// unary sweep passes its operand row twice.
+/// returned, and the caller executes the instruction lane by lane through
+/// `ops::*`, which owns every error. A unary sweep passes its operand row
+/// twice.
+///
+/// The destination is written in place. The compiler gives every operator
+/// a fresh temporary as its destination, never an operand, so a sweep
+/// abandoned at lane `k` leaves the operands intact and has written only
+/// live lanes below `k`, to the values the fallback writes there again.
 #[inline(always)]
 fn sweep<A: Lane, B: Lane>(
     regs: &mut [Value],
@@ -501,34 +497,16 @@ fn sweep<A: Lane, B: Lane>(
     lc: LaneCtx,
     f: impl Fn(A, B) -> Option<Value>,
 ) -> bool {
-    let lane = |regs: &[Value], l: usize| f(A::of(regs[oa + l])?, B::of(regs[ob + l])?);
-    if od != oa && od != ob {
-        // A destination apart from the operands is written in place: a
-        // sweep abandoned at lane `k` wrote only live lanes below `k`, to
-        // the values the fallback writes there again.
-        return lc
-            .try_each(|l| -> Result<(), ()> {
-                regs[od + l] = lane(regs, l).ok_or(())?;
-                Ok(())
-            })
-            .is_ok();
-    }
-    // Otherwise results go through a scratch row, so that a sweep abandoned
-    // halfway leaves the operands for the fallback.
-    let mut out = [Value::Int(0); 32];
-    let typed = lc.try_each(|l| -> Result<(), ()> {
-        out[l] = lane(regs, l).ok_or(())?;
+    debug_assert!(od != oa && od != ob, "a sweep's destination is an operand");
+    lc.try_each(|l| -> Result<(), ()> {
+        regs[od + l] = f(
+            A::of(regs[oa + l]).ok_or(())?,
+            B::of(regs[ob + l]).ok_or(())?,
+        )
+        .ok_or(())?;
         Ok(())
-    });
-    if typed.is_err() {
-        return false;
-    }
-    if lc.all_live() {
-        regs[od..od + lc.lanes].copy_from_slice(&out[..lc.lanes]);
-    } else {
-        lc.each(|l| regs[od + l] = out[l]);
-    }
-    true
+    })
+    .is_ok()
 }
 
 /// `dst = a op b` as a [`sweep`] over operands of one numeric type, for

@@ -19,7 +19,7 @@
 
 pub use japonica_gpusim::WriteList;
 use japonica_gpusim::{AccessCtx, DeviceMemory, LaneMemory, ParallelLaneMemory, WarpAccess};
-use japonica_ir::{ArrayId, ExecError, Value};
+use japonica_ir::{ArrayData, ArrayId, ExecError, Value};
 use std::collections::BTreeSet;
 use std::ops::{Deref, DerefMut};
 
@@ -360,15 +360,6 @@ impl SpecArena {
         m
     }
 
-    fn record_read(&mut self, arr: ArrayId, idx: usize, len: usize, iter: u64, warp: u32) {
-        Self::meta_for(&mut self.meta, arr, len).read(&mut self.nodes, idx, iter, warp);
-    }
-
-    /// Note `(iter, warp)` in element `idx`'s writer set.
-    fn note_write(&mut self, arr: ArrayId, idx: usize, len: usize, iter: u64, warp: u32) {
-        Self::meta_for(&mut self.meta, arr, len).write(&mut self.nodes, idx, iter, warp);
-    }
-
     /// The arena's metadata tables as a [`Record`].
     fn recorder(&mut self) -> (&mut IterBufs, MetaRecord<'_>) {
         let SpecArena {
@@ -471,8 +462,7 @@ impl SpecArena {
     }
 }
 
-/// Where the one-pass warp hooks of the speculative memories
-/// ([`load_pass`], [`store_pass`]) record the global accesses they make.
+/// Where a speculative memory records the global accesses it makes.
 trait Record {
     /// Get ready for accesses to `arr`, `len` elements long: once per run
     /// of lanes naming one array.
@@ -527,12 +517,63 @@ impl Record for LogRecord<'_> {
     }
 }
 
-/// [`LaneMemory::load_warp`] of a speculative memory that reads `base`
-/// under its buffered `writes` and records its global reads in `rec`
-/// (`None`: records nothing). Per run of lanes naming one array, the array
-/// is resolved and `rec` opened once; then, lane by lane in one pass, the
-/// own-write lookup, the read record and the load — exactly what the
-/// memory's `load` does called lane by lane.
+/// Resolve `arr` in `base` and open `rec` (`None`: records nothing) on it.
+fn open<'b>(
+    base: &'b DeviceMemory,
+    rec: &mut Option<impl Record>,
+    arr: ArrayId,
+) -> Result<&'b ArrayData, ExecError> {
+    let data = base.array(arr)?;
+    if let Some(rec) = rec {
+        rec.open(arr, data.len());
+    }
+    Ok(data)
+}
+
+/// One speculative load of element `idx` of the opened array `arr`
+/// (`data`) by iteration `iter` of warp `warp`. Read-your-own-write: the
+/// iteration's buffered update wins. Otherwise a global read, noted in
+/// `rec`, of the (stale) pre-sub-loop value.
+#[inline(always)]
+fn load_one(
+    writes: &IterBufs,
+    (arr, data): (ArrayId, &ArrayData),
+    rec: Option<&mut impl Record>,
+    idx: i64,
+    (iter, warp): (u64, u32),
+) -> Result<Value, ExecError> {
+    if let Some(v) = writes.read_own(iter, arr, idx) {
+        return Ok(v);
+    }
+    let i = data.index_of(arr, idx)?;
+    if let Some(rec) = rec {
+        rec.note(i, iter, warp, false);
+    }
+    Ok(data.get(i))
+}
+
+/// One speculative store, like [`load_one`]: checked against the real
+/// array so that an out-of-bounds store faults during SE, noted in `rec`,
+/// buffered for iteration `iter`.
+#[inline(always)]
+fn store_one(
+    writes: &mut IterBufs,
+    (arr, data): (ArrayId, &ArrayData),
+    rec: Option<&mut impl Record>,
+    (idx, v): (i64, Value),
+    (iter, warp): (u64, u32),
+) -> Result<(), ExecError> {
+    let i = data.index_of(arr, idx)?;
+    if let Some(rec) = rec {
+        rec.note(i, iter, warp, true);
+    }
+    writes.write(iter, (arr, idx), v);
+    Ok(())
+}
+
+/// [`LaneMemory::load_warp`] of a speculative memory: per run of lanes
+/// naming one array, the array resolved and `rec` opened once, then
+/// [`load_one`] lane by lane — the very access a lane-by-lane `load` makes.
 fn load_pass(
     writes: &IterBufs,
     base: &DeviceMemory,
@@ -542,32 +583,23 @@ fn load_pass(
 ) -> usize {
     let mut done = 0;
     for (arr, lanes) in acc.runs() {
-        let Ok(data) = base.array(arr) else { break };
-        if let Some(rec) = &mut rec {
-            rec.open(arr, data.len());
-        }
+        let Ok(data) = open(base, &mut rec, arr) else {
+            break;
+        };
         for &(l, _, idx) in lanes {
-            let iter = acc.iters[l];
-            row[l] = match writes.read_own(iter, arr, idx) {
-                Some(v) => v,
-                None => {
-                    let Ok(i) = data.index_of(arr, idx) else {
-                        return done;
-                    };
-                    if let Some(rec) = &mut rec {
-                        rec.note(i, iter, acc.warp, false);
-                    }
-                    data.get(i)
-                }
+            let at = (acc.iters[l], acc.warp);
+            let Ok(v) = load_one(writes, (arr, data), rec.as_mut(), idx, at) else {
+                return done;
             };
+            row[l] = v;
             done += 1;
         }
     }
     done
 }
 
-/// [`LaneMemory::store_warp`] of a speculative memory, in one pass like
-/// [`load_pass`]: bounds check, write record, buffered write, lane by lane.
+/// [`LaneMemory::store_warp`] of a speculative memory, one pass of
+/// [`store_one`] like [`load_pass`].
 fn store_pass(
     writes: &mut IterBufs,
     base: &DeviceMemory,
@@ -577,19 +609,14 @@ fn store_pass(
 ) -> usize {
     let mut done = 0;
     for (arr, lanes) in acc.runs() {
-        let Ok(data) = base.array(arr) else { break };
-        if let Some(rec) = &mut rec {
-            rec.open(arr, data.len());
-        }
+        let Ok(data) = open(base, &mut rec, arr) else {
+            break;
+        };
         for &(l, _, idx) in lanes {
-            let Ok(i) = data.index_of(arr, idx) else {
+            let at = (acc.iters[l], acc.warp);
+            if store_one(writes, (arr, data), rec.as_mut(), (idx, row[l]), at).is_err() {
                 return done;
-            };
-            let iter = acc.iters[l];
-            if let Some(rec) = &mut rec {
-                rec.note(i, iter, acc.warp, true);
             }
-            writes.write(iter, (arr, idx), row[l]);
             done += 1;
         }
     }
@@ -699,6 +726,13 @@ impl<'d> SpeculativeMemory<'d> {
         self.core.dependence_stats()
     }
 
+    /// The write buffers, the device and — when tracked — the metadata
+    /// tables as a [`Record`].
+    fn parts(&mut self) -> (&mut IterBufs, &DeviceMemory, Option<MetaRecord<'_>>) {
+        let (writes, rec) = self.core.recorder();
+        (writes, self.base, self.tracked.then_some(rec))
+    }
+
     /// Apply the buffered writes of iterations `< upto` to global memory in
     /// iteration order, handing each to `each`.
     fn commit(
@@ -781,40 +815,37 @@ pub struct SpecDelta {
     log: Vec<Access>,
 }
 
+impl SpecView<'_> {
+    /// The write buffers, the device and — when tracked — the access log
+    /// as a [`Record`].
+    fn parts(&mut self) -> (&mut IterBufs, &DeviceMemory, Option<LogRecord<'_>>) {
+        let rec = LogRecord {
+            log: &mut self.log,
+            open: ArrayId(0),
+        };
+        (&mut self.writes, self.base, self.tracked.then_some(rec))
+    }
+}
+
+// Read-your-own-write within a view: iterations never span warps, so the
+// warp's local buffer is authoritative for its own iterations.
 impl LaneMemory for SpecView<'_> {
     fn load(&mut self, ctx: AccessCtx, arr: ArrayId, idx: i64) -> Result<Value, ExecError> {
-        // Read-your-own-write: iterations never span warps, so the warp's
-        // local buffer is authoritative for its own iterations.
-        if let Some(v) = self.writes.read_own(ctx.iter, arr, idx) {
-            return Ok(v);
-        }
-        let data = self.base.array(arr)?;
-        let i = data.index_of(arr, idx)?;
-        if self.tracked {
-            self.log.push(Access {
-                arr,
-                idx: i,
-                iter: ctx.iter,
-                warp: ctx.warp,
-                write: false,
-            });
-        }
-        Ok(data.get(i))
+        let (writes, base, mut rec) = self.parts();
+        let data = open(base, &mut rec, arr)?;
+        load_one(writes, (arr, data), rec.as_mut(), idx, (ctx.iter, ctx.warp))
     }
 
     fn store(&mut self, ctx: AccessCtx, arr: ArrayId, idx: i64, v: Value) -> Result<(), ExecError> {
-        let i = self.base.array(arr)?.index_of(arr, idx)?;
-        if self.tracked {
-            self.log.push(Access {
-                arr,
-                idx: i,
-                iter: ctx.iter,
-                warp: ctx.warp,
-                write: true,
-            });
-        }
-        self.writes.write(ctx.iter, (arr, idx), v);
-        Ok(())
+        let (writes, base, mut rec) = self.parts();
+        let data = open(base, &mut rec, arr)?;
+        store_one(
+            writes,
+            (arr, data),
+            rec.as_mut(),
+            (idx, v),
+            (ctx.iter, ctx.warp),
+        )
     }
 
     fn array_len(&self, arr: ArrayId) -> Result<usize, ExecError> {
@@ -830,31 +861,13 @@ impl LaneMemory for SpecView<'_> {
     }
 
     fn load_warp(&mut self, acc: &WarpAccess<'_>, row: &mut [Value]) -> usize {
-        let rec = LogRecord {
-            log: &mut self.log,
-            open: ArrayId(0),
-        };
-        load_pass(
-            &self.writes,
-            self.base,
-            self.tracked.then_some(rec),
-            acc,
-            row,
-        )
+        let (writes, base, rec) = self.parts();
+        load_pass(writes, base, rec, acc, row)
     }
 
     fn store_warp(&mut self, acc: &WarpAccess<'_>, row: &[Value]) -> usize {
-        let rec = LogRecord {
-            log: &mut self.log,
-            open: ArrayId(0),
-        };
-        store_pass(
-            &mut self.writes,
-            self.base,
-            self.tracked.then_some(rec),
-            acc,
-            row,
-        )
+        let (writes, base, rec) = self.parts();
+        store_pass(writes, base, rec, acc, row)
     }
 }
 
@@ -885,44 +898,33 @@ impl ParallelLaneMemory for SpeculativeMemory<'_> {
     fn absorb(&mut self, delta: SpecDelta) -> Result<(), ExecError> {
         // The caller absorbs in warp order, so replaying each log in turn
         // records exactly what sequential execution would have.
+        let (writes, mut rec) = self.core.recorder();
         for a in delta.log {
-            let len = self.base.array_len(a.arr)?;
-            if a.write {
-                self.core.note_write(a.arr, a.idx, len, a.iter, a.warp);
-            } else {
-                self.core.record_read(a.arr, a.idx, len, a.iter, a.warp);
-            }
+            rec.open(a.arr, self.base.array_len(a.arr)?);
+            rec.note(a.idx, a.iter, a.warp, a.write);
         }
-        self.core.writes.adopt(delta.writes);
+        writes.adopt(delta.writes);
         Ok(())
     }
 }
 
 impl LaneMemory for SpeculativeMemory<'_> {
     fn load(&mut self, ctx: AccessCtx, arr: ArrayId, idx: i64) -> Result<Value, ExecError> {
-        // Read-your-own-write: the thread's buffered update wins.
-        if let Some(v) = self.core.writes.read_own(ctx.iter, arr, idx) {
-            return Ok(v);
-        }
-        // Global read: record metadata, then read the (stale) global value.
-        let data = self.base.array(arr)?;
-        let i = data.index_of(arr, idx)?;
-        if self.tracked {
-            self.core
-                .record_read(arr, i, data.len(), ctx.iter, ctx.warp);
-        }
-        Ok(data.get(i))
+        let (writes, base, mut rec) = self.parts();
+        let data = open(base, &mut rec, arr)?;
+        load_one(writes, (arr, data), rec.as_mut(), idx, (ctx.iter, ctx.warp))
     }
 
     fn store(&mut self, ctx: AccessCtx, arr: ArrayId, idx: i64, v: Value) -> Result<(), ExecError> {
-        // Validate against the real array so OOB faults surface during SE.
-        let data = self.base.array(arr)?;
-        let i = data.index_of(arr, idx)?;
-        if self.tracked {
-            self.core.note_write(arr, i, data.len(), ctx.iter, ctx.warp);
-        }
-        self.core.writes.write(ctx.iter, (arr, idx), v);
-        Ok(())
+        let (writes, base, mut rec) = self.parts();
+        let data = open(base, &mut rec, arr)?;
+        store_one(
+            writes,
+            (arr, data),
+            rec.as_mut(),
+            (idx, v),
+            (ctx.iter, ctx.warp),
+        )
     }
 
     fn array_len(&self, arr: ArrayId) -> Result<usize, ExecError> {
@@ -938,13 +940,13 @@ impl LaneMemory for SpeculativeMemory<'_> {
     }
 
     fn load_warp(&mut self, acc: &WarpAccess<'_>, row: &mut [Value]) -> usize {
-        let (writes, rec) = self.core.recorder();
-        load_pass(writes, self.base, self.tracked.then_some(rec), acc, row)
+        let (writes, base, rec) = self.parts();
+        load_pass(writes, base, rec, acc, row)
     }
 
     fn store_warp(&mut self, acc: &WarpAccess<'_>, row: &[Value]) -> usize {
-        let (writes, rec) = self.core.recorder();
-        store_pass(writes, self.base, self.tracked.then_some(rec), acc, row)
+        let (writes, base, rec) = self.parts();
+        store_pass(writes, base, rec, acc, row)
     }
 }
 
