@@ -3,7 +3,7 @@
 //! A submission's *execution identity* is `(program content-hash, input
 //! fingerprint, device-relevant config)`. Two jobs with the same identity
 //! are guaranteed the same result bits — the runtime is deterministic in
-//! exactly those inputs (proven by the loadgen's solo-reference oracle) —
+//! exactly those inputs (held to solo runs by `tests/concurrency.rs`) —
 //! so the service runs the first one (the **leader**) and fans its result
 //! out to every later duplicate (the **joiners**). Each joiner still gets
 //! its own verdict, latency sample and accounting row; only the execution

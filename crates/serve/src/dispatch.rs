@@ -41,8 +41,8 @@ use crate::cache::{content_hash, ProgramCache};
 use crate::dedup::{dedup_key, DedupConfig, DedupKey, DedupState, DoneEntry, Lookup};
 use crate::error::{FaultVerdict, Rejected, ServeError};
 use crate::fleet::{
-    attempt_salt, select_device, FleetConfig, HealthTracker, ProgramKernels, RetryPolicy, CPU_RUNG,
-    DEFAULT_KERNELS_PER_DEVICE,
+    attempt_salt, choose_device, select_device, FleetConfig, HealthTracker, ProgramKernels,
+    RetryPolicy, CPU_RUNG, DEFAULT_KERNELS_PER_DEVICE,
 };
 use crate::job::{execute_attempt, Attempt, JobRequest};
 use crate::pool::{PartitionAllocator, PoolSnapshot, ResourceRequest};
@@ -451,7 +451,6 @@ impl<T> DispatchCore<T> {
                 queue,
                 devices,
                 trackers,
-                templates,
                 dedup,
                 ..
             } = &mut *self;
@@ -491,11 +490,10 @@ impl<T> DispatchCore<T> {
                         Lookup::Lead => {}
                     }
                 }
-                // Choose the rung's device on a scratch copy of the health
-                // state: selection must leave no probe or dispatch mark
-                // when the chosen device has no room right now.
-                let mut scratch = trackers.clone();
-                let (device, _) = select_device(job.rung, job.req.salt, &mut scratch, templates);
+                // Choose the rung's device without marking it: selection
+                // must leave no probe or dispatch mark when the chosen
+                // device has no room right now.
+                let device = choose_device(job.rung, job.req.salt, trackers);
                 match devices[device].alloc.try_alloc(job.req.resources) {
                     Some(partition) => {
                         action = Some(Action::Place { device, partition });

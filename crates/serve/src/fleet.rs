@@ -23,7 +23,7 @@
 //! device's *template* plan reseeded with [`attempt_salt`]`(job salt,
 //! rung)` — a pure function of the job and the rung, never of which
 //! physical device the attempt landed on. On a homogeneous fleet (equal
-//! SM widths, equal templates — the chaos loadgen's configuration) every
+//! SM widths, equal templates — the chaos tests' configuration) every
 //! job therefore walks the *same* rung sequence and produces bit-identical
 //! per-attempt reports whether it runs threaded, in the virtual-clock
 //! simulator, or solo on a single-device fleet. Health tracking can only
@@ -406,55 +406,67 @@ pub fn probe_draw(template: Option<&FaultPlan>, probe_index: u64) -> bool {
     }
 }
 
-/// Pick the device for ladder rung `rung` of a job with `salt`, given the
-/// fleet's current health states, and run the quarantine/probe machinery.
-/// Returns `(device, forced)`.
+/// The device ladder rung `rung` of a job with `salt` goes to, given the
+/// fleet's current health states. Read-only, so a caller may ask before it
+/// knows whether the device has room; [`select_device`] marks the choice.
 ///
 /// The preference order is a pure function of `(rung, salt, states)`:
 /// rungs 0 and 1 prefer the home device (`salt % n`), rung 2 prefers the
 /// healthiest *other* device, and the CPU rung the healthiest device
-/// overall; quarantined devices are skipped while any alternative exists.
-/// When every candidate is quarantined, the preferred one is probed until
-/// a probe succeeds or the forced-bypass hatch arms.
-pub fn select_device(
-    rung: u32,
-    salt: u64,
-    trackers: &mut [HealthTracker],
-    templates: &[Option<FaultPlan>],
-) -> (usize, bool) {
+/// overall; the first candidate that allows dispatch wins. When every
+/// candidate is quarantined the preferred one is returned: probing it can
+/// only decide whether the dispatch is forced, never move it elsewhere.
+pub fn choose_device(rung: u32, salt: u64, trackers: &[HealthTracker]) -> usize {
     let n = trackers.len().max(1);
     let home = (salt % n as u64) as usize;
     // Candidate order for this rung: preference first, then health rank,
     // then fewest window faults, then index (all deterministic).
     let mut order: Vec<usize> = (0..n).collect();
-    let keyed = |i: usize, trackers: &[HealthTracker]| {
+    let keyed = |i: usize| {
         let t = &trackers[i];
         (t.state().rank(), t.faults_in_window(), i)
     };
     match rung {
         0 | 1 => {
             // Home first, then healthiest as fallback when home is out.
-            order.sort_by_key(|&i| (i != home, keyed(i, trackers)));
+            order.sort_by_key(|&i| (i != home, keyed(i)));
         }
         2 => {
             // Healthiest other; home only when it is the sole device.
-            order.sort_by_key(|&i| (i == home && n > 1, keyed(i, trackers)));
+            order.sort_by_key(|&i| (i == home && n > 1, keyed(i)));
         }
         _ => {
             // CPU rung: healthiest overall (the placement barely matters —
             // the run never touches the simulated GPU).
-            order.sort_by_key(|&i| keyed(i, trackers));
+            order.sort_by_key(|&i| keyed(i));
         }
     }
-    // First non-quarantined candidate wins.
-    if let Some(&i) = order.iter().find(|&&i| trackers[i].allows_dispatch()) {
-        trackers[i].record_dispatch(false);
-        return (i, false);
+    order
+        .iter()
+        .copied()
+        .find(|&i| trackers[i].allows_dispatch())
+        .unwrap_or(order[0])
+}
+
+/// Dispatch ladder rung `rung` of a job with `salt` to the device
+/// [`choose_device`] picks, and mark it on the health state. Returns
+/// `(device, forced)`.
+///
+/// When every candidate is quarantined, the chosen one is probed until a
+/// probe succeeds or the forced-bypass hatch arms.
+pub fn select_device(
+    rung: u32,
+    salt: u64,
+    trackers: &mut [HealthTracker],
+    templates: &[Option<FaultPlan>],
+) -> (usize, bool) {
+    let target = choose_device(rung, salt, trackers);
+    if trackers[target].allows_dispatch() {
+        trackers[target].record_dispatch(false);
+        return (target, false);
     }
-    // Every device is quarantined: probe the preferred candidate until it
-    // recovers or the escape hatch arms. Bounded: each failed probe
-    // advances `failed_probes_row` toward `forced_bypass_after`.
-    let target = order[0];
+    // Every device is quarantined. Bounded: each failed probe advances
+    // `failed_probes_row` toward `forced_bypass_after`.
     loop {
         let idx = trackers[target].begin_probe();
         let ok = probe_draw(templates[target].as_ref(), idx);
@@ -474,7 +486,7 @@ pub fn select_device(
 pub const DEFAULT_KERNELS_PER_DEVICE: usize = 32;
 
 /// Per-device kernel-cache aggregate (summed over the device's resident
-/// program caches), surfaced in `ServeStats` and `loadgen --json`.
+/// program caches), surfaced in `ServeStats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeviceKernelStats {
     /// Device index.

@@ -35,7 +35,7 @@
 //! threads: [`Serve`] (a mutex, a condition variable, worker threads, the
 //! host clock) and [`simulate_batch`] / [`SimServe`] (a virtual clock that
 //! orders finish, arrival and ready times and executes tickets inline,
-//! exactly reproducible for tests and the loadgen's determinism oracle).
+//! exactly reproducible, so tests can pin whole traces).
 //! They share one configuration ([`ServeConfig`]) and cannot disagree on a
 //! decision, because neither makes any. A content-hash [`ProgramCache`]
 //! sits beside the core so repeated submissions of the same source skip

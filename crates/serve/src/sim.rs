@@ -9,8 +9,8 @@
 //! time (`RunReport::total_s`) and a retry's backoff is a gap between
 //! events instead of a sleep. Every quantity is a pure function of the
 //! inputs: tests can assert exact schedules, exact placements, and exact
-//! latencies, and the loadgen's determinism oracle can diff two runs
-//! bit-for-bit.
+//! latencies, and diff two runs bit-for-bit (`tests/dispatch_golden.rs`,
+//! `tests/fleet_chaos.rs`).
 //!
 //! What this driver adds to the core is the clock. Event order at equal
 //! timestamps is fixed: completions first (resources free before anything

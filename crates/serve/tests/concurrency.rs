@@ -71,17 +71,20 @@ proptest! {
                     .expect("mix fits the pool")
             })
             .collect();
-        for (h, &(widx, sms, cpus)) in handles.into_iter().zip(&jobs) {
+        let solos: Vec<(u64, String)> =
+            jobs.iter().map(|&(w, s, c)| solo_reference(w, s, c)).collect();
+        for ((h, &(widx, sms, _)), (solo_bits, solo_summary)) in
+            handles.into_iter().zip(&jobs).zip(&solos)
+        {
             let result = h.wait().expect("job completes");
-            let (solo_bits, solo_summary) = solo_reference(widx, sms, cpus);
             prop_assert_eq!(
                 result.report.total_s.to_bits(),
-                solo_bits,
+                *solo_bits,
                 "workload {} on {} SMs: shared-tenancy clock diverged from solo",
                 Workload::all()[widx].name,
                 sms
             );
-            prop_assert_eq!(&result.report.summary(), &solo_summary);
+            prop_assert_eq!(&result.report.summary(), solo_summary);
             // Outputs match the sequential reference: neighbors never
             // corrupted this tenant's heap.
             let w = &Workload::all()[widx];
@@ -95,6 +98,26 @@ proptest! {
         let stats = serve.shutdown();
         prop_assert_eq!(stats.completed, k as u64);
         prop_assert!(stats.accounts_for_every_job(), "{}", stats.summary());
+        // The same batch on the virtual clock, where overlap is exact: at
+        // least two jobs share the device (else the oracle is vacuous), and
+        // each one still matches its solo run.
+        let sim = simulate_batch(
+            &SimServeConfig::default(),
+            jobs.iter().map(|&(w, s, c)| (0.0, workload_request(w, s, c))).collect(),
+        );
+        let mut spans = Vec::new();
+        for (o, (solo_bits, solo_summary)) in sim.outcomes.iter().zip(&solos) {
+            let SimJobOutcome::Completed { report, started_s, finished_s, .. } = o else {
+                return Err(TestCaseError::fail(format!("job did not complete: {o:?}")));
+            };
+            prop_assert_eq!(report.total_s.to_bits(), *solo_bits);
+            prop_assert_eq!(&report.summary(), solo_summary);
+            spans.push((*started_s, *finished_s));
+        }
+        let overlap = spans.iter().enumerate().any(|(i, a)| {
+            spans[i + 1..].iter().any(|b| a.0 < b.1 && b.0 < a.1)
+        });
+        prop_assert!(overlap, "the batch never ran two jobs at once: {:?}", spans);
     }
 }
 

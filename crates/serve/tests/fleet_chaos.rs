@@ -29,7 +29,7 @@ fn workload_request(widx: usize, sms: u32, cpus: u32, salt: u64) -> JobRequest {
 }
 
 /// A chaos fault template: every GPU kernel launch faults with
-/// probability `p`, every H2D transfer with `p/2` (the loadgen's shape).
+/// probability `p`, every H2D transfer with `p/2`.
 fn chaos_template(seed: u64, p: f64) -> FaultPlan {
     FaultPlan::new(
         seed,
@@ -86,15 +86,15 @@ proptest! {
         let b = simulate_batch(&cfg, chaos_trace(seed, 8));
         prop_assert_eq!(a.fingerprint(), b.fingerprint());
         prop_assert!(a.stats.accounts_for_every_job(), "{}", a.stats.summary());
-        // Chaos (up to 20% fault rate) loses no admissible job: every
-        // outcome is terminal and completions dominate.
-        for (i, o) in a.outcomes.iter().enumerate() {
-            match o {
-                SimJobOutcome::Completed { .. }
-                | SimJobOutcome::Failed(ServeError::Exhausted(_)) => {}
-                other => return Err(TestCaseError::fail(
-                    format!("job {i} ended in unexpected state {other:?}"))),
-            }
+        // Chaos loses no admitted job, on this fleet or on the 3-device
+        // one: the default budget reaches the CPU-only rung, which carries
+        // no fault plan.
+        let three = simulate_batch(&chaos_sim_config(3, 0.2), chaos_trace(seed, 8));
+        for (i, o) in a.outcomes.iter().chain(&three.outcomes).enumerate() {
+            prop_assert!(
+                matches!(o, SimJobOutcome::Completed { .. }),
+                "job {} lost to chaos: {:?}", i % 8, o
+            );
         }
     }
 

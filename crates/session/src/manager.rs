@@ -374,7 +374,6 @@ impl SessionManager {
             .get_or_compile(source)
             .map_err(|e| SessionError::Compile(e.to_string()))?;
         let phash = content_hash(source);
-        let prints = kernel_fingerprints(&compiled.program);
 
         let mut st = self.lock();
         let session = st
@@ -383,28 +382,29 @@ impl SessionManager {
             .ok_or(SessionError::UnknownSession(sid))?;
         session.last_used = now;
 
-        let old = session.program.take();
-        // Identical resubmission: the resident state is already exact.
-        if let Some(o) = old {
-            if o.phash == phash && o.source == source {
-                let resident = o.prints.len() as u64;
-                session.program = Some(o);
-                let report = LoadReport {
-                    phash,
-                    resident,
-                    reused: resident,
-                    recompiled: 0,
-                    invalidated: 0,
-                };
-                let c = &mut st.counters;
-                c.loads += 1;
-                c.resident_kernels += report.resident;
-                c.reused_kernels += report.reused;
-                return Ok(report);
-            }
-            session.program = Some(o);
+        // Identical resubmission: the resident state is already exact, so
+        // there is nothing to fingerprint.
+        let identical = session
+            .program
+            .as_ref()
+            .filter(|o| o.phash == phash && o.source == source)
+            .map(|o| o.prints.len() as u64);
+        if let Some(resident) = identical {
+            let report = LoadReport {
+                phash,
+                resident,
+                reused: resident,
+                recompiled: 0,
+                invalidated: 0,
+            };
+            let c = &mut st.counters;
+            c.loads += 1;
+            c.resident_kernels += report.resident;
+            c.reused_kernels += report.reused;
+            return Ok(report);
         }
         let old = session.program.take();
+        let prints = kernel_fingerprints(&compiled.program);
 
         let kernels = Arc::new(KernelCache::new());
         let (mut reused, mut recompiled, mut invalidated) = (0u64, 0u64, 0u64);

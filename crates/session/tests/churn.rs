@@ -2,7 +2,8 @@
 //! detached RUN / expiry / CLOSE, the session accounting identities stay
 //! closed after **every** operation, and the serving layer never leaks a
 //! device lease — the pool returns to fully free and the final service
-//! counters account for every job.
+//! counters account for every job. The threaded and virtual-clock backends
+//! give the same reply to every operation.
 
 use japonica_serve::{Serve, ServeConfig, SimServeConfig};
 use japonica_session::{RunInput, SessionConfig, SessionManager};
@@ -25,48 +26,39 @@ fn variant(v: u8) -> String {
     }
 }
 
-fn churn(mgr: &SessionManager, ops: &[(u8, u8)], threaded: bool) {
+/// Apply `ops` to `mgr`, returning every reply.
+fn churn(mgr: &SessionManager, ops: &[(u8, u8)], threaded: bool) -> Vec<String> {
     let mut sids: Vec<u64> = Vec::new();
+    let mut replies = Vec::new();
     let mut now = 0.0f64;
     for &(op, arg) in ops {
         now += 1.0;
-        let pick = |sids: &[u64]| -> Option<u64> {
-            if sids.is_empty() {
-                None
-            } else {
-                Some(sids[arg as usize % sids.len()])
+        let picked = (!sids.is_empty()).then(|| sids[arg as usize % sids.len()]);
+        // Errors (unknown session after eviction/expiry) are part of the
+        // property: identities must still hold.
+        let reply = match (op % 6, picked) {
+            (0, _) => {
+                let sid = mgr.open(u32::from(arg % 4), now);
+                sids.push(sid);
+                sid.to_string()
             }
-        };
-        match op % 6 {
-            0 => sids.push(mgr.open(u32::from(arg % 4), now)),
-            1 => {
-                if let Some(sid) = pick(&sids) {
-                    // Errors (unknown session after eviction/expiry) are
-                    // part of the property: identities must still hold.
-                    let _ = mgr.load(sid, &variant(arg), now);
-                }
+            (1, Some(sid)) => format!("{:?}", mgr.load(sid, &variant(arg), now)),
+            (2, Some(sid)) => {
+                let entry = if arg % 2 == 0 { "fa" } else { "fb" };
+                format!("{:?}", mgr.run(sid, entry, RunInput::Fresh(64), now))
             }
-            2 => {
-                if let Some(sid) = pick(&sids) {
-                    let entry = if arg % 2 == 0 { "fa" } else { "fb" };
-                    let _ = mgr.run(sid, entry, RunInput::Fresh(64), now);
-                }
-            }
-            3 => {
-                if let Some(sid) = pick(&sids) {
-                    let _ = mgr.run_detached(sid, "fa", RunInput::Fresh(64), now);
-                }
-            }
-            4 => {
+            (3, Some(sid)) => format!(
+                "{:?}",
+                mgr.run_detached(sid, "fa", RunInput::Fresh(64), now)
+            ),
+            (4, _) => {
                 now += f64::from(arg);
-                mgr.expire_idle(now);
+                format!("{:?}", mgr.expire_idle(now))
             }
-            _ => {
-                if let Some(sid) = pick(&sids) {
-                    let _ = mgr.close(sid, now);
-                }
-            }
-        }
+            (5, Some(sid)) => format!("{:?}", mgr.close(sid, now)),
+            _ => String::new(),
+        };
+        replies.push(reply);
         let stats = mgr.stats();
         assert!(
             stats.identities_hold(),
@@ -87,11 +79,17 @@ fn churn(mgr: &SessionManager, ops: &[(u8, u8)], threaded: bool) {
         assert_eq!(snap.free_sms, snap.sm_count, "leaked SM lease");
         assert_eq!(snap.free_cpu_slots, snap.cpu_slots, "leaked CPU slots");
     }
+    replies
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
 
+    /// The same ops through the virtual clock and through threads give the
+    /// same replies and the same final counters. A detached run stays in
+    /// flight on threads, and a session with work in flight never expires,
+    /// so the ops here run blocking; the threaded test below covers
+    /// detached runs.
     #[test]
     fn session_churn_keeps_identities_closed_virtual(
         ops in proptest::collection::vec((0u8..6, 0u8..16), 1..50),
@@ -103,10 +101,15 @@ proptest! {
             max_sessions: 3,
             ..SessionConfig::default()
         };
-        let mgr = SessionManager::virtual_clock(SimServeConfig::default(), cfg);
-        churn(&mgr, &ops, false);
-        let (stats, _) = mgr.shutdown();
+        let ops: Vec<(u8, u8)> =
+            ops.into_iter().map(|(op, arg)| (if op == 3 { 2 } else { op }, arg)).collect();
+        let virt = SessionManager::virtual_clock(SimServeConfig::default(), cfg.clone());
+        let serve = Serve::start(ServeConfig { workers: 3, ..ServeConfig::default() });
+        let thr = SessionManager::threaded(serve, cfg);
+        prop_assert_eq!(churn(&virt, &ops, false), churn(&thr, &ops, true));
+        let ((stats, _), (thr_stats, _)) = (virt.shutdown(), thr.shutdown());
         prop_assert!(stats.identities_hold(), "{stats:?}");
+        prop_assert_eq!(stats, thr_stats);
     }
 
     #[test]
