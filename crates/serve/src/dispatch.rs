@@ -41,7 +41,7 @@ use crate::cache::{content_hash, ProgramCache};
 use crate::dedup::{dedup_key, DedupConfig, DedupKey, DedupState, DoneEntry, Lookup};
 use crate::error::{FaultVerdict, Rejected, ServeError};
 use crate::fleet::{
-    attempt_salt, choose_device, select_device, FleetConfig, HealthTracker, ProgramKernels,
+    attempt_salt, choose_device, mark_dispatch, FleetConfig, HealthTracker, ProgramKernels,
     RetryPolicy, CPU_RUNG, DEFAULT_KERNELS_PER_DEVICE,
 };
 use crate::job::{execute_attempt, Attempt, JobRequest};
@@ -316,7 +316,7 @@ enum Action {
 /// channel, a trace index); the core only carries it.
 pub struct DispatchCore<T> {
     devices: Vec<Device>,
-    // Parallel to `devices`, in the slices `select_device` takes.
+    // Parallel to `devices`, in the slices `mark_dispatch` takes.
     trackers: Vec<HealthTracker>,
     templates: Vec<Option<FaultPlan>>,
     keys: KeyPolicy,
@@ -541,11 +541,8 @@ impl<T> DispatchCore<T> {
                 }
                 Action::Place { device, partition } => {
                     let (rung, salt) = (job.rung, job.req.salt);
-                    // Commit the (deterministic) selection on the real
-                    // health state.
-                    let (committed, forced) =
-                        select_device(rung, salt, &mut self.trackers, &self.templates);
-                    debug_assert_eq!(device, committed);
+                    // Mark the scan's choice on the real health state.
+                    let forced = mark_dispatch(device, &mut self.trackers, &self.templates);
                     if rung == 0 {
                         job.queued_s = now - job.arrived_s;
                         // First dispatch makes this job its key's leader.

@@ -408,7 +408,7 @@ pub fn probe_draw(template: Option<&FaultPlan>, probe_index: u64) -> bool {
 
 /// The device ladder rung `rung` of a job with `salt` goes to, given the
 /// fleet's current health states. Read-only, so a caller may ask before it
-/// knows whether the device has room; [`select_device`] marks the choice.
+/// knows whether the device has room; [`mark_dispatch`] marks the choice.
 ///
 /// The preference order is a pure function of `(rung, salt, states)`:
 /// rungs 0 and 1 prefer the home device (`salt % n`), rung 2 prefers the
@@ -448,36 +448,33 @@ pub fn choose_device(rung: u32, salt: u64, trackers: &[HealthTracker]) -> usize 
         .unwrap_or(order[0])
 }
 
-/// Dispatch ladder rung `rung` of a job with `salt` to the device
-/// [`choose_device`] picks, and mark it on the health state. Returns
-/// `(device, forced)`.
+/// Mark a dispatch to `target` — the device [`choose_device`] named — on
+/// the health state. Returns whether the dispatch is forced.
 ///
-/// When every candidate is quarantined, the chosen one is probed until a
-/// probe succeeds or the forced-bypass hatch arms.
-pub fn select_device(
-    rung: u32,
-    salt: u64,
+/// When `target` is quarantined (every candidate was), it is probed until
+/// a probe succeeds or the forced-bypass hatch arms.
+pub fn mark_dispatch(
+    target: usize,
     trackers: &mut [HealthTracker],
     templates: &[Option<FaultPlan>],
-) -> (usize, bool) {
-    let target = choose_device(rung, salt, trackers);
+) -> bool {
     if trackers[target].allows_dispatch() {
         trackers[target].record_dispatch(false);
-        return (target, false);
+        return false;
     }
-    // Every device is quarantined. Bounded: each failed probe advances
-    // `failed_probes_row` toward `forced_bypass_after`.
+    // Bounded: each failed probe advances `failed_probes_row` toward
+    // `forced_bypass_after`.
     loop {
         let idx = trackers[target].begin_probe();
         let ok = probe_draw(templates[target].as_ref(), idx);
         trackers[target].record_probe(ok);
         if ok {
             trackers[target].record_dispatch(false);
-            return (target, false);
+            return false;
         }
         if trackers[target].force_bypass_due() {
             trackers[target].record_dispatch(true);
-            return (target, true);
+            return true;
         }
     }
 }
@@ -635,6 +632,17 @@ mod tests {
         assert_eq!(s.quarantines, 1);
         assert_eq!(s.suspicions, 1);
         assert_eq!(s.recoveries, 1);
+    }
+
+    /// Choose and mark, as the dispatch core does once a slice is carved.
+    fn select_device(
+        rung: u32,
+        salt: u64,
+        trackers: &mut [HealthTracker],
+        templates: &[Option<FaultPlan>],
+    ) -> (usize, bool) {
+        let device = choose_device(rung, salt, trackers);
+        (device, mark_dispatch(device, trackers, templates))
     }
 
     #[test]

@@ -375,36 +375,45 @@ impl SessionManager {
             .map_err(|e| SessionError::Compile(e.to_string()))?;
         let phash = content_hash(source);
 
+        {
+            let mut st = self.lock();
+            let session = st
+                .sessions
+                .get_mut(&sid)
+                .ok_or(SessionError::UnknownSession(sid))?;
+            session.last_used = now;
+            // Identical resubmission: the resident state is already exact,
+            // so there is nothing to fingerprint.
+            let identical = session
+                .program
+                .as_ref()
+                .filter(|o| o.phash == phash && o.source == source)
+                .map(|o| o.prints.len() as u64);
+            if let Some(resident) = identical {
+                let report = LoadReport {
+                    phash,
+                    resident,
+                    reused: resident,
+                    recompiled: 0,
+                    invalidated: 0,
+                };
+                let c = &mut st.counters;
+                c.loads += 1;
+                c.resident_kernels += report.resident;
+                c.reused_kernels += report.reused;
+                return Ok(report);
+            }
+        }
+        // Fingerprint outside the lock. Whatever another load installed
+        // meanwhile is diffed below like any other resident program.
+        let prints = kernel_fingerprints(&compiled.program);
+
         let mut st = self.lock();
         let session = st
             .sessions
             .get_mut(&sid)
             .ok_or(SessionError::UnknownSession(sid))?;
-        session.last_used = now;
-
-        // Identical resubmission: the resident state is already exact, so
-        // there is nothing to fingerprint.
-        let identical = session
-            .program
-            .as_ref()
-            .filter(|o| o.phash == phash && o.source == source)
-            .map(|o| o.prints.len() as u64);
-        if let Some(resident) = identical {
-            let report = LoadReport {
-                phash,
-                resident,
-                reused: resident,
-                recompiled: 0,
-                invalidated: 0,
-            };
-            let c = &mut st.counters;
-            c.loads += 1;
-            c.resident_kernels += report.resident;
-            c.reused_kernels += report.reused;
-            return Ok(report);
-        }
         let old = session.program.take();
-        let prints = kernel_fingerprints(&compiled.program);
 
         let kernels = Arc::new(KernelCache::new());
         let (mut reused, mut recompiled, mut invalidated) = (0u64, 0u64, 0u64);
